@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -36,8 +37,18 @@ MHZ = TWO_PI * 1e6
 NS = 1e-9
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-3.5e-05' as a number, not an option (argparse's own pattern
+    misses exponents); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="modrabi",
         description="Two-tone frequency-modulation simulator for tunable "
                     "anisotropic Rabi models.")

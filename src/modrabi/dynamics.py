@@ -1,17 +1,18 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
-Density matrices are integrated in matrix form; at the dimensions used here
-(<= ~160) the right-hand side is a couple of dense multiplies, which beats a
-vectorized superoperator both in memory and in cache behavior.  The Lindblad
-right-hand side is
+Both equations run through one propagation loop and, for the fixed-step
+method, one classical RK4 over arrays; a state vector is the (d,) case and
+a density matrix the (d, d) one.  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
 
 with the (rate/2)(2 L rho L+ - rho L+L - L+L rho) normalization, so a pure
-decay run gives <n>(t) = e^{-gamma t} exactly.  Two structural fast paths
-matter in the hot loop: diagonal L+L damping folds into the generator K,
-and jump operators that factor over the tensor structure (qubit decay
+decay run gives <n>(t) = e^{-gamma t} exactly.  K keeps the Hamiltonian's
+form, a static part plus scalar coefficients times fixed sparse matrices,
+and applies as one sparse product whose nonzeros are rewritten per stage;
+the coefficients of every stage time of a sample interval come from one
+call.  Jump operators that factor over the tensor structure (qubit decay
 sigma- and the resonator ladder a both do) apply as block-sliced outer
 products instead of two more matrix products.
 
@@ -23,6 +24,7 @@ because it is evidence of a cutoff or step-size misconfiguration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -100,9 +102,12 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _ObservableSet:
-    def __init__(self, space: HilbertSpace, names: Sequence[str]):
+    """Named real series over the stored samples of one run."""
+
+    def __init__(self, space: HilbertSpace, names: Sequence[str], samples: int):
         self.space = space
         self.names = list(names)
+        self.series = {name: np.empty(samples) for name in self.names}
         self.mats: dict[str, np.ndarray] = {}
         top = space.fock_cutoff - 1
         self.top_idx = np.arange(space.qubit_dim) * space.fock_cutoff + top
@@ -118,111 +123,138 @@ class _ObservableSet:
             else:
                 raise ValidationError(f"unknown observable {name!r}")
 
-    def from_vector(self, psi: np.ndarray) -> dict[str, float]:
-        out = {}
-        for name in self.names:
-            if name == "trace":
-                out[name] = float(np.real(np.vdot(psi, psi)))
-            elif name == "purity":
-                out[name] = float(np.real(np.vdot(psi, psi)) ** 2)
-            elif name == "top_fock_pop":
-                out[name] = float(np.sum(np.abs(psi[self.top_idx]) ** 2))
-            else:
-                out[name] = float(np.real(np.vdot(psi, self.mats[name] @ psi)))
-        return out
+    def cutoff_ok(self) -> bool | None:
+        top = self.series.get("top_fock_pop")
+        return bool(np.all(top < CUTOFF_POP_LIMIT)) if top is not None else None
 
-    def from_matrix(self, rho: np.ndarray) -> dict[str, float]:
-        out = {}
-        diag = np.real(np.diagonal(rho))
-        for name in self.names:
+    def from_vector(self, i: int, psi: np.ndarray):
+        for name, col in self.series.items():
             if name == "trace":
-                out[name] = float(diag.sum())
+                col[i] = np.real(np.vdot(psi, psi))
+            elif name == "purity":
+                col[i] = np.real(np.vdot(psi, psi)) ** 2
+            elif name == "top_fock_pop":
+                col[i] = np.sum(np.abs(psi[self.top_idx]) ** 2)
+            else:
+                col[i] = np.real(np.vdot(psi, self.mats[name] @ psi))
+
+    def from_matrix(self, i: int, rho: np.ndarray):
+        diag = np.real(np.diagonal(rho))
+        for name, col in self.series.items():
+            if name == "trace":
+                col[i] = diag.sum()
             elif name == "purity":
                 # Tr(rho^2) = sum |rho_ij|^2 for the symmetrized matrix
-                out[name] = float(np.real(np.vdot(rho, rho)))
+                col[i] = np.real(np.vdot(rho, rho))
             elif name == "top_fock_pop":
-                out[name] = float(diag[self.top_idx].sum())
-            else:
-                out[name] = float(np.real(np.trace(self.mats[name] @ rho)))
-        return out
+                col[i] = diag[self.top_idx].sum()
+            else:   # Tr(M rho) = sum_ij M_ji rho_ij, without the product
+                col[i] = np.real(np.sum(self.mats[name].T * rho))
 
 
 DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# generator, right-hand sides and stepper
 # ---------------------------------------------------------------------------
 
-def _rk4_span(rhs, t0: float, y0: np.ndarray, t1: float, dt_target: float) -> np.ndarray:
-    """Fixed-step classical RK4 from t0 to t1 with step <= dt_target."""
-    span = t1 - t0
-    if span == 0.0:
-        return y0
-    nsub = max(1, int(math.ceil(span / dt_target)))
-    h = span / nsub
-    y = y0
-    for k in range(nsub):
-        t = t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return y
+_MAX_BLOCK = 512    # steps whose stage coefficients are evaluated in one call
 
 
-class _MatrixRk4:
-    """Classical RK4 on density matrices with preallocated stage buffers.
+class _Generator:
+    """K(t) = static - i damping + sum_k c_k(t) M_k as one CSR matrix.
 
-    The right-hand side is -i (K rho - (K rho)+) plus the jump terms, exact
-    for Hermitian rho, which every stage of the flow preserves.
+    The static part, the damping and every coupling term share one sparsity
+    pattern, so the nonzeros of K at any time are static_data + c(t) @ weights
+    and moving K to another time rewrites `matrix.data`, nothing else.
     """
 
-    def __init__(self, generator, jumps, dim: int):
-        self.generator = generator
-        self.jumps = jumps
-        self.m = np.empty((dim, dim), dtype=complex)
-        self.k1 = np.empty_like(self.m)
-        self.k2 = np.empty_like(self.m)
-        self.k3 = np.empty_like(self.m)
-        self.k4 = np.empty_like(self.m)
-        self.tmp = np.empty_like(self.m)
+    def __init__(self, H: TimeDependentHamiltonian, t0: float, damping=0.0):
+        from scipy import sparse   # already loaded with scipy.integrate
+        static = np.array(H.evaluate(t0) if H.static is None else H.static,
+                          dtype=complex)
+        static -= 1j * damping
+        terms = [m.toarray() for m in H.terms]
+        rows, cols = np.nonzero(np.logical_or.reduce([static != 0]
+                                                     + [m != 0 for m in terms]))
+        dim = static.shape[0]
+        self.static_data = static[rows, cols]
+        self.weights = np.array([m[rows, cols] for m in terms]).reshape(
+            len(terms), rows.size)
+        self.coefficients = H.coefficients
+        self.matrix = sparse.csr_array(
+            (self.static_data.copy(), cols, np.searchsorted(rows, np.arange(dim + 1))),
+            shape=(dim, dim))
 
-    def rhs_into(self, t: float, rho: np.ndarray, out: np.ndarray):
-        np.dot(self.generator(t), rho, out=self.m)
-        np.conjugate(self.m.T, out=out)
-        out -= self.m
-        out *= 1j
-        for j in self.jumps:
-            j.add_to(out, rho)
+    def data(self, times: np.ndarray) -> np.ndarray:
+        """Nonzeros of K at each time, shape (T, nnz)."""
+        if self.coefficients is None:
+            return np.broadcast_to(self.static_data, (len(times), self.static_data.size))
+        return self.static_data + self.coefficients(times) @ self.weights
+
+    def load(self, data: np.ndarray):
+        np.copyto(self.matrix.data, data)
+        return self.matrix
+
+    def at(self, t: float):
+        if self.coefficients is None:
+            return self.matrix
+        return self.load(self.data(np.array([t]))[0])
+
+
+def _schrodinger_rhs(k, psi: np.ndarray, out: np.ndarray):
+    np.multiply(k @ psi, -1j, out=out)
+
+
+def _lindblad_rhs(jumps, k, rho: np.ndarray, out: np.ndarray):
+    """-i (K rho - (K rho)+) + sum_j r_j L_j rho L_j+, exact for Hermitian
+    rho, which every stage of the flow preserves."""
+    m = k @ rho
+    np.conjugate(m.T, out=out)
+    out -= m
+    out *= 1j
+    for j in jumps:
+        j.add_to(out, rho)
+
+
+class _Rk4:
+    """Classical RK4 over arrays, in place, with preallocated stage buffers."""
+
+    def __init__(self, rhs, generator: _Generator, shape: tuple):
+        self.rhs = rhs
+        self.generator = generator
+        self.k1, self.k2, self.k3, self.k4, self.tmp = (
+            np.empty(shape, dtype=complex) for _ in range(5))
 
     def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float):
-        """Step y from t0 to t1 in place."""
-        span = t1 - t0
-        if span == 0.0:
-            return
-        nsub = max(1, int(math.ceil(span / dt_target)))
-        h = span / nsub
+        """Step y from t0 to t1 in place with steps <= dt_target."""
+        nsub = max(1, int(math.ceil((t1 - t0) / dt_target)))
+        h = (t1 - t0) / nsub
+        gen, rhs = self.generator, self.rhs
         k1, k2, k3, k4, tmp = self.k1, self.k2, self.k3, self.k4, self.tmp
-        for k in range(nsub):
-            t = t0 + k * h
-            self.rhs_into(t, y, k1)
-            np.multiply(k1, 0.5 * h, out=tmp)
-            tmp += y
-            self.rhs_into(t + 0.5 * h, tmp, k2)
-            np.multiply(k2, 0.5 * h, out=tmp)
-            tmp += y
-            self.rhs_into(t + 0.5 * h, tmp, k3)
-            np.multiply(k3, h, out=tmp)
-            tmp += y
-            self.rhs_into(t + h, tmp, k4)
-            k2 += k3
-            k2 *= 2.0
-            k1 += k4
-            k1 += k2
-            k1 *= h / 6.0
-            y += k1
+        for first in range(0, nsub, _MAX_BLOCK):
+            starts = t0 + np.arange(first, min(first + _MAX_BLOCK, nsub)) * h
+            n = starts.size
+            data = gen.data(np.concatenate([starts, starts + 0.5 * h, starts + h]))
+            for s in range(n):
+                rhs(gen.load(data[s]), y, k1)
+                np.multiply(k1, 0.5 * h, out=tmp)
+                tmp += y
+                mid = gen.load(data[n + s])
+                rhs(mid, tmp, k2)
+                np.multiply(k2, 0.5 * h, out=tmp)
+                tmp += y
+                rhs(mid, tmp, k3)
+                np.multiply(k3, h, out=tmp)
+                tmp += y
+                rhs(gen.load(data[2 * n + s]), tmp, k4)
+                k2 += k3
+                k2 *= 2.0
+                k1 += k4
+                k1 += k2
+                k1 *= h / 6.0
+                y += k1
 
 
 def _pick_dt(cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> float:
@@ -243,6 +275,38 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
+               y0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, record):
+    """Carry y0 over the grid, handing each stored sample i to record(i, y).
+
+    The fixed-step stepper continues from what record returns, so a state
+    symmetrized at a stored step is the one propagated further.
+    """
+    if cfg.method == "fixed_rk4":
+        dt = _pick_dt(cfg, H)
+        stepper = _Rk4(rhs, generator, y0.shape)
+        y = record(0, y0.copy()).copy()
+        for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
+            stepper.advance(t0, y, t1, dt)
+            if k % cfg.store_every == 0:
+                y = record(k // cfg.store_every, y).copy()
+        return
+
+    def fun(t, flat):
+        y = flat.reshape(y0.shape)
+        out = np.empty_like(y)
+        rhs(generator.at(t), y, out)
+        return out.reshape(-1)
+
+    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="RK45",
+                    t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol,
+                    max_step=cfg.max_step)
+    if not sol.success:
+        raise NumericsError(f"adaptive integration failed: {sol.message}")
+    for i in range(sol.y.shape[1]):
+        record(i, sol.y[:, i].reshape(y0.shape))
+
+
 # ---------------------------------------------------------------------------
 # Schrodinger propagation
 # ---------------------------------------------------------------------------
@@ -256,52 +320,25 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         raise ValidationError("initial state and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
-    obs = _ObservableSet(H.space, observables)
-    evaluate = H.evaluate
-
-    def rhs(t, y):
-        return -1j * (evaluate(t) @ y)
-
     stored_t = times[::cfg.store_every]
-    vectors = _propagate(rhs, psi0.amplitudes.copy(), times, cfg, H)
-    vectors = vectors[::cfg.store_every]
-
-    series = {name: np.empty(len(stored_t)) for name in obs.names}
+    obs = _ObservableSet(H.space, observables, len(stored_t))
+    states = [] if store_states else None
     norm_drift = 0.0
-    for i, v in enumerate(vectors):
-        vals = obs.from_vector(v)
-        for name, val in vals.items():
-            series[name][i] = val
-        norm_drift = max(norm_drift, abs(np.linalg.norm(v) - 1.0))
-    top = series.get("top_fock_pop")
-    cutoff_ok = bool(np.all(top < CUTOFF_POP_LIMIT)) if top is not None else None
 
-    states = None
-    if store_states:
-        states = [PureState(H.space, v / np.linalg.norm(v), norm_tol=STATE_NORM_TOL)
-                  for v in vectors]
-    return Trajectory(times=stored_t, observables=series, states=states,
-                      diagnostics={"norm_drift": norm_drift, "cutoff_ok": cutoff_ok,
+    def record(i, psi):
+        nonlocal norm_drift
+        obs.from_vector(i, psi)
+        norm = np.linalg.norm(psi)
+        norm_drift = max(norm_drift, abs(norm - 1.0))
+        if states is not None:
+            states.append(PureState(H.space, psi / norm, norm_tol=STATE_NORM_TOL))
+        return psi
+
+    _propagate(H, _schrodinger_rhs, _Generator(H, times[0]), psi0.amplitudes,
+               times, cfg, record)
+    return Trajectory(times=stored_t, observables=obs.series, states=states,
+                      diagnostics={"norm_drift": norm_drift, "cutoff_ok": obs.cutoff_ok(),
                                    "method": cfg.method})
-
-
-def _propagate(rhs, y0: np.ndarray, times: np.ndarray,
-               cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> list[np.ndarray]:
-    if cfg.method == "fixed_rk4":
-        dt = _pick_dt(cfg, H)
-        out = [y0]
-        y = y0
-        for t0, t1 in zip(times[:-1], times[1:]):
-            y = _rk4_span(rhs, t0, y, t1, dt)
-            out.append(y)
-        return out
-    # adaptive_rk45
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="RK45",
-                    t_eval=times, rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step)
-    if not sol.success:
-        raise NumericsError(f"adaptive integration failed: {sol.message}")
-    return [sol.y[:, k] for k in range(sol.y.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +402,17 @@ class _JumpApplier:
             out += self.rate * (self.L @ rho @ self.Ld)
 
 
+def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
+              t0: float):
+    """Generator K = H - i sum_j (r_j/2) L_j+ L_j and right-hand side
+    rhs(K, rho, out) of the Lindblad flow, one sparse product per call."""
+    active = [d for d in dissipators if d.rate != 0.0]
+    damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix) for d in active)
+    jumps = [_JumpApplier(d.jump.matrix, d.rate, H.space.qubit_dim, H.space.fock_cutoff)
+             for d in active]
+    return _Generator(H, t0, damping), functools.partial(_lindblad_rhs, jumps)
+
+
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                   rho0: DensityMatrix, times: np.ndarray,
                   cfg: IntegratorConfig | None = None,
@@ -379,64 +427,8 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
             raise ValidationError("dissipator and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
-    dim = H.space.dim
-    obs = _ObservableSet(H.space, observables)
-    evaluate = H.evaluate
-
-    # Fold the anticommutator part into a non-Hermitian generator
-    # K(t) = H(t) - i sum_j (r_j/2) L_j+ L_j; for Hermitian rho the coherent
-    # plus damping part of the flow is -i (K rho - (K rho)+), one product per
-    # evaluation.  The flow preserves Hermiticity exactly, and the defect of
-    # the raw state is recorded at stored steps so a stepper bug cannot hide.
-    damping = np.zeros(dim, dtype=complex)
-    damping_diag = True
-    damping_mat = np.zeros((dim, dim), dtype=complex)
-    jumps = []
-    for d in dissipators:
-        if d.rate == 0.0:
-            continue
-        L = d.jump.matrix
-        LdL = L.conj().T @ L
-        damping_mat += 0.5 * d.rate * LdL
-        if np.max(np.abs(LdL - np.diag(np.diagonal(LdL)))) > 0.0:
-            damping_diag = False
-        else:
-            damping += 0.5 * d.rate * np.real(np.diagonal(LdL))
-        jumps.append(_JumpApplier(L, d.rate, H.space.qubit_dim, H.space.fock_cutoff))
-    diag_idx = np.arange(dim)
-
-    if H.is_static:
-        k_static = np.array(evaluate(times[0]), dtype=complex, copy=True)
-        if jumps:
-            if damping_diag:
-                k_static[diag_idx, diag_idx] -= 1j * damping
-            else:
-                k_static -= 1j * damping_mat
-        def generator(t: float) -> np.ndarray:
-            return k_static
-    else:
-        kbuf = np.empty((dim, dim), dtype=complex)
-        def generator(t: float) -> np.ndarray:
-            np.copyto(kbuf, evaluate(t))
-            if jumps:
-                if damping_diag:
-                    kbuf[diag_idx, diag_idx] -= 1j * damping
-                else:
-                    np.subtract(kbuf, 1j * damping_mat, out=kbuf)
-            return kbuf
-
-    def rhs_alloc(t, y):
-        rho = y.reshape(dim, dim)
-        m = generator(t) @ rho
-        out = m.conj().T
-        out -= m
-        out *= 1j          # -i (m - m+)
-        for j in jumps:
-            j.add_to(out, rho)
-        return out.reshape(-1) if y.ndim == 1 else out
-
     stored_t = times[::cfg.store_every]
-    series = {name: np.empty(len(stored_t)) for name in obs.names}
+    obs = _ObservableSet(H.space, observables, len(stored_t))
     states = [] if store_states else None
     trace_drift = 0.0
     min_eig = math.inf
@@ -453,40 +445,18 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                 f"density matrix lost positivity at t = {stored_t[i]:.6g}",
                 diagnostics={"time": float(stored_t[i]), "min_eigenvalue": lo,
                              "positivity_floor": positivity_floor})
-        vals = obs.from_matrix(rho)
-        for name, val in vals.items():
-            series[name][i] = val
+        obs.from_matrix(i, rho)
         trace_drift = max(trace_drift, abs(float(np.real(np.trace(rho))) - 1.0))
         if states is not None:
             states.append(DensityMatrix(H.space, rho, trace_tol=STATE_NORM_TOL,
                                         eig_floor=positivity_floor))
         return rho
 
-    if cfg.method == "fixed_rk4":
-        dt = _pick_dt(cfg, H)
-        rho = rho0.matrix.copy()
-        rho = record(0, rho).copy()
-        stepper = _MatrixRk4(generator, jumps, dim)
-        k = 0
-        for t0, t1 in zip(times[:-1], times[1:]):
-            stepper.advance(t0, rho, t1, dt)
-            k += 1
-            if k % cfg.store_every == 0:
-                rho = record(k // cfg.store_every, rho).copy()
-    else:
-        sol = solve_ivp(rhs_alloc, (times[0], times[-1]), rho0.matrix.reshape(-1),
-                        method="RK45", t_eval=stored_t, rtol=cfg.rtol,
-                        atol=cfg.atol, max_step=cfg.max_step)
-        if not sol.success:
-            raise NumericsError(f"adaptive integration failed: {sol.message}")
-        for i in range(sol.y.shape[1]):
-            record(i, sol.y[:, i].reshape(dim, dim))
-
-    top = series.get("top_fock_pop")
-    cutoff_ok = bool(np.all(top < CUTOFF_POP_LIMIT)) if top is not None else None
-    return Trajectory(times=stored_t, observables=series, states=states,
+    generator, rhs = _lindblad(H, dissipators, times[0])
+    _propagate(H, rhs, generator, rho0.matrix, times, cfg, record)
+    return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
-                                   "cutoff_ok": cutoff_ok, "method": cfg.method})
+                                   "cutoff_ok": obs.cutoff_ok(), "method": cfg.method})
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ cancels the bare and drive parts exactly and leaves
 with chi(t) = (epsilon - epsilon_eff) t / 2 + Phi(t) and
 mu(t) = (omega - omega_eff) t.  No numerical differentiation of U is ever
 involved; at GHz phase scales that cancellation must be exact to survive.
+
+Every builder returns H(t) = static + sum_k c_k(t) M_k: a dense static
+matrix, fixed sparse couplings M_k and vectorized coefficients c_k.  In the
+rotating frame all GHz-scale phases sit in the four scalar c_k and the M_k
+are band-sparse, so the propagators apply H(t) as a sparse product and
+evaluate the coefficients of many times in one numpy call.
 """
 
 from __future__ import annotations
@@ -43,18 +49,51 @@ _CONSTRAINT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """A total mapping t -> Hermitian matrix plus a record of its construction."""
+    """H(t) = static + sum_k c_k(t) M_k plus a record of its construction.
+
+    `terms` holds the sparse M_k; `coefficients` maps times (T,) to the
+    (T, K) complex c_k.  `evaluate(t)`, the dense assembly, is a reference
+    that propagators never call per step.  A Hamiltonian given by
+    `evaluate` alone must be static; its static part is evaluate(t0).
+    """
 
     space: HilbertSpace
-    evaluate: Callable[[float], np.ndarray]
+    evaluate: Callable[[float], np.ndarray] | None = None
     descriptor: dict = field(default_factory=dict)
     is_static: bool = False
+    static: np.ndarray | None = None
+    terms: tuple = ()
+    coefficients: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def matrix(self, t: float) -> np.ndarray:
-        return self.evaluate(t)
+    def __post_init__(self):
+        if self.static is None and not (self.is_static and self.evaluate is not None):
+            raise ValidationError("a time-dependent Hamiltonian needs a static part, "
+                                  "coupling terms and coefficients")
+        if bool(self.terms) != (self.coefficients is not None):
+            raise ValidationError("coupling terms and coefficients go together")
+        # dataclasses.replace hands over the old instance's bound assembly
+        inherited = getattr(self.evaluate, "__func__", None) is TimeDependentHamiltonian._assemble
+        if self.evaluate is None or inherited:
+            object.__setattr__(self, "evaluate", self._assemble)
 
-    def operator(self, t: float) -> Operator:
-        return Operator(self.space, self.evaluate(t))
+    def _assemble(self, t: float) -> np.ndarray:
+        h = np.array(self.static, dtype=complex)
+        if self.terms:
+            for c, m in zip(self.coefficients(np.array([t]))[0], self.terms):
+                h += c * m.toarray()
+        return h
+
+
+def _drive_phase(drive: DriveParams, t):
+    """Phi(t) = sum_j eta_j sin(Omega_j t + phi_j), elementwise in t."""
+    return (drive.eta1 * np.sin(drive.omega1 * t + drive.phi1)
+            + drive.eta2 * np.sin(drive.omega2 * t + drive.phi2))
+
+
+def _drive_phase_rate(drive: DriveParams, t):
+    """dPhi/dt, elementwise in t."""
+    return (drive.eta1 * drive.omega1 * np.cos(drive.omega1 * t + drive.phi1)
+            + drive.eta2 * drive.omega2 * np.cos(drive.omega2 * t + drive.phi2))
 
 
 @dataclass(frozen=True)
@@ -70,14 +109,10 @@ class FramePhases:
     drive: DriveParams
 
     def drive_phase(self, t: float) -> float:
-        d = self.drive
-        return (d.eta1 * math.sin(d.omega1 * t + d.phi1)
-                + d.eta2 * math.sin(d.omega2 * t + d.phi2))
+        return float(_drive_phase(self.drive, t))
 
     def drive_phase_rate(self, t: float) -> float:
-        d = self.drive
-        return (d.eta1 * d.omega1 * math.cos(d.omega1 * t + d.phi1)
-                + d.eta2 * d.omega2 * math.cos(d.omega2 * t + d.phi2))
+        return float(_drive_phase_rate(self.drive, t))
 
     def phases(self, t: float) -> np.ndarray:
         return self.linear * t + self.sz_total * self.drive_phase(t)
@@ -94,12 +129,16 @@ def frame_phases(sys: SystemParams, drive: DriveParams,
     eff = effective_params(sys, drive)
     fock = np.arange(space.fock_cutoff, dtype=float)
     fock_part = np.tile(fock, space.qubit_dim)
-    sz_total = 2.0 * np.real(np.diag(
-        collective_qubit_operator(space, "jz").matrix)) if space.n_qubits else \
-        np.zeros(space.dim)
+    sz_total = np.real(np.diagonal(_sz_sum(space)))
     linear = (sys.omega - eff.omega_eff) * fock_part \
         + 0.5 * (sys.epsilon - eff.epsilon_eff) * sz_total
     return FramePhases(space=space, linear=linear, sz_total=sz_total, drive=drive)
+
+
+def _sz_sum(space: HilbertSpace) -> np.ndarray:
+    """sum_i sigma_z^(i) (= 2 Jz) as a dense matrix."""
+    return sum((qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits)),
+               np.zeros((space.dim, space.dim), dtype=complex))
 
 
 def _coupling_matrices(space: HilbertSpace):
@@ -111,23 +150,15 @@ def _coupling_matrices(space: HilbertSpace):
     return sp_a, sm_a
 
 
-class _ScatterSum:
-    """static + sum_k c_k M_k evaluated by copying static and scattering the
-    few nonzeros of each M_k; the coupling matrices are band-sparse, so this
-    beats dense scaled adds by an order of magnitude in the stepper."""
+def _sparse(*mats: np.ndarray) -> tuple:
+    """Fixed coupling matrices in CSR form, for `TimeDependentHamiltonian.terms`."""
+    from scipy import sparse   # already loaded with scipy.integrate by dynamics
+    return tuple(sparse.csr_array(m) for m in mats)
 
-    def __init__(self, static: np.ndarray, mats: list[np.ndarray]):
-        self.static = static
-        self.parts = []
-        for m in mats:
-            rows, cols = np.nonzero(m)
-            self.parts.append((rows, cols, m[rows, cols]))
 
-    def build(self, coeffs) -> np.ndarray:
-        out = self.static.copy()
-        for (rows, cols, vals), c in zip(self.parts, coeffs):
-            out[rows, cols] += c * vals
-        return out
+def _hermitian_pairs(c: np.ndarray) -> np.ndarray:
+    """(T, 2J) coefficients (c_1, c_1*, c_2, c_2*, ...) from (T, J) ones."""
+    return np.stack([c, c.conj()], axis=-1).reshape(len(c), -1)
 
 
 def _suggest_dt(sys: SystemParams, drive: DriveParams) -> float:
@@ -143,21 +174,18 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
     num = number_operator(space).matrix
     a = annihilation(space).matrix
     x = a + a.conj().T
-    sz = sum(qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits))
+    sz = _sz_sum(space)
     sx = sum(qubit_operator(space, k, "sx").matrix for k in range(space.n_qubits))
-    static = sys.omega * num + 0.5 * sys.epsilon * sz + sys.g * (x @ sx)
-    builder = _ScatterSum(static, [sz])
-    d = drive
 
-    def evaluate(t: float) -> np.ndarray:
-        rate = (d.eta1 * d.omega1 * math.cos(d.omega1 * t + d.phi1)
-                + d.eta2 * d.omega2 * math.cos(d.omega2 * t + d.phi2))
-        return builder.build((rate,))
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        return _drive_phase_rate(drive, t).astype(complex)[:, None]
 
     return TimeDependentHamiltonian(
-        space=space, evaluate=evaluate,
+        space=space,
         descriptor={"kind": "lab", "system": sys, "drive": drive,
-                    "suggested_dt": _suggest_dt(sys, drive)})
+                    "suggested_dt": _suggest_dt(sys, drive)},
+        static=sys.omega * num + 0.5 * sys.epsilon * sz + sys.g * (x @ sx),
+        terms=_sparse(sz), coefficients=coefficients)
 
 
 def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
@@ -167,46 +195,41 @@ def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
         raise ValidationError("rotated Hamiltonian needs at least one qubit")
     eff = effective_params(sys, drive)
     num = number_operator(space).matrix
-    jz2 = sum(qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits))
-    static = eff.omega_eff * num + 0.5 * eff.epsilon_eff * jz2
     sp_a, sm_a = _coupling_matrices(space)
-    builder = _ScatterSum(static, [sp_a, sp_a.conj().T, sm_a, sm_a.conj().T])
     g = sys.g
     d_eps = sys.epsilon - eff.epsilon_eff
     d_om = sys.omega - eff.omega_eff
-    d = drive
 
-    def evaluate(t: float) -> np.ndarray:
-        phi_t = (d.eta1 * math.sin(d.omega1 * t + d.phi1)
-                 + d.eta2 * math.sin(d.omega2 * t + d.phi2))
-        two_chi = d_eps * t + 2.0 * phi_t
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        two_chi = d_eps * t + 2.0 * _drive_phase(drive, t)
         mu = d_om * t
-        c_rot = g * complex(math.cos(two_chi - mu), math.sin(two_chi - mu))
-        c_cnt = g * complex(math.cos(two_chi + mu), -math.sin(two_chi + mu))
-        return builder.build((c_rot, c_rot.conjugate(), c_cnt, c_cnt.conjugate()))
+        return _hermitian_pairs(np.stack([g * np.exp(1j * (two_chi - mu)),
+                                          g * np.exp(-1j * (two_chi + mu))], axis=-1))
 
     return TimeDependentHamiltonian(
-        space=space, evaluate=evaluate,
+        space=space,
         descriptor={"kind": "rotated_exact", "system": sys, "drive": drive,
-                    "effective": eff, "suggested_dt": _suggest_dt(sys, drive)})
+                    "effective": eff, "suggested_dt": _suggest_dt(sys, drive)},
+        static=eff.omega_eff * num + 0.5 * eff.epsilon_eff * _sz_sum(space),
+        terms=_sparse(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
+        coefficients=coefficients)
 
 
 def effective_hamiltonian(eff: EffectiveParams,
                           space: HilbertSpace) -> TimeDependentHamiltonian:
     """Constant anisotropic Rabi Hamiltonian with explicit drive phases."""
     num = number_operator(space).matrix
-    jz2 = sum(qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits))
     sp_a, sm_a = _coupling_matrices(space)
     rot = eff.g_r * np.exp(-1j * eff.phi1) * sp_a
     cnt = eff.g_cr * np.exp(1j * eff.phi2) * sm_a
-    h0 = (eff.omega_eff * num + 0.5 * eff.epsilon_eff * jz2
+    h0 = (eff.omega_eff * num + 0.5 * eff.epsilon_eff * _sz_sum(space)
           + rot + rot.conj().T + cnt + cnt.conj().T)
 
     return TimeDependentHamiltonian(
-        space=space, evaluate=lambda t: h0,
+        space=space,
         descriptor={"kind": "effective", "effective": eff,
                     "suggested_dt": _static_dt(h0)},
-        is_static=True)
+        is_static=True, static=h0)
 
 
 def _static_dt(h: np.ndarray) -> float:
@@ -239,7 +262,7 @@ def model(kind: str, eff: EffectiveParams,
             raise ValidationError(f"model '{kind}' constraint violated: {msg}")
 
     num = number_operator(space).matrix
-    jz2 = sum(qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits))
+    jz2 = _sz_sum(space)
     sp_a, sm_a = _coupling_matrices(space)
     rt = sp_a + sp_a.conj().T
     crt = sm_a + sm_a.conj().T
@@ -271,9 +294,9 @@ def model(kind: str, eff: EffectiveParams,
         h0 = eff.g_r * rt + eff.g_cr * crt
 
     return TimeDependentHamiltonian(
-        space=space, evaluate=lambda t: h0,
+        space=space,
         descriptor={"kind": kind, "effective": eff, "suggested_dt": _static_dt(h0)},
-        is_static=True)
+        is_static=True, static=h0)
 
 
 def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
@@ -295,37 +318,31 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
     g_r, g_cr = eff.g_r, eff.g_cr
     phi1, phi2 = eff.phi1, eff.phi2
 
-    if interaction_picture:
-        builder = _ScatterSum(np.zeros((space.dim, space.dim), dtype=complex),
-                              [jp_a, jp_a.conj().T, jm_a, jm_a.conj().T])
-
-        def evaluate(t: float) -> np.ndarray:
-            c1 = g_r * complex(math.cos(d1 * t + phi1), -math.sin(d1 * t + phi1))
-            c2 = g_cr * complex(math.cos(d2 * t - phi2), -math.sin(d2 * t - phi2))
-            return builder.build((c1, c1.conjugate(), c2, c2.conjugate()))
-
-        static_flag = (d1 == 0.0 and d2 == 0.0)
-    else:
-        num = number_operator(space).matrix
-        jz = collective_qubit_operator(space, "jz").matrix
-        c1 = g_r * np.exp(-1j * phi1)
-        c2 = g_cr * np.exp(1j * phi2)
-        h0 = (eff.omega_eff * num + eff.epsilon_eff * jz
-              + c1 * jp_a + np.conj(c1) * jp_a.conj().T
-              + c2 * jm_a + np.conj(c2) * jm_a.conj().T)
-
-        def evaluate(t: float) -> np.ndarray:
-            return h0
-
-        static_flag = True
-
     scale = max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300)
-    return TimeDependentHamiltonian(
-        space=space, evaluate=evaluate,
-        descriptor={"kind": "dicke", "effective": eff,
-                    "interaction_picture": interaction_picture,
-                    "suggested_dt": 2.0 * math.pi / scale / 40.0},
-        is_static=static_flag)
+    descriptor = {"kind": "dicke", "effective": eff,
+                  "interaction_picture": interaction_picture,
+                  "suggested_dt": 2.0 * math.pi / scale / 40.0}
+    if interaction_picture:
+        def coefficients(t: np.ndarray) -> np.ndarray:
+            return _hermitian_pairs(np.stack([g_r * np.exp(-1j * (d1 * t + phi1)),
+                                              g_cr * np.exp(-1j * (d2 * t - phi2))],
+                                             axis=-1))
+
+        return TimeDependentHamiltonian(
+            space=space, descriptor=descriptor, is_static=(d1 == 0.0 and d2 == 0.0),
+            static=np.zeros((space.dim, space.dim), dtype=complex),
+            terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
+            coefficients=coefficients)
+
+    num = number_operator(space).matrix
+    jz = collective_qubit_operator(space, "jz").matrix
+    c1 = g_r * np.exp(-1j * phi1)
+    c2 = g_cr * np.exp(1j * phi2)
+    h0 = (eff.omega_eff * num + eff.epsilon_eff * jz
+          + c1 * jp_a + np.conj(c1) * jp_a.conj().T
+          + c2 * jm_a + np.conj(c2) * jm_a.conj().T)
+    return TimeDependentHamiltonian(space=space, descriptor=descriptor,
+                                    is_static=True, static=h0)
 
 
 def jx_field_hamiltonian(g_eff: float, omega_eff: float,
@@ -335,16 +352,15 @@ def jx_field_hamiltonian(g_eff: float, omega_eff: float,
         raise ValidationError("collective field Hamiltonian needs at least one qubit")
     jx = collective_qubit_operator(space, "jx").matrix
     jx_a = jx @ annihilation(space).matrix
-    builder = _ScatterSum(np.zeros((space.dim, space.dim), dtype=complex),
-                          [jx_a, jx_a.conj().T])
 
-    def evaluate(t: float) -> np.ndarray:
-        c = g_eff * complex(math.cos(omega_eff * t), -math.sin(omega_eff * t))
-        return builder.build((c, c.conjugate()))
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        return _hermitian_pairs(g_eff * np.exp(-1j * omega_eff * t)[:, None])
 
     scale = max(abs(g_eff), abs(omega_eff), 1e-300)
     return TimeDependentHamiltonian(
-        space=space, evaluate=evaluate,
+        space=space,
         descriptor={"kind": "jx_field", "g_eff": g_eff, "omega_eff": omega_eff,
                     "suggested_dt": 2.0 * math.pi / scale / 40.0},
-        is_static=(omega_eff == 0.0))
+        is_static=(omega_eff == 0.0),
+        static=np.zeros((space.dim, space.dim), dtype=complex),
+        terms=_sparse(jx_a, jx_a.conj().T), coefficients=coefficients)

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from modrabi.dynamics import (Dissipator, IntegratorConfig,
-                              dissipator_frame_defect, evolve_master,
+from modrabi.dynamics import (Dissipator, IntegratorConfig, _Generator,
+                              _lindblad, dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
-from modrabi.hamiltonians import (TimeDependentHamiltonian,
+from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   effective_hamiltonian, frame_phases,
-                                  lab_hamiltonian, model, rotated_hamiltonian)
-from modrabi.hilbert import (DensityMatrix, HilbertSpace, PureState,
+                                  jx_field_hamiltonian, lab_hamiltonian, model,
+                                  rotated_hamiltonian)
+from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
+from modrabi.scenarios import load_scenario
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -280,3 +282,139 @@ def test_grid_validation():
         evolve_schrodinger(zero_hamiltonian(space), psi0, np.array([0.0]))
     with pytest.raises(ValidationError):
         evolve_schrodinger(zero_hamiltonian(space), psi0, np.array([0.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# structured generator apply against dense oracles
+# ---------------------------------------------------------------------------
+
+DRIVE_PHASED = DriveParams(omega1=3.2 * GHZ, omega2=6.759 * GHZ,
+                           eta1=2.296 / 3.2, eta2=4.849 / 6.759, phi1=0.7, phi2=2.1)
+MODEL_PARAMS = {
+    "qrm": EffectiveParams(g_r=-1.0, g_cr=-1.0, omega_eff=0.5, epsilon_eff=0.3,
+                           theta=0.0, anisotropy=1.0),
+    "jc": EffectiveParams(g_r=-1.0, g_cr=0.0, omega_eff=0.5, epsilon_eff=0.5,
+                          theta=0.0, anisotropy=0.0),
+    "ajc": EffectiveParams(g_r=0.0, g_cr=-1.0, omega_eff=0.5, epsilon_eff=0.5,
+                           theta=0.0, anisotropy=math.inf),
+    "degenerate_aqrm": EffectiveParams(g_r=-1.0, g_cr=0.6, omega_eff=0.0,
+                                       epsilon_eff=0.0, theta=0.0, anisotropy=-0.6),
+}
+
+
+def every_builder(space):
+    """(name, Hamiltonian, time scale) for every builder on `space`."""
+    eff = effective_params(SYS, DRIVE_PHASED)
+    out = [("lab", lab_hamiltonian(SYS, DRIVE_PHASED, space), NS),
+           ("rotated", rotated_hamiltonian(SYS, DRIVE_PHASED, space), NS),
+           ("effective", effective_hamiltonian(eff, space), NS),
+           ("dicke", dicke_hamiltonian(eff, space), NS),
+           ("dicke_static", dicke_hamiltonian(eff, space, interaction_picture=False), NS),
+           ("jx_field", jx_field_hamiltonian(0.3, 1.1, space), 1.0)]
+    out += [(kind, model(kind, p, space), 1.0) for kind, p in MODEL_PARAMS.items()]
+    return out
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_structured_apply_matches_dense_evaluate(n_qubits):
+    rng = np.random.default_rng(11 + n_qubits)
+    space = HilbertSpace(n_qubits, 5)
+    for name, H, scale in every_builder(space):
+        gen = _Generator(H, 0.0)
+        ts = rng.uniform(0.0, 20.0, size=4) * scale
+        batch = gen.data(ts)          # all times in one call, as the stepper does
+        for x in (random_complex(rng, space.dim), random_complex(rng, (space.dim, space.dim))):
+            for i, t in enumerate(ts):
+                ref = H.evaluate(float(t)) @ x
+                for got in (gen.at(float(t)) @ x, gen.load(batch[i]) @ x):
+                    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_lindblad_rhs_matches_dense_formula(n_qubits):
+    rng = np.random.default_rng(5 + n_qubits)
+    space = HilbertSpace(n_qubits, 5)
+    H = rotated_hamiltonian(SYS, DRIVE_PHASED, space)
+    a = annihilation(space).matrix
+    channels = [(qubit_operator(space, k, "sm").matrix, (0.2 + 0.1 * k) * SYS.g)
+                for k in range(n_qubits)]
+    # a channel that factors over neither subsystem exercises the dense path
+    channels += [(a, 0.3 * SYS.g), (a + qubit_operator(space, 0, "sm").matrix, 0.1 * SYS.g)]
+    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels], 0.0)
+    v = random_complex(rng, (space.dim, space.dim))
+    rho = v @ v.conj().T
+    rho /= np.trace(rho)
+    for t in rng.uniform(0.0, 20 * NS, size=4):
+        h = H.evaluate(float(t))
+        expected = -1j * (h @ rho - rho @ h)
+        for L, r in channels:
+            LdL = L.conj().T @ L
+            expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+        out = np.empty_like(rho)
+        rhs(gen.at(float(t)), rho, out)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def dense_rotated_frame(sys, drive, space):
+    """H~(t) of the rotating frame, written from its closed form (one qubit)."""
+    eff = effective_params(sys, drive)
+    a = annihilation(space).matrix
+    sz = qubit_operator(space, 0, "sz").matrix
+    sp_a = qubit_operator(space, 0, "sp").matrix @ a
+    sm_a = qubit_operator(space, 0, "sm").matrix @ a
+    h0 = eff.omega_eff * (a.conj().T @ a) + 0.5 * eff.epsilon_eff * sz
+
+    def h(t):
+        phi = (drive.eta1 * math.sin(drive.omega1 * t + drive.phi1)
+               + drive.eta2 * math.sin(drive.omega2 * t + drive.phi2))
+        chi = 0.5 * (sys.epsilon - eff.epsilon_eff) * t + phi
+        mu = (sys.omega - eff.omega_eff) * t
+        up = sys.g * np.exp(1j * (2 * chi - mu)) * sp_a
+        dn = sys.g * np.exp(-1j * (2 * chi + mu)) * sm_a
+        return h0 + up + up.conj().T + dn + dn.conj().T
+    return h
+
+
+def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
+    scn = load_scenario("fig2a")
+    sys, drive = scn.system, scn.drive
+    space = HilbertSpace(1, scn.fock_cutoff)
+    H = rotated_hamiltonian(sys, drive, space)
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 0.4 * NS, 5)
+    v = np.zeros(space.dim, dtype=complex)
+    v[[1, space.fock_cutoff + 2]] = [0.6, 0.8j]       # |e,1> and |g,2>
+    rho0 = PureState(space, v).density_matrix()
+    traj = evolve_master(H, loss_dissipators(sys, space), rho0, times,
+                         IntegratorConfig(method="fixed_rk4"), store_states=True)
+
+    h = dense_rotated_frame(sys, drive, space)
+    a = annihilation(space).matrix
+    channels = [(qubit_operator(space, 0, "sm").matrix, sys.kappa), (a, sys.gamma)]
+
+    def f(t, rho):
+        hm = h(t)
+        out = -1j * (hm @ rho - rho @ hm)
+        for L, r in channels:
+            LdL = L.conj().T @ L
+            out += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+        return out
+
+    rho = rho0.matrix.copy()
+    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
+        n = math.ceil((t1 - t0) / (dt / 2))
+        step = (t1 - t0) / n
+        for k in range(n):
+            t = t0 + k * step
+            k1 = f(t, rho)
+            k2 = f(t + step / 2, rho + step / 2 * k1)
+            k3 = f(t + step / 2, rho + step / 2 * k2)
+            k4 = f(t + step, rho + step * k3)
+            rho = rho + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(traj.states[i].matrix - rho)) <= 1e-6
+    # the slice is long enough for the state to move well past the tolerance
+    assert np.max(np.abs(rho - rho0.matrix)) > 1e-2

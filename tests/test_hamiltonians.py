@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from modrabi.errors import ValidationError
-from modrabi.hamiltonians import (dicke_hamiltonian, effective_hamiltonian,
-                                  frame_phases, jx_field_hamiltonian,
-                                  lab_hamiltonian, model, rotated_hamiltonian)
+from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
+                                  effective_hamiltonian, frame_phases,
+                                  jx_field_hamiltonian, lab_hamiltonian, model,
+                                  rotated_hamiltonian)
 from modrabi.hilbert import (HilbertSpace, annihilation,
                              collective_qubit_operator, number_operator,
                              qubit_operator)
@@ -331,3 +333,22 @@ def test_jx_field_matches_balanced_degenerate_dicke():
     H_jx = jx_field_hamiltonian(g_eff, delta, space)
     for t in (0.0, 0.3, 1.1):
         assert np.max(np.abs(H_dicke.evaluate(t) - H_jx.evaluate(t))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# representation
+# ---------------------------------------------------------------------------
+
+def test_structured_form_checks_and_replace():
+    space = HilbertSpace(1, 3)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    with pytest.raises(ValidationError):     # no static part, not static
+        TimeDependentHamiltonian(space=space, evaluate=H.evaluate)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(H, coefficients=None)
+    # a replaced part reaches the dense assembly; a replaced evaluate is kept
+    shifted = dataclasses.replace(H, static=H.static + np.eye(space.dim))
+    t = 0.37 * NS
+    assert np.max(np.abs(shifted.evaluate(t) - H.evaluate(t) - np.eye(space.dim))) < 1e-3
+    probe = dataclasses.replace(H, evaluate=lambda t: "probe")
+    assert probe.evaluate(t) == "probe"

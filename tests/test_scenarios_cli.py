@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modrabi.cli import main
+from modrabi.cli import build_parser, main
 from modrabi.errors import ValidationError
 from modrabi.scenarios import (apply_sweep_value, load_scenario,
                                load_scenario_document, packaged_scenarios,
@@ -261,6 +261,25 @@ def test_cli_design_anti_jc_path(capsys):
     assert doc["drive"]["eta1"] == pytest.approx(0.7173)
     assert doc["drive"]["eta2"] == pytest.approx(1.2024, rel=1e-3)
     assert doc["effective"]["g_r_rad_s"] == pytest.approx(0.0, abs=1e-4)
+
+
+def test_cli_negative_values_in_exponent_notation(capsys):
+    # argparse's own pattern reads '-3.5e-05' as an option, not a value
+    assert main(["design", "--lambda", "1", "--gratio", "0.3",
+                 "--delta1-mhz", "-3.5e-05"]) == 0
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["design", "--lambda", "1", "--gratio", "0.3",
+                 "--delta1-mhz=-3.5e-05"]) == 0
+    assert json.loads(capsys.readouterr().out) == spaced
+    parser = build_parser()
+    assert parser.parse_args(["applications", "cat", "--g-ratio", "-1.2E+0"]).g_ratio == -1.2
+    assert parser.parse_args(["applications", "gate", "--g-ratio", "-2.5e-1"]).g_ratio == -0.25
+    args = parser.parse_args(["sweep", "s.json", "--param", "drive.eta2",
+                              "--from", "-1e-3", "--to", "-.5e1", "--points", "2"])
+    assert (args.start, args.stop) == (-1e-3, -5.0)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "s.json", "--param", "drive.eta2",
+                           "--from", "-1e-3x", "--to", "1", "--points", "2"])
 
 
 def test_cli_design_unreachable_exit_code(capsys):

@@ -6,9 +6,11 @@ The package is organized bottom-up:
 * :mod:`modrabi.hilbert` - truncated qubit(s) x resonator linear algebra;
 * :mod:`modrabi.bessel` - first-kind Bessel functions (series + recurrence);
 * :mod:`modrabi.modulation` - drive settings <-> effective model constants,
-  sideband series, approximation audit, inverse amplitude design;
-* :mod:`modrabi.hamiltonians` - lab frame, exact rotating frame, effective
-  models and their specializations, collective-qubit forms;
+  sideband series, approximation audit, inverse design (amplitudes, and the
+  one drive solve behind the CLI and scenario design targets);
+* :mod:`modrabi.hamiltonians` - lab frame, exact rotating frame, and the one
+  effective (anisotropic Rabi/Dicke) builder behind the specializations and
+  the collective-qubit forms;
 * :mod:`modrabi.dynamics` - Schrodinger and Lindblad propagation,
   observables, fidelity, period extraction;
 * :mod:`modrabi.applications` - closed-form propagator, cat states,
@@ -29,7 +31,7 @@ from .modulation import (ETA_BALANCED, ETA_NULL, Detunings, DriveParams,
                          EffectiveParams, SidebandTerm, SystemParams,
                          ValidityReport, amplitudes_for_coupling,
                          coupling_ratio, detunings, drive_for_detunings,
-                         effective_params, sideband_amplitudes,
+                         drive_for_targets, effective_params, sideband_amplitudes,
                          solve_amplitudes, swap_tones, validity_report)
 from .hamiltonians import (FramePhases, TimeDependentHamiltonian,
                            dicke_hamiltonian, effective_hamiltonian,

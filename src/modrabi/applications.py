@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, PureState, annihilation,
-                      displacement)
+                      collective_qubit_operator, displacement)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,7 +50,8 @@ def magnus_propagator(g_eff: float, omega_eff: float, t: float,
                       space: HilbertSpace) -> Operator:
     """exp[i phi Jx^2] D[xi Jx], assembled sector by sector in the Jx eigenbasis."""
     ph = magnus_phase(g_eff, omega_eff, t)
-    evals, evecs = np.linalg.eigh(_qubit_jx(space))
+    jx = collective_qubit_operator(HilbertSpace(space.n_qubits, 1), "jx").matrix
+    evals, evecs = np.linalg.eigh(jx)
     n = space.fock_cutoff
     res_space = HilbertSpace(0, n)
     out = np.zeros((space.dim, space.dim), dtype=complex)
@@ -60,17 +61,6 @@ def magnus_propagator(g_eff: float, omega_eff: float, t: float,
         disp = displacement(res_space, ph.xi * m).matrix
         out += np.exp(1j * ph.phi * m * m) * np.kron(proj, disp)
     return Operator(space, out)
-
-
-def _qubit_jx(space: HilbertSpace) -> np.ndarray:
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    out = np.zeros((space.qubit_dim, space.qubit_dim), dtype=complex)
-    for k in range(space.n_qubits):
-        m = np.eye(1, dtype=complex)
-        for j in range(space.n_qubits):
-            m = np.kron(m, sx if j == k else np.eye(2, dtype=complex))
-        out += m
-    return out
 
 
 def cat_evolution(g_eff: float, omega_eff: float, t: float,

@@ -24,12 +24,12 @@ from .applications import (cat_evolution, cnot_equivalence_check,
 from .errors import NumericsError, UnreachableTargetError, ValidationError
 from .hilbert import HilbertSpace
 from .modulation import (SystemParams, amplitudes_for_coupling, detunings,
-                         drive_for_detunings, effective_params,
+                         drive_for_targets, effective_params,
                          solve_amplitudes, validity_report)
-from .scenarios import (SCHEMA_VERSION, effective_summary, load_scenario,
-                        load_scenario_document, packaged_scenarios,
-                        parse_scenario, run_simulation, run_sweep, write_csv,
-                        write_json)
+from .scenarios import (SCHEMA_VERSION, effective_summary, json_float,
+                        load_scenario, load_scenario_document,
+                        packaged_scenarios, parse_scenario, run_simulation,
+                        run_sweep, write_csv, write_json)
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
@@ -147,23 +147,11 @@ def cmd_design(args) -> int:
         delta1 = args.delta1_mhz * MHZ
     else:
         delta1 = 0.0
-    probe = drive_for_detunings(delta1, delta1, sys_params, eta1, eta2)
-    g_r_abs = abs(effective_params(sys_params, probe).g_r)
-    if args.gratio is not None:
-        if args.gratio <= 0:
-            raise UnreachableTargetError("--gratio must be > 0")
-        if g_r_abs == 0.0:
-            raise UnreachableTargetError(
-                "g_r vanishes for this anisotropy; |g_r|/omega_eff is unreachable")
-        omega_eff = g_r_abs / args.gratio
-        delta2 = 2.0 * omega_eff - delta1
-    else:
-        delta2 = delta1
-    drive = drive_for_detunings(delta1, delta2, sys_params, eta1, eta2)
+    drive = drive_for_targets(sys_params, eta1, eta2, delta1, args.gratio)
     eff = effective_params(sys_params, drive)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "targets": {"anisotropy": _inf(lam), "g_r_over_omega_eff": args.gratio,
+        "targets": {"anisotropy": json_float(lam), "g_r_over_omega_eff": args.gratio,
                     "g_r_mhz": args.gr_mhz, "delta1_rad_s": delta1},
         "drive": {
             "omega1_ghz": drive.omega1 / GHZ, "omega2_ghz": drive.omega2 / GHZ,
@@ -180,12 +168,6 @@ def cmd_design(args) -> int:
     if args.output is not None:
         write_json(Path(args.output) / "design.json", doc)
     return 0
-
-
-def _inf(x):
-    if x is None or (not math.isinf(x) and not math.isnan(x)):
-        return x
-    return "inf" if x > 0 else "nan"
 
 
 def cmd_sweep(args) -> int:

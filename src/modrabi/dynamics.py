@@ -17,7 +17,8 @@ sigma- and the resonator ladder a both do) apply as block-sliced outer
 products instead of two more matrix products.
 
 Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
-inside the stepper, so an integrator bug cannot hide behind symmetrization.
+inside the stepper, so an integrator bug cannot hide behind symmetrization;
+the largest max |rho - rho+| removed there is reported as `herm_defect`.
 Positivity is monitored, not projected: a violation beyond the floor aborts,
 because it is evidence of a cutoff or step-size misconfiguration.
 """
@@ -51,7 +52,6 @@ class IntegratorConfig:
     dt: float | None = None          # fixed-step target; default from the Hamiltonian
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
     store_every: int = 1
 
     def __post_init__(self):
@@ -170,10 +170,9 @@ class _Generator:
     and moving K to another time rewrites `matrix.data`, nothing else.
     """
 
-    def __init__(self, H: TimeDependentHamiltonian, t0: float, damping=0.0):
+    def __init__(self, H: TimeDependentHamiltonian, damping=0.0):
         from scipy import sparse   # already loaded with scipy.integrate
-        static = np.array(H.evaluate(t0) if H.static is None else H.static,
-                          dtype=complex)
+        static = np.array(H.static, dtype=complex)
         static -= 1j * damping
         terms = [m.toarray() for m in H.terms]
         rows, cols = np.nonzero(np.logical_or.reduce([static != 0]
@@ -299,8 +298,7 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
         return out.reshape(-1)
 
     sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="RK45",
-                    t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol,
-                    max_step=cfg.max_step)
+                    t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         raise NumericsError(f"adaptive integration failed: {sol.message}")
     for i in range(sol.y.shape[1]):
@@ -334,7 +332,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
             states.append(PureState(H.space, psi / norm, norm_tol=STATE_NORM_TOL))
         return psi
 
-    _propagate(H, _schrodinger_rhs, _Generator(H, times[0]), psi0.amplitudes,
+    _propagate(H, _schrodinger_rhs, _Generator(H), psi0.amplitudes,
                times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, "cutoff_ok": obs.cutoff_ok(),
@@ -402,15 +400,14 @@ class _JumpApplier:
             out += self.rate * (self.L @ rho @ self.Ld)
 
 
-def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
-              t0: float):
+def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]):
     """Generator K = H - i sum_j (r_j/2) L_j+ L_j and right-hand side
     rhs(K, rho, out) of the Lindblad flow, one sparse product per call."""
     active = [d for d in dissipators if d.rate != 0.0]
     damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix) for d in active)
     jumps = [_JumpApplier(d.jump.matrix, d.rate, H.space.qubit_dim, H.space.fock_cutoff)
              for d in active]
-    return _Generator(H, t0, damping), functools.partial(_lindblad_rhs, jumps)
+    return _Generator(H, damping), functools.partial(_lindblad_rhs, jumps)
 
 
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -452,10 +449,11 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                                         eig_floor=positivity_floor))
         return rho
 
-    generator, rhs = _lindblad(H, dissipators, times[0])
+    generator, rhs = _lindblad(H, dissipators)
     _propagate(H, rhs, generator, rho0.matrix, times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
+                                   "herm_defect": herm_defect,
                                    "cutoff_ok": obs.cutoff_ok(), "method": cfg.method})
 
 

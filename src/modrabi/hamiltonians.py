@@ -25,21 +25,24 @@ Every builder returns H(t) = static + sum_k c_k(t) M_k: a dense static
 matrix, fixed sparse couplings M_k and vectorized coefficients c_k.  In the
 rotating frame all GHz-scale phases sit in the four scalar c_k and the M_k
 are band-sparse, so the propagators apply H(t) as a sparse product and
-evaluate the coefficients of many times in one numpy call.
+evaluate the coefficients of many times in one numpy call.  The static
+anisotropic Rabi/Dicke matrix is written once, in `effective_hamiltonian`:
+the `model` specializations are it at projected parameters, and the
+collective Jx field is the interaction-picture Dicke form at balanced
+couplings.  Qubit sums are the collective operators of `hilbert`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, annihilation,
-                      collective_qubit_operator, number_operator,
-                      qubit_operator)
+                      collective_qubit_operator, number_operator)
 from .modulation import (DriveParams, EffectiveParams, SystemParams,
                          effective_params)
 
@@ -51,24 +54,22 @@ _CONSTRAINT_RTOL = 1e-9
 class TimeDependentHamiltonian:
     """H(t) = static + sum_k c_k(t) M_k plus a record of its construction.
 
-    `terms` holds the sparse M_k; `coefficients` maps times (T,) to the
-    (T, K) complex c_k.  `evaluate(t)`, the dense assembly, is a reference
-    that propagators never call per step.  A Hamiltonian given by
-    `evaluate` alone must be static; its static part is evaluate(t0).
+    `static` is the dense constant part, required; `terms` holds the sparse
+    M_k and `coefficients` maps times (T,) to the (T, K) complex c_k, and a
+    static Hamiltonian has neither.  `evaluate(t)`, the dense assembly, is a
+    reference that propagators never call.
     """
 
     space: HilbertSpace
     evaluate: Callable[[float], np.ndarray] | None = None
     descriptor: dict = field(default_factory=dict)
-    is_static: bool = False
     static: np.ndarray | None = None
     terms: tuple = ()
     coefficients: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.static is None and not (self.is_static and self.evaluate is not None):
-            raise ValidationError("a time-dependent Hamiltonian needs a static part, "
-                                  "coupling terms and coefficients")
+        if self.static is None:
+            raise ValidationError("a Hamiltonian needs a static part")
         if bool(self.terms) != (self.coefficients is not None):
             raise ValidationError("coupling terms and coefficients go together")
         # dataclasses.replace hands over the old instance's bound assembly
@@ -129,25 +130,23 @@ def frame_phases(sys: SystemParams, drive: DriveParams,
     eff = effective_params(sys, drive)
     fock = np.arange(space.fock_cutoff, dtype=float)
     fock_part = np.tile(fock, space.qubit_dim)
-    sz_total = np.real(np.diagonal(_sz_sum(space)))
+    sz_total = 2.0 * np.real(np.diagonal(collective_qubit_operator(space, "jz").matrix))
     linear = (sys.omega - eff.omega_eff) * fock_part \
         + 0.5 * (sys.epsilon - eff.epsilon_eff) * sz_total
     return FramePhases(space=space, linear=linear, sz_total=sz_total, drive=drive)
 
 
-def _sz_sum(space: HilbertSpace) -> np.ndarray:
-    """sum_i sigma_z^(i) (= 2 Jz) as a dense matrix."""
-    return sum((qubit_operator(space, k, "sz").matrix for k in range(space.n_qubits)),
-               np.zeros((space.dim, space.dim), dtype=complex))
+def _bare(omega: float, epsilon: float, space: HilbertSpace) -> np.ndarray:
+    """omega a+a + epsilon Jz, Jz = (1/2) sum_i sigma_z^(i)."""
+    return (omega * number_operator(space).matrix
+            + epsilon * collective_qubit_operator(space, "jz").matrix)
 
 
 def _coupling_matrices(space: HilbertSpace):
+    """J+ a and J- a (sigma+ a and sigma- a for one qubit)."""
     a = annihilation(space).matrix
-    sp_a = sum(qubit_operator(space, k, "sp").matrix @ a
-               for k in range(space.n_qubits))
-    sm_a = sum(qubit_operator(space, k, "sm").matrix @ a
-               for k in range(space.n_qubits))
-    return sp_a, sm_a
+    return (collective_qubit_operator(space, "jp").matrix @ a,
+            collective_qubit_operator(space, "jm").matrix @ a)
 
 
 def _sparse(*mats: np.ndarray) -> tuple:
@@ -171,11 +170,9 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
     """Bare system plus interaction plus the sigma_z frequency modulation."""
     if space.n_qubits < 1:
         raise ValidationError("lab Hamiltonian needs at least one qubit")
-    num = number_operator(space).matrix
     a = annihilation(space).matrix
     x = a + a.conj().T
-    sz = _sz_sum(space)
-    sx = sum(qubit_operator(space, k, "sx").matrix for k in range(space.n_qubits))
+    sx = collective_qubit_operator(space, "jx").matrix
 
     def coefficients(t: np.ndarray) -> np.ndarray:
         return _drive_phase_rate(drive, t).astype(complex)[:, None]
@@ -184,8 +181,9 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
         space=space,
         descriptor={"kind": "lab", "system": sys, "drive": drive,
                     "suggested_dt": _suggest_dt(sys, drive)},
-        static=sys.omega * num + 0.5 * sys.epsilon * sz + sys.g * (x @ sx),
-        terms=_sparse(sz), coefficients=coefficients)
+        static=_bare(sys.omega, sys.epsilon, space) + sys.g * (x @ sx),
+        terms=_sparse(2.0 * collective_qubit_operator(space, "jz").matrix),
+        coefficients=coefficients)
 
 
 def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
@@ -194,7 +192,6 @@ def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
     if space.n_qubits < 1:
         raise ValidationError("rotated Hamiltonian needs at least one qubit")
     eff = effective_params(sys, drive)
-    num = number_operator(space).matrix
     sp_a, sm_a = _coupling_matrices(space)
     g = sys.g
     d_eps = sys.epsilon - eff.epsilon_eff
@@ -210,26 +207,31 @@ def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
         space=space,
         descriptor={"kind": "rotated_exact", "system": sys, "drive": drive,
                     "effective": eff, "suggested_dt": _suggest_dt(sys, drive)},
-        static=eff.omega_eff * num + 0.5 * eff.epsilon_eff * _sz_sum(space),
+        static=_bare(eff.omega_eff, eff.epsilon_eff, space),
         terms=_sparse(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
         coefficients=coefficients)
 
 
 def effective_hamiltonian(eff: EffectiveParams,
                           space: HilbertSpace) -> TimeDependentHamiltonian:
-    """Constant anisotropic Rabi Hamiltonian with explicit drive phases."""
-    num = number_operator(space).matrix
-    sp_a, sm_a = _coupling_matrices(space)
-    rot = eff.g_r * np.exp(-1j * eff.phi1) * sp_a
-    cnt = eff.g_cr * np.exp(1j * eff.phi2) * sm_a
-    h0 = (eff.omega_eff * num + 0.5 * eff.epsilon_eff * _sz_sum(space)
+    """Constant anisotropic Rabi (Dicke on several qubits) Hamiltonian
+
+        omega_eff a+a + epsilon_eff Jz
+        + g_r e^{-i phi1} J+ a + g_cr e^{i phi2} J- a + h.c.,
+
+    the one builder of this matrix.
+    """
+    jp_a, jm_a = _coupling_matrices(space)
+    rot = eff.g_r * np.exp(-1j * eff.phi1) * jp_a
+    cnt = eff.g_cr * np.exp(1j * eff.phi2) * jm_a
+    h0 = (_bare(eff.omega_eff, eff.epsilon_eff, space)
           + rot + rot.conj().T + cnt + cnt.conj().T)
 
     return TimeDependentHamiltonian(
         space=space,
         descriptor={"kind": "effective", "effective": eff,
                     "suggested_dt": _static_dt(h0)},
-        is_static=True, static=h0)
+        static=h0)
 
 
 def _static_dt(h: np.ndarray) -> float:
@@ -245,11 +247,13 @@ def _phase_defect(phi: float) -> float:
 
 def model(kind: str, eff: EffectiveParams,
           space: HilbertSpace) -> TimeDependentHamiltonian:
-    """Specialized effective model; validates instead of silently projecting.
+    """Specialized effective model: `effective_hamiltonian` at projected parameters.
 
     kind in {'qrm', 'jc', 'ajc', 'degenerate_aqrm'}.  The supplied parameters
     must actually realize the specialization (relative defect below 1e-9), so
-    a scenario cannot claim a model its drives do not produce.
+    a scenario cannot claim a model its drives do not produce; only then is
+    the residual defect projected away (g_cr = g_r, a vanishing coupling,
+    vanishing frequencies or phases set to exactly 0).
     """
     kind = kind.lower()
     if kind not in MODEL_KINDS:
@@ -261,29 +265,23 @@ def model(kind: str, eff: EffectiveParams,
         if not ok:
             raise ValidationError(f"model '{kind}' constraint violated: {msg}")
 
-    num = number_operator(space).matrix
-    jz2 = _sz_sum(space)
-    sp_a, sm_a = _coupling_matrices(space)
-    rt = sp_a + sp_a.conj().T
-    crt = sm_a + sm_a.conj().T
-
     if kind == "qrm":
         need(abs(eff.g_r - eff.g_cr) <= tol,
              f"|g_r - g_cr| = {abs(eff.g_r - eff.g_cr):.3e} exceeds {tol:.3e}")
         need(_phase_defect(eff.phi1) <= _CONSTRAINT_RTOL
              and _phase_defect(eff.phi2) <= _CONSTRAINT_RTOL,
              "drive phases must vanish (mod 2 pi)")
-        h0 = eff.omega_eff * num + 0.5 * eff.epsilon_eff * jz2 + eff.g_r * (rt + crt)
+        eff = replace(eff, g_cr=eff.g_r, phi1=0.0, phi2=0.0)
     elif kind == "jc":
         need(abs(eff.g_cr) <= tol, f"|g_cr| = {abs(eff.g_cr):.3e} exceeds {tol:.3e}")
         need(_phase_defect(eff.phi1) <= _CONSTRAINT_RTOL,
              "rotating-term phase must vanish (mod 2 pi)")
-        h0 = eff.omega_eff * num + 0.5 * eff.epsilon_eff * jz2 + eff.g_r * rt
+        eff = replace(eff, g_cr=0.0, phi1=0.0)
     elif kind == "ajc":
         need(abs(eff.g_r) <= tol, f"|g_r| = {abs(eff.g_r):.3e} exceeds {tol:.3e}")
         need(_phase_defect(eff.phi2) <= _CONSTRAINT_RTOL,
              "counter-rotating-term phase must vanish (mod 2 pi)")
-        h0 = eff.omega_eff * num + 0.5 * eff.epsilon_eff * jz2 + eff.g_cr * crt
+        eff = replace(eff, g_r=0.0, phi2=0.0)
     else:  # degenerate_aqrm
         need(abs(eff.omega_eff) <= tol and abs(eff.epsilon_eff) <= tol,
              f"effective frequencies ({eff.omega_eff:.3e}, {eff.epsilon_eff:.3e}) "
@@ -291,12 +289,10 @@ def model(kind: str, eff: EffectiveParams,
         need(_phase_defect(eff.phi1) <= _CONSTRAINT_RTOL
              and _phase_defect(eff.phi2) <= _CONSTRAINT_RTOL,
              "drive phases must vanish (mod 2 pi)")
-        h0 = eff.g_r * rt + eff.g_cr * crt
+        eff = replace(eff, omega_eff=0.0, epsilon_eff=0.0, phi1=0.0, phi2=0.0)
 
-    return TimeDependentHamiltonian(
-        space=space,
-        descriptor={"kind": kind, "effective": eff, "suggested_dt": _static_dt(h0)},
-        is_static=True, static=h0)
+    H = effective_hamiltonian(eff, space)
+    return replace(H, descriptor={**H.descriptor, "kind": kind})
 
 
 def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
@@ -307,60 +303,39 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
     drive.  With interaction_picture=True the effective frequencies appear as
     explicit phase factors exp(-i(delta1 t + phi1)) on a J+ and
     exp(-i(delta2 t - phi2)) on a J-; otherwise they stay as static
-    omega_eff a+a + epsilon_eff Jz terms.
+    omega_eff a+a + epsilon_eff Jz terms, which is `effective_hamiltonian`.
     """
     if space.n_qubits < 1:
         raise ValidationError("Dicke Hamiltonian needs at least one qubit")
-    a = annihilation(space).matrix
-    jp_a = collective_qubit_operator(space, "jp").matrix @ a
-    jm_a = collective_qubit_operator(space, "jm").matrix @ a
+    if not interaction_picture:
+        return effective_hamiltonian(eff, space)
+    jp_a, jm_a = _coupling_matrices(space)
     d1, d2 = eff.delta1, eff.delta2
     g_r, g_cr = eff.g_r, eff.g_cr
     phi1, phi2 = eff.phi1, eff.phi2
 
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        return _hermitian_pairs(np.stack([g_r * np.exp(-1j * (d1 * t + phi1)),
+                                          g_cr * np.exp(-1j * (d2 * t - phi2))],
+                                         axis=-1))
+
     scale = max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300)
-    descriptor = {"kind": "dicke", "effective": eff,
-                  "interaction_picture": interaction_picture,
-                  "suggested_dt": 2.0 * math.pi / scale / 40.0}
-    if interaction_picture:
-        def coefficients(t: np.ndarray) -> np.ndarray:
-            return _hermitian_pairs(np.stack([g_r * np.exp(-1j * (d1 * t + phi1)),
-                                              g_cr * np.exp(-1j * (d2 * t - phi2))],
-                                             axis=-1))
-
-        return TimeDependentHamiltonian(
-            space=space, descriptor=descriptor, is_static=(d1 == 0.0 and d2 == 0.0),
-            static=np.zeros((space.dim, space.dim), dtype=complex),
-            terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
-            coefficients=coefficients)
-
-    num = number_operator(space).matrix
-    jz = collective_qubit_operator(space, "jz").matrix
-    c1 = g_r * np.exp(-1j * phi1)
-    c2 = g_cr * np.exp(1j * phi2)
-    h0 = (eff.omega_eff * num + eff.epsilon_eff * jz
-          + c1 * jp_a + np.conj(c1) * jp_a.conj().T
-          + c2 * jm_a + np.conj(c2) * jm_a.conj().T)
-    return TimeDependentHamiltonian(space=space, descriptor=descriptor,
-                                    is_static=True, static=h0)
+    return TimeDependentHamiltonian(
+        space=space,
+        descriptor={"kind": "dicke", "effective": eff, "interaction_picture": True,
+                    "suggested_dt": 2.0 * math.pi / scale / 40.0},
+        static=np.zeros((space.dim, space.dim), dtype=complex),
+        terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
+        coefficients=coefficients)
 
 
 def jx_field_hamiltonian(g_eff: float, omega_eff: float,
                          space: HilbertSpace) -> TimeDependentHamiltonian:
-    """Balanced degenerate collective model g (a+ e^{i w t} + a e^{-i w t}) Jx."""
-    if space.n_qubits < 1:
-        raise ValidationError("collective field Hamiltonian needs at least one qubit")
-    jx = collective_qubit_operator(space, "jx").matrix
-    jx_a = jx @ annihilation(space).matrix
+    """Balanced degenerate collective model g (a+ e^{i w t} + a e^{-i w t}) Jx.
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
-        return _hermitian_pairs(g_eff * np.exp(-1j * omega_eff * t)[:, None])
-
-    scale = max(abs(g_eff), abs(omega_eff), 1e-300)
-    return TimeDependentHamiltonian(
-        space=space,
-        descriptor={"kind": "jx_field", "g_eff": g_eff, "omega_eff": omega_eff,
-                    "suggested_dt": 2.0 * math.pi / scale / 40.0},
-        is_static=(omega_eff == 0.0),
-        static=np.zeros((space.dim, space.dim), dtype=complex),
-        terms=_sparse(jx_a, jx_a.conj().T), coefficients=coefficients)
+    It is the interaction-picture Dicke form with g_r = g_cr = g,
+    omega_eff = w and epsilon_eff = 0, so both detunings equal w.
+    """
+    eff = EffectiveParams(g_r=g_eff, g_cr=g_eff, omega_eff=omega_eff,
+                          epsilon_eff=0.0, theta=0.0, anisotropy=1.0)
+    return dicke_hamiltonian(eff, space)

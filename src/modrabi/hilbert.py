@@ -242,7 +242,7 @@ def collective_qubit_operator(space: HilbertSpace, kind: str) -> Operator:
         mats = [embed_qubit(space, k, _SIGMA[key]) for k in range(space.n_qubits)]
     else:
         raise ValidationError(f"unknown collective operator kind {kind!r}")
-    return Operator(space, sum(mats))
+    return Operator(space, sum(mats, np.zeros((space.dim, space.dim), dtype=complex)))
 
 
 def coherent_tail_mass(space: HilbertSpace, xi: complex) -> float:

@@ -363,6 +363,28 @@ def drive_for_detunings(det1: float, det2: float, sys: SystemParams,
                        phi1=phi1, phi2=phi2)
 
 
+def drive_for_targets(sys: SystemParams, eta1: float, eta2: float,
+                      delta1: float = 0.0,
+                      g_r_over_omega_eff: float | None = None) -> DriveParams:
+    """Drive at the given amplitudes and red detuning that sets |g_r|/omega_eff.
+
+    The amplitudes alone fix |g_r|, read off a probe drive with
+    delta2 = delta1; omega_eff = (delta1 + delta2)/2 then gives
+    delta2 = 2 |g_r| / ratio - delta1.  Without a ratio delta2 = delta1.
+    """
+    delta2 = delta1
+    if g_r_over_omega_eff is not None:
+        if not g_r_over_omega_eff > 0:
+            raise UnreachableTargetError("|g_r|/omega_eff must be > 0")
+        probe = drive_for_detunings(delta1, delta1, sys, eta1, eta2)
+        g_r_abs = abs(effective_params(sys, probe).g_r)
+        if g_r_abs == 0.0:
+            raise UnreachableTargetError(
+                "g_r vanishes for these amplitudes; |g_r|/omega_eff is unreachable")
+        delta2 = 2.0 * g_r_abs / g_r_over_omega_eff - delta1
+    return drive_for_detunings(delta1, delta2, sys, eta1, eta2)
+
+
 def swap_tones(drive: DriveParams) -> DriveParams:
     """Exchange the two tones; swaps the roles of g_r and g_cr."""
     return replace(drive, omega1=drive.omega2, omega2=drive.omega1,

@@ -34,11 +34,12 @@ import numpy as np
 from .dynamics import (DEFAULT_OBSERVABLES, IntegratorConfig, Trajectory,
                        evolve_master, evolve_schrodinger, fidelity,
                        loss_dissipators)
-from .errors import ValidationError
+from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
 from .hilbert import HilbertSpace, basis_state
 from .modulation import (DriveParams, SystemParams, detunings,
-                         effective_params, validity_report)
+                         drive_for_targets, effective_params,
+                         solve_amplitudes, validity_report)
 
 SCHEMA_VERSION = 1
 TWO_PI = 2.0 * math.pi
@@ -77,39 +78,57 @@ class Scenario:
 # parsing
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _number(section: dict, key: str, path: str, default=_REQUIRED,
+            integer: bool = False):
+    """section[key] as a finite float (an int if `integer`), or `default`
+    when the key is absent; anything else fails naming the field path
+    (`path` is '' at the top level)."""
+    where = f"{path}.{key}" if path else key
+    if key not in section:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: required")
+        return default
+    value = section[key]
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not math.isfinite(value)):
+        raise ValidationError(
+            f"{where}: must be {'an integer' if integer else 'a finite number'}")
+    return value if integer else float(value)
+
+
 def _angular(section: dict, field: str, path: str, required: bool = True,
              default: float = 0.0) -> float:
-    hits = [(suffix, section[f"{field}_{suffix}"]) for suffix in _UNIT_SCALE
-            if f"{field}_{suffix}" in section]
-    if not hits:
+    keys = [f"{field}_{suffix}" for suffix in _UNIT_SCALE if f"{field}_{suffix}" in section]
+    if not keys:
         if required:
             raise ValidationError(
                 f"{path}.{field}: exactly one of "
                 + "/".join(f"{field}_{s}" for s in _UNIT_SCALE) + " required")
         return default
-    if len(hits) > 1:
+    if len(keys) > 1:
         raise ValidationError(f"{path}.{field}: multiple unit spellings given")
-    suffix, value = hits[0]
-    if not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{field}_{suffix}: must be a number")
-    return float(value) * _UNIT_SCALE[suffix]
+    return _number(section, keys[0], path) * _UNIT_SCALE[keys[0].rsplit("_", 1)[1]]
 
 
 def _amplitude(drive: dict, tone: int, omega: float) -> float:
     eta_key = f"eta{tone}"
-    amp_keys = [k for k in (f"amp{tone}_ghz", f"amp{tone}_mhz") if k in drive]
-    if eta_key in drive and amp_keys:
-        raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")
-    if eta_key in drive:
-        val = drive[eta_key]
-        if not isinstance(val, (int, float)) or val < 0:
-            raise ValidationError(f"drive.{eta_key}: must be a number >= 0")
-        return float(val)
-    if amp_keys:
-        scale = _UNIT_SCALE["ghz"] if amp_keys[0].endswith("ghz") else _UNIT_SCALE["mhz"]
-        amp = float(drive[amp_keys[0]]) * scale
+    amp = _angular(drive, f"amp{tone}", "drive", required=False, default=None)
+    if eta_key not in drive:
+        if amp is None:
+            raise ValidationError(f"drive.eta{tone}: eta{tone} or amp{tone}_ghz required")
+        if omega <= 0:
+            raise ValidationError(f"drive.omega{tone}: must be > 0")
         return amp / omega
-    raise ValidationError(f"drive.eta{tone}: eta{tone} or amp{tone}_ghz required")
+    if amp is not None:
+        raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")
+    val = _number(drive, eta_key, "drive")
+    if val < 0:
+        raise ValidationError(f"drive.{eta_key}: must be a number >= 0")
+    return val
 
 
 def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
@@ -118,28 +137,24 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
     Accepted keys: anisotropy (required; 'inf' allowed), g_r_over_omega_eff,
     delta1_hz / delta1_mhz (default 0).
     """
-    from .modulation import drive_for_detunings, effective_params, solve_amplitudes
     if not isinstance(design, dict) or "anisotropy" not in design:
         raise ValidationError("drive.design: needs at least {anisotropy}")
-    lam = design["anisotropy"]
-    lam = math.inf if lam == "inf" else float(lam)
-    eta1, eta2 = solve_amplitudes(lam)
+    if design["anisotropy"] == "inf":
+        lam = math.inf
+    else:
+        lam = _number(design, "anisotropy", "drive.design")
     if "delta1_hz" in design and "delta1_mhz" in design:
         raise ValidationError("drive.design: give delta1_hz or delta1_mhz, not both")
     if "delta1_hz" in design:
-        delta1 = float(design["delta1_hz"]) * TWO_PI
+        delta1 = _number(design, "delta1_hz", "drive.design") * TWO_PI
     else:
-        delta1 = float(design.get("delta1_mhz", 0.0)) * _UNIT_SCALE["mhz"]
-    gratio = design.get("g_r_over_omega_eff")
-    if gratio is not None:
-        probe = drive_for_detunings(delta1, delta1, system, eta1, eta2)
-        g_r_abs = abs(effective_params(system, probe).g_r)
-        if g_r_abs == 0.0 or gratio <= 0:
-            raise ValidationError("drive.design: g_r_over_omega_eff unreachable")
-        delta2 = 2.0 * g_r_abs / float(gratio) - delta1
-    else:
-        delta2 = delta1
-    return drive_for_detunings(delta1, delta2, system, eta1, eta2)
+        delta1 = _number(design, "delta1_mhz", "drive.design", 0.0) * _UNIT_SCALE["mhz"]
+    gratio = _number(design, "g_r_over_omega_eff", "drive.design", None)
+    try:
+        eta1, eta2 = solve_amplitudes(lam)
+        return drive_for_targets(system, eta1, eta2, delta1, gratio)
+    except UnreachableTargetError as err:
+        raise ValidationError(f"drive.design: {err}") from err
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
@@ -173,8 +188,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             omega1=omega1, omega2=omega2,
             eta1=_amplitude(drv_doc, 1, omega1),
             eta2=_amplitude(drv_doc, 2, omega2),
-            phi1=float(drv_doc.get("phi1", 0.0)),
-            phi2=float(drv_doc.get("phi2", 0.0)))
+            phi1=_number(drv_doc, "phi1", "drive", 0.0),
+            phi2=_number(drv_doc, "phi2", "drive", 0.0))
 
     model = doc.get("model", "both")
     if model not in MODELS:
@@ -189,15 +204,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     grid = doc.get("grid")
     if not isinstance(grid, dict):
         raise ValidationError("grid: required object")
-    t_end_ns = grid.get("t_end_ns")
-    if not isinstance(t_end_ns, (int, float)) or t_end_ns <= 0:
+    t_end_ns = _number(grid, "t_end_ns", "grid")
+    if t_end_ns <= 0:
         raise ValidationError("grid.t_end_ns: must be a number > 0")
-    samples = grid.get("samples")
-    if not isinstance(samples, int) or samples < 2:
+    samples = _number(grid, "samples", "grid", integer=True)
+    if samples < 2:
         raise ValidationError("grid.samples: must be an integer >= 2")
 
-    cutoff = doc.get("fock_cutoff", 30)
-    if not isinstance(cutoff, int) or cutoff < 2:
+    cutoff = _number(doc, "fock_cutoff", "", 30, integer=True)
+    if cutoff < 2:
         raise ValidationError("fock_cutoff: must be an integer >= 2")
 
     integ_doc = doc.get("integrator", {})
@@ -209,17 +224,20 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if "method" in integ_doc:
             kwargs["method"] = integ_doc["method"]
         if "dt_ns" in integ_doc:
-            kwargs["dt"] = float(integ_doc["dt_ns"]) * NS
+            kwargs["dt"] = _number(integ_doc, "dt_ns", "integrator") * NS
         for key in ("rtol", "atol", "store_every"):
             if key in integ_doc:
-                kwargs[key] = integ_doc[key]
+                kwargs[key] = _number(integ_doc, key, "integrator",
+                                      integer=(key == "store_every"))
         try:
             integrator = IntegratorConfig(**kwargs)
-        except (ValidationError, TypeError) as err:
+        except ValidationError as err:
             raise ValidationError(f"integrator: {err}") from err
 
-    outputs = tuple(doc.get("outputs", [n for n in OUTPUT_NAMES
-                                        if n != "fidelity" or model == "both"]))
+    outputs = doc.get("outputs", [n for n in OUTPUT_NAMES
+                                  if n != "fidelity" or model == "both"])
+    if not isinstance(outputs, (list, tuple)):
+        raise ValidationError("outputs: must be a list of observable names")
     for out in outputs:
         if out not in OUTPUT_NAMES:
             raise ValidationError(f"outputs: unknown observable {out!r}")
@@ -229,23 +247,26 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     highlight = doc.get("highlight")
     if highlight is not None:
         if not (isinstance(highlight, dict)
-                and isinstance(highlight.get("param"), str)
-                and isinstance(highlight.get("value"), (int, float))):
+                and isinstance(highlight.get("param"), str) and "value" in highlight):
             raise ValidationError("highlight: needs {param: str, value: number}")
+        _number(highlight, "value", "highlight")
 
     return Scenario(name=doc.get("name", name), system=system, drive=drive,
                     model=model, dissipation=dissipation, initial_state=initial,
-                    t_end=float(t_end_ns) * NS, samples=samples,
-                    integrator=integrator, fock_cutoff=cutoff, outputs=outputs,
+                    t_end=t_end_ns * NS, samples=samples,
+                    integrator=integrator, fock_cutoff=cutoff, outputs=tuple(outputs),
                     highlight=highlight, raw=doc)
 
 
 def load_scenario_document(ref: str) -> tuple[dict, str]:
     """Read a scenario JSON from a path or from the packaged library."""
     p = Path(ref)
-    if p.exists():
+    if p.is_file():
         with open(p, "r", encoding="utf-8") as fh:
-            return json.load(fh), p.stem
+            try:
+                return json.load(fh), p.stem
+            except json.JSONDecodeError as err:
+                raise ValidationError(f"scenario {ref!r}: not valid JSON ({err})") from err
     name = ref[:-5] if ref.endswith(".json") else ref
     packaged = resources.files("modrabi").joinpath("data", f"{name}.json")
     if packaged.is_file():
@@ -387,14 +408,15 @@ def effective_summary(eff) -> dict:
     return {
         "g_r_rad_s": eff.g_r, "g_cr_rad_s": eff.g_cr,
         "omega_eff_rad_s": eff.omega_eff, "epsilon_eff_rad_s": eff.epsilon_eff,
-        "theta": eff.theta, "anisotropy": _json_float(eff.anisotropy),
+        "theta": eff.theta, "anisotropy": json_float(eff.anisotropy),
         "delta1_rad_s": eff.delta1, "delta2_rad_s": eff.delta2,
-        "g_r_over_omega_eff": _json_float(ratio_r),
-        "g_cr_over_omega_eff": _json_float(ratio_cr),
+        "g_r_over_omega_eff": json_float(ratio_r),
+        "g_cr_over_omega_eff": json_float(ratio_cr),
     }
 
 
-def _json_float(x: float):
+def json_float(x: float):
+    """x, or its JSON-safe spelling "nan", "inf" or "-inf"."""
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
@@ -416,14 +438,9 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
         return out
     target = out.setdefault(section, {})
     if field.startswith("eta"):
-        tone = field[-1]
-        target.pop(f"amp{tone}_ghz", None)
-        target.pop(f"amp{tone}_mhz", None)
-        target[field] = value
-    elif field == "t_end_ns":
-        target[field] = value
-    else:
-        target[field] = value
+        for unit in _UNIT_SCALE:
+            target.pop(f"amp{field[-1]}_{unit}", None)
+    target[field] = value
     return out
 
 

@@ -35,9 +35,8 @@ JC_EFF = EffectiveParams(g_r=-20 * MHZ, g_cr=0.0, omega_eff=17.5 * MHZ,
 
 def zero_hamiltonian(space):
     z = np.zeros((space.dim, space.dim), dtype=complex)
-    return TimeDependentHamiltonian(space=space, evaluate=lambda t: z,
-                                    descriptor={"kind": "zero", "suggested_dt": 1.0},
-                                    is_static=True)
+    return TimeDependentHamiltonian(space=space, static=z,
+                                    descriptor={"kind": "zero", "suggested_dt": 1.0})
 
 
 def test_zero_hamiltonian_identity_evolution():
@@ -70,8 +69,8 @@ def test_constant_hamiltonian_matches_expm_oracle():
     space = HilbertSpace(1, 5)
     h = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
     h = 0.5 * (h + h.conj().T)
-    H = TimeDependentHamiltonian(space=space, evaluate=lambda t: h,
-                                 descriptor={"suggested_dt": 1e-3}, is_static=True)
+    H = TimeDependentHamiltonian(space=space, static=h,
+                                 descriptor={"suggested_dt": 1e-3})
     v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi0 = PureState(space, v / np.linalg.norm(v))
     t_end = 2.0
@@ -95,6 +94,23 @@ def test_pure_photon_decay_law():
     expected = np.exp(-gamma * times)
     assert np.max(np.abs(traj.observables["photon_number"] - expected)) < 1e-6
     assert traj.diagnostics["trace_drift"] < 1e-8
+
+
+def test_master_reports_hermiticity_defect():
+    # the loss channels of a run, plus one that takes the dense jump path
+    space = HilbertSpace(1, 6)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    a = annihilation(space)
+    sm = qubit_operator(space, 0, "sm")
+    channels = loss_dissipators(SYS, space) + [Dissipator(a + sm, 0.3 * SYS.g)]
+    rho0 = basis_state(space, "e", 1).density_matrix()
+    times = np.linspace(0.0, 0.3 * NS, 7)
+    runs = [evolve_master(H, channels, rho0, times, IntegratorConfig(method=m))
+            for m in ("fixed_rk4", "adaptive_rk45", "fixed_rk4")]
+    for traj in runs:
+        defect = traj.diagnostics["herm_defect"]
+        assert isinstance(defect, float) and 0.0 <= defect < 1e-12
+    assert runs[2].diagnostics["herm_defect"] == runs[0].diagnostics["herm_defect"]
 
 
 def test_pure_qubit_decay_law():
@@ -324,7 +340,7 @@ def test_structured_apply_matches_dense_evaluate(n_qubits):
     rng = np.random.default_rng(11 + n_qubits)
     space = HilbertSpace(n_qubits, 5)
     for name, H, scale in every_builder(space):
-        gen = _Generator(H, 0.0)
+        gen = _Generator(H)
         ts = rng.uniform(0.0, 20.0, size=4) * scale
         batch = gen.data(ts)          # all times in one call, as the stepper does
         for x in (random_complex(rng, space.dim), random_complex(rng, (space.dim, space.dim))):
@@ -344,7 +360,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
                 for k in range(n_qubits)]
     # a channel that factors over neither subsystem exercises the dense path
     channels += [(a, 0.3 * SYS.g), (a + qubit_operator(space, 0, "sm").matrix, 0.1 * SYS.g)]
-    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels], 0.0)
+    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels])
     v = random_complex(rng, (space.dim, space.dim))
     rho = v @ v.conj().T
     rho /= np.trace(rho)

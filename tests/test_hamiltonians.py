@@ -342,7 +342,7 @@ def test_jx_field_matches_balanced_degenerate_dicke():
 def test_structured_form_checks_and_replace():
     space = HilbertSpace(1, 3)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
-    with pytest.raises(ValidationError):     # no static part, not static
+    with pytest.raises(ValidationError):     # no static part
         TimeDependentHamiltonian(space=space, evaluate=H.evaluate)
     with pytest.raises(ValidationError):
         dataclasses.replace(H, coefficients=None)

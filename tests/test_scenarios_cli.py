@@ -220,6 +220,41 @@ def test_cli_simulate_validation_exit_code(tmp_path):
     assert main(["simulate", str(scn_file), "-o", str(tmp_path / "out")]) == 2
 
 
+def _with_drive(**fields):
+    drive = dict(small_doc()["drive"])
+    drive.update(fields)
+    return {"drive": drive}
+
+
+@pytest.mark.parametrize("breaker, path", [
+    (_with_drive(phi1="x"), "drive.phi1"),
+    (_with_drive(amp1_ghz="x"), "drive.amp1_ghz"),
+    (_with_drive(omega1_ghz=0), "drive.omega1"),
+    ({"drive": {"design": {"anisotropy": "abc"}}}, "drive.design.anisotropy"),
+    ({"drive": {"design": {"anisotropy": 1.0, "g_r_over_omega_eff": "x"}}},
+     "drive.design.g_r_over_omega_eff"),
+    ({"drive": {"design": {"anisotropy": -1}}}, "drive.design"),
+    ({"integrator": {"dt_ns": "x"}}, "integrator.dt_ns"),
+    ({"outputs": 5}, "outputs"),
+])
+def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
+    scn_file = tmp_path / "bad.json"
+    scn_file.write_text(json.dumps(small_doc(**breaker)))
+    for argv in (["validate", str(scn_file)],
+                 ["simulate", str(scn_file), "-o", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unreadable_scenario_exit_code(tmp_path, capsys):
+    scn_file = tmp_path / "bad.json"
+    scn_file.write_text('{"schema_version": 1,')
+    assert main(["validate", str(scn_file)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert main(["validate", str(tmp_path)]) == 2     # a directory
+
+
 def test_cli_missing_scenario_exit_code(tmp_path):
     assert main(["simulate", "no_such_scenario", "-o", str(tmp_path)]) == 2
 

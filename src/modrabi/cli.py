@@ -21,6 +21,7 @@ from .applications import (cat_evolution, cnot_equivalence_check,
                            cross_parity_population, entangling_power,
                            gate_at_period, magnus_phase,
                            theta_from_coupling_ratio)
+from .dynamics import CUTOFF_POP_LIMIT
 from .errors import NumericsError, UnreachableTargetError, ValidationError
 from .hilbert import HilbertSpace
 from .modulation import (SystemParams, amplitudes_for_coupling, detunings,
@@ -116,6 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _warn_failed(where: str, side: str, diagnostics: dict | None):
+    """One stderr line when a run's Fock-cutoff check failed."""
+    if diagnostics is not None and diagnostics.get("cutoff_ok") is False:
+        print(f"warning: {where}: {side} run failed its Fock-cutoff check "
+              f"(top-level population reached {CUTOFF_POP_LIMIT:g})", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
     res = run_simulation(scn)
@@ -125,6 +133,8 @@ def cmd_simulate(args) -> int:
     ratio = res.manifest["resolved"]["effective"]["g_r_over_omega_eff"]
     print(f"{scn.name}: wrote {out / 'timeseries.csv'} "
           f"({len(res.rows)} rows), |g_r/omega_eff| = {ratio}")
+    for side, diagnostics in res.manifest["diagnostics"].items():
+        _warn_failed(scn.name, side, diagnostics)
     return 0
 
 
@@ -183,6 +193,9 @@ def cmd_sweep(args) -> int:
     write_csv(out / "sweep.csv", header, rows)
     print(f"sweep {args.param}: {args.points} points, status {manifest['status']}, "
           f"wrote {out / 'sweep.csv'}")
+    side = "effective" if parse_scenario(doc, name).model == "effective" else "exact"
+    for point in manifest["points"]:
+        _warn_failed(f"{args.param} = {point['value']}", side, point["diagnostics"])
     if manifest["status"] != "complete":
         for failure in manifest["failures"]:
             print(f"  failed at {failure['value']}: {failure['error']}",

@@ -12,9 +12,11 @@ decay run gives <n>(t) = e^{-gamma t} exactly.  K keeps the Hamiltonian's
 form, a static part plus scalar coefficients times fixed sparse matrices,
 and applies as one sparse product whose nonzeros are rewritten per stage;
 the coefficients of every stage time of a sample interval come from one
-call.  Jump operators that factor over the tensor structure (qubit decay
-sigma- and the resonator ladder a both do) apply as block-sliced outer
-products instead of two more matrix products.
+call.  All jump terms together are one fixed sparse superoperator on the
+row-major vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel,
+whatever its structure, costs one more sparse product per call.  Every
+recorded series except the purity is a set of diagonal weights applied to
+|psi|^2 or diag(rho).
 
 Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
 inside the stepper, so an integrator bug cannot hide behind symmetrization;
@@ -31,12 +33,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                      annihilation, qubit_operator)
+                      annihilation, number_operator, qubit_operator)
 from .modulation import SystemParams
 
 METHODS = ("fixed_rk4", "adaptive_rk45")
@@ -101,55 +104,50 @@ class Trajectory:
 # observables
 # ---------------------------------------------------------------------------
 
+_DIAGONAL_WEIGHTS = {    # series -> its operator's diagonal in the product basis
+    "sigma_pop": lambda s: 0.5 + 0.5 * np.real(np.diagonal(qubit_operator(s, 0, "sz").matrix)),
+    "photon_number": lambda s: np.real(np.diagonal(number_operator(s).matrix)),
+    "trace": lambda s: np.ones(s.dim),
+    "top_fock_pop": lambda s: (np.arange(s.dim) % s.fock_cutoff == s.fock_cutoff - 1) * 1.0,
+}
+
+
 class _ObservableSet:
-    """Named real series over the stored samples of one run."""
+    """Named real series over the stored samples of one run.
+
+    Every series but the purity is <M> for an M diagonal in the product
+    basis, so they are one (K, d) weight matrix applied to |psi|^2 or
+    diag(rho); the purity is the one nonlinear series.
+    """
 
     def __init__(self, space: HilbertSpace, names: Sequence[str], samples: int):
-        self.space = space
-        self.names = list(names)
-        self.series = {name: np.empty(samples) for name in self.names}
-        self.mats: dict[str, np.ndarray] = {}
-        top = space.fock_cutoff - 1
-        self.top_idx = np.arange(space.qubit_dim) * space.fock_cutoff + top
-        for name in self.names:
-            if name == "sigma_pop":
-                sp = qubit_operator(space, 0, "sp").matrix
-                self.mats[name] = sp @ sp.conj().T
-            elif name == "photon_number":
-                a = annihilation(space).matrix
-                self.mats[name] = a.conj().T @ a
-            elif name in ("trace", "purity", "top_fock_pop"):
-                pass
-            else:
+        names = list(dict.fromkeys(names))
+        linear = [name for name in names if name != "purity"]
+        for name in linear:
+            if name not in _DIAGONAL_WEIGHTS:
                 raise ValidationError(f"unknown observable {name!r}")
+        self.weights = np.array([_DIAGONAL_WEIGHTS[name](space) for name in linear]
+                                ).reshape(len(linear), space.dim)
+        self.table = np.empty((len(linear), samples))
+        self.purity = np.empty(samples) if "purity" in names else None
+        rows = dict(zip(linear, self.table))
+        self.series = {name: self.purity if name == "purity" else rows[name]
+                       for name in names}
 
     def cutoff_ok(self) -> bool | None:
         top = self.series.get("top_fock_pop")
         return bool(np.all(top < CUTOFF_POP_LIMIT)) if top is not None else None
 
     def from_vector(self, i: int, psi: np.ndarray):
-        for name, col in self.series.items():
-            if name == "trace":
-                col[i] = np.real(np.vdot(psi, psi))
-            elif name == "purity":
-                col[i] = np.real(np.vdot(psi, psi)) ** 2
-            elif name == "top_fock_pop":
-                col[i] = np.sum(np.abs(psi[self.top_idx]) ** 2)
-            else:
-                col[i] = np.real(np.vdot(psi, self.mats[name] @ psi))
+        pop = psi.real ** 2 + psi.imag ** 2
+        self.table[:, i] = self.weights @ pop
+        if self.purity is not None:
+            self.purity[i] = pop.sum() ** 2
 
     def from_matrix(self, i: int, rho: np.ndarray):
-        diag = np.real(np.diagonal(rho))
-        for name, col in self.series.items():
-            if name == "trace":
-                col[i] = diag.sum()
-            elif name == "purity":
-                # Tr(rho^2) = sum |rho_ij|^2 for the symmetrized matrix
-                col[i] = np.real(np.vdot(rho, rho))
-            elif name == "top_fock_pop":
-                col[i] = diag[self.top_idx].sum()
-            else:   # Tr(M rho) = sum_ij M_ji rho_ij, without the product
-                col[i] = np.real(np.sum(self.mats[name].T * rho))
+        self.table[:, i] = self.weights @ np.real(np.diagonal(rho))
+        if self.purity is not None:   # Tr(rho^2) = sum |rho_ij|^2, rho Hermitian
+            self.purity[i] = np.real(np.vdot(rho, rho))
 
 
 DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
@@ -171,7 +169,6 @@ class _Generator:
     """
 
     def __init__(self, H: TimeDependentHamiltonian, damping=0.0):
-        from scipy import sparse   # already loaded with scipy.integrate
         static = np.array(H.static, dtype=complex)
         static -= 1j * damping
         terms = [m.toarray() for m in H.terms]
@@ -207,14 +204,17 @@ def _schrodinger_rhs(k, psi: np.ndarray, out: np.ndarray):
 
 
 def _lindblad_rhs(jumps, k, rho: np.ndarray, out: np.ndarray):
-    """-i (K rho - (K rho)+) + sum_j r_j L_j rho L_j+, exact for Hermitian
-    rho, which every stage of the flow preserves."""
+    """-i (M - M+) with M = K rho + (i/2) sum_j r_j L_j rho L_j+.
+
+    For Hermitian rho, which every stage of the flow preserves, this is
+    K rho + rho K+ + sum_j r_j L_j rho L_j+; `jumps` is (i/2) J on vec(rho),
+    and the result is Hermitian by construction whatever the channels.
+    """
     m = k @ rho
+    m += (jumps @ rho.reshape(-1)).reshape(m.shape)
     np.conjugate(m.T, out=out)
     out -= m
     out *= 1j
-    for j in jumps:
-        j.add_to(out, rho)
 
 
 class _Rk4:
@@ -343,70 +343,21 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
 # Lindblad propagation
 # ---------------------------------------------------------------------------
 
-class _JumpApplier:
-    """r * L rho L+ with structural fast paths for this model's channels.
-
-    Qubit channels factor as K (x) I_fock and resonator ladders as
-    I_qubits (x) B with a single off-diagonal band; both apply as block
-    slices on the (Q, N, Q, N) view of rho instead of two more dense
-    products.  Anything else falls back to matrix multiplication.
-    """
-
-    def __init__(self, L: np.ndarray, rate: float, qubit_dim: int, fock: int):
-        self.rate = rate
-        self.mode = "dense"
-        self.L = L
-        self.Ld = L.conj().T
-        self.q = qubit_dim
-        self.n = fock
-        L4 = L.reshape(qubit_dim, fock, qubit_dim, fock)
-
-        qpart = L4[:, 0, :, 0]
-        if np.array_equal(L, np.kron(qpart, np.eye(fock))):
-            nz = list(zip(*np.nonzero(qpart)))
-            if 0 < len(nz) <= 4:
-                self.mode = "qubit"
-                self.pairs = [(i, k, j, l, rate * qpart[i, k] * np.conj(qpart[j, l]))
-                              for (i, k) in nz for (j, l) in nz]
-                return
-
-        bpart = L4[0, :, 0, :]
-        if np.array_equal(L, np.kron(np.eye(qubit_dim), bpart)):
-            for offset in (1, -1):
-                band = np.diagonal(bpart, offset)
-                trial = np.diag(band, offset)
-                if band.size and np.array_equal(bpart, trial):
-                    self.mode = "band"
-                    self.offset = offset
-                    self.weight = rate * np.outer(band, band.conj())
-                    return
-
-    def add_to(self, out: np.ndarray, rho: np.ndarray):
-        q, n = self.q, self.n
-        if self.mode == "qubit":
-            rho4 = rho.reshape(q, n, q, n)
-            out4 = out.reshape(q, n, q, n)
-            for i, k, j, l, w in self.pairs:
-                out4[i, :, j, :] += w * rho4[k, :, l, :]
-        elif self.mode == "band":
-            rho4 = rho.reshape(q, n, q, n)
-            out4 = out.reshape(q, n, q, n)
-            w = self.weight[None, :, None, :]
-            if self.offset == 1:      # lowering ladder: source levels shift down
-                out4[:, :n - 1, :, :n - 1] += w * rho4[:, 1:, :, 1:]
-            else:
-                out4[:, 1:, :, 1:] += w * rho4[:, :n - 1, :, :n - 1]
-        else:
-            out += self.rate * (self.L @ rho @ self.Ld)
-
-
 def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]):
     """Generator K = H - i sum_j (r_j/2) L_j+ L_j and right-hand side
-    rhs(K, rho, out) of the Lindblad flow, one sparse product per call."""
+    rhs(K, rho, out) of the Lindblad flow, two sparse products per call.
+
+    Every channel enters one CSR superoperator on the row-major vec(rho),
+    J = sum_j r_j L_j (x) conj(L_j), built once: nnz(J) = sum_j nnz(L_j)^2,
+    at most d^2 per channel for sigma- and a (one nonzero per column).
+    """
     active = [d for d in dissipators if d.rate != 0.0]
     damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix) for d in active)
-    jumps = [_JumpApplier(d.jump.matrix, d.rate, H.space.qubit_dim, H.space.fock_cutoff)
-             for d in active]
+    dim = H.space.dim
+    jumps = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for d in active:
+        L = sparse.csr_array(d.jump.matrix)
+        jumps = jumps + (0.5j * d.rate) * sparse.kron(L, L.conj(), format="csr")
     return _Generator(H, damping), functools.partial(_lindblad_rhs, jumps)
 
 

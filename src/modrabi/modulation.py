@@ -30,6 +30,7 @@ from .errors import UnreachableTargetError, ValidationError
 
 ETA_BALANCED = 0.7173          # amplitude with J1(2 eta)/J0(2 eta) = 1 to ~4 digits
 ETA_NULL = J0_FIRST_ZERO / 2.0  # amplitude that nulls one coupling exactly
+RATIO_RTOL = 1e-6              # a designed drive must realize |g_r|/omega_eff to this
 
 
 @dataclass(frozen=True)
@@ -371,18 +372,24 @@ def drive_for_targets(sys: SystemParams, eta1: float, eta2: float,
     The amplitudes alone fix |g_r|, read off a probe drive with
     delta2 = delta1; omega_eff = (delta1 + delta2)/2 then gives
     delta2 = 2 |g_r| / ratio - delta1.  Without a ratio delta2 = delta1.
+    The ratio the returned drive realizes must match the target to
+    RATIO_RTOL: near a coupling null delta2 is lost in rounding the tones.
     """
-    delta2 = delta1
-    if g_r_over_omega_eff is not None:
-        if not g_r_over_omega_eff > 0:
-            raise UnreachableTargetError("|g_r|/omega_eff must be > 0")
-        probe = drive_for_detunings(delta1, delta1, sys, eta1, eta2)
-        g_r_abs = abs(effective_params(sys, probe).g_r)
-        if g_r_abs == 0.0:
-            raise UnreachableTargetError(
-                "g_r vanishes for these amplitudes; |g_r|/omega_eff is unreachable")
-        delta2 = 2.0 * g_r_abs / g_r_over_omega_eff - delta1
-    return drive_for_detunings(delta1, delta2, sys, eta1, eta2)
+    if g_r_over_omega_eff is None:
+        return drive_for_detunings(delta1, delta1, sys, eta1, eta2)
+    if not g_r_over_omega_eff > 0:
+        raise UnreachableTargetError("|g_r|/omega_eff must be > 0")
+    probe = drive_for_detunings(delta1, delta1, sys, eta1, eta2)
+    g_r_abs = abs(effective_params(sys, probe).g_r)
+    drive = drive_for_detunings(delta1, 2.0 * g_r_abs / g_r_over_omega_eff - delta1,
+                                sys, eta1, eta2)
+    eff = effective_params(sys, drive)
+    realized = abs(eff.g_r / eff.omega_eff) if eff.omega_eff else math.inf
+    if not abs(realized / g_r_over_omega_eff - 1.0) <= RATIO_RTOL:
+        raise UnreachableTargetError(
+            f"|g_r|/omega_eff = {g_r_over_omega_eff} is unreachable at these "
+            f"amplitudes (|g_r| = {g_r_abs:.3g} rad/s; the drive realizes {realized:.6g})")
+    return drive
 
 
 def swap_tones(drive: DriveParams) -> DriveParams:

@@ -111,17 +111,20 @@ def _angular(section: dict, field: str, path: str, required: bool = True,
         return default
     if len(keys) > 1:
         raise ValidationError(f"{path}.{field}: multiple unit spellings given")
-    return _number(section, keys[0], path) * _UNIT_SCALE[keys[0].rsplit("_", 1)[1]]
+    value = _number(section, keys[0], path) * _UNIT_SCALE[keys[0].rsplit("_", 1)[1]]
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{path}.{keys[0]}: must be a finite frequency >= 0")
+    return value
 
 
 def _amplitude(drive: dict, tone: int, omega: float) -> float:
     eta_key = f"eta{tone}"
     amp = _angular(drive, f"amp{tone}", "drive", required=False, default=None)
+    if omega <= 0:
+        raise ValidationError(f"drive.omega{tone}: must be > 0")
     if eta_key not in drive:
         if amp is None:
             raise ValidationError(f"drive.eta{tone}: eta{tone} or amp{tone}_ghz required")
-        if omega <= 0:
-            raise ValidationError(f"drive.omega{tone}: must be > 0")
         return amp / omega
     if amp is not None:
         raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")

@@ -97,7 +97,7 @@ def test_pure_photon_decay_law():
 
 
 def test_master_reports_hermiticity_defect():
-    # the loss channels of a run, plus one that takes the dense jump path
+    # the loss channels of a run, plus one that acts on both subsystems
     space = HilbertSpace(1, 6)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     a = annihilation(space)
@@ -358,7 +358,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
     a = annihilation(space).matrix
     channels = [(qubit_operator(space, k, "sm").matrix, (0.2 + 0.1 * k) * SYS.g)
                 for k in range(n_qubits)]
-    # a channel that factors over neither subsystem exercises the dense path
+    # a channel that factors over neither subsystem, beside the factoring ones
     channels += [(a, 0.3 * SYS.g), (a + qubit_operator(space, 0, "sm").matrix, 0.1 * SYS.g)]
     gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels])
     v = random_complex(rng, (space.dim, space.dim))

@@ -8,8 +8,9 @@ from modrabi.errors import UnreachableTargetError
 from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 SystemParams, amplitudes_for_coupling,
                                 coupling_ratio, detunings, drive_for_detunings,
-                                effective_params, sideband_amplitudes,
-                                solve_amplitudes, swap_tones, validity_report)
+                                drive_for_targets, effective_params,
+                                sideband_amplitudes, solve_amplitudes, swap_tones,
+                                validity_report)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -248,3 +249,15 @@ def test_drive_for_detunings_round_trip():
     det = detunings(SYS, drive)
     assert det.delta1 == pytest.approx(10 * MHZ, rel=1e-12)
     assert det.delta2 == pytest.approx(35 * MHZ, rel=1e-12)
+
+
+def test_drive_for_targets_realizes_the_ratio_or_refuses():
+    for lam, ratio, delta1 in ((1.0, 1.2, 0.0), (0.0, 0.3, 5 * MHZ), (1.0, 0.05, -2 * MHZ)):
+        drive = drive_for_targets(SYS, *solve_amplitudes(lam), delta1, ratio)
+        eff = effective_params(SYS, drive)
+        assert abs(eff.g_r / eff.omega_eff) == pytest.approx(ratio, rel=1e-6)
+    # at the J0 null |g_r| is ~1e-16 g, not 0: delta2 is lost in rounding Omega2
+    eta1, eta2 = solve_amplitudes(math.inf)
+    assert eta2 == ETA_NULL
+    with pytest.raises(UnreachableTargetError, match="unreachable"):
+        drive_for_targets(SYS, eta1, eta2, 0.0, 1.0)

@@ -1,0 +1,117 @@
+"""Property tests: the Lindblad right-hand side on random channels, and
+scenario parsing on mutated packaged documents."""
+
+import copy
+import re
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modrabi.dynamics import Dissipator, _lindblad
+from modrabi.errors import ValidationError
+from modrabi.hamiltonians import TimeDependentHamiltonian
+from modrabi.hilbert import HilbertSpace, Operator, annihilation, qubit_operator
+from modrabi.scenarios import (load_scenario_document, packaged_scenarios,
+                               parse_scenario)
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _jump(rng, space, kind):
+    if kind == "sm":
+        return qubit_operator(space, int(rng.integers(space.n_qubits)), "sm").matrix
+    if kind == "a":
+        return annihilation(space).matrix
+    mat = _random_complex(rng, (space.dim, space.dim))
+    if kind == "sparse":
+        mat *= rng.random((space.dim, space.dim)) < 0.15
+    return mat
+
+
+@settings(max_examples=100)
+@given(n_qubits=st.integers(1, 2), fock=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       channels=st.lists(st.tuples(st.sampled_from(["sm", "a", "sparse", "dense"]),
+                                   st.floats(0.0, 2.0)), min_size=1, max_size=4))
+def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, seed, channels):
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(n_qubits, fock)
+    h = _random_complex(rng, (space.dim, space.dim))
+    H = TimeDependentHamiltonian(space=space, static=h + h.conj().T)
+    jumps = [(_jump(rng, space, kind), rate) for kind, rate in channels]
+    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps])
+    v = _random_complex(rng, (space.dim, space.dim))
+    rho = v @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real      # exactly Hermitian
+
+    hm = H.static
+    expected = -1j * (hm @ rho - rho @ hm)
+    for L, r in jumps:
+        LdL = L.conj().T @ L
+        expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    out = np.empty_like(rho)
+    rhs(gen.at(0.0), rho, out)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.array_equal(out, out.conj().T)
+    assert abs(np.trace(out)) <= 1e-12 * np.sum(np.abs(out))
+
+
+def _documents():
+    docs = [load_scenario_document(name)[0] for name in packaged_scenarios()]
+    designed = copy.deepcopy(docs[0])
+    designed["drive"] = {"design": {"anisotropy": 1.0, "g_r_over_omega_eff": 1.2,
+                                    "delta1_mhz": 0.0}}
+    return docs + [designed]
+
+
+DOCUMENTS = _documents()
+# optional fields the packaged documents leave out, beside every field they hold
+EXTRA_PATHS = {("integrator", "method"), ("integrator", "dt_ns"), ("integrator", "rtol"),
+               ("integrator", "store_every"), ("drive", "phi1"), ("drive", "amp2_khz"),
+               ("drive", "design"), ("highlight",), ("outputs",), ("fock_cutoff",)}
+
+
+def _paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+EXTRA_PATHS |= {path[:k] for path in EXTRA_PATHS for k in range(1, len(path))}
+SITES = [(i, path) for i, doc in enumerate(DOCUMENTS)
+         for path in sorted(set(_paths(doc)) | EXTRA_PATHS)]
+DELETE = object()
+VALUES = st.one_of(
+    st.sampled_from([DELETE, None, True, "x", "", "inf", "nan", "-1", [], {}, ["x"], -1, 0,
+                     1e308, float("nan"), float("inf"), "vac_e", "both", "fixed_rk4"]),
+    st.integers(-10**6, 10**6), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.sampled_from(["sigma_pop", "fidelity", "x", 3]), max_size=3),
+    st.dictionaries(st.sampled_from(["anisotropy", "g_r_over_omega_eff", "delta1_hz",
+                                     "param", "value", "method"]),
+                    st.one_of(st.floats(allow_nan=True), st.text(max_size=3)), max_size=3))
+
+
+@settings(max_examples=600)
+@given(site=st.sampled_from(SITES), value=VALUES)
+def test_parse_scenario_raises_only_validation_error(site, value):
+    """One field of a packaged document set to a malformed value, or removed:
+    the only error is a ValidationError that names a field path."""
+    index, path = site
+    doc = copy.deepcopy(DOCUMENTS[index])
+    section = doc
+    for key in path[:-1]:
+        if not isinstance(section.get(key), dict):
+            section[key] = {}
+        section = section[key]
+    if value is DELETE:
+        section.pop(path[-1], None)
+    else:
+        section[path[-1]] = value
+    try:
+        parse_scenario(doc, name="fuzz")
+    except ValidationError as err:
+        assert re.match(r"[\w.]+: ", str(err)), f"no field path in {err}"

@@ -236,6 +236,11 @@ def _with_drive(**fields):
     ({"drive": {"design": {"anisotropy": -1}}}, "drive.design"),
     ({"integrator": {"dt_ns": "x"}}, "integrator.dt_ns"),
     ({"outputs": 5}, "outputs"),
+    ({"system": {"epsilon_ghz": 5.4, "omega_ghz": 2.2, "g_mhz": -70}}, "system.g_mhz"),
+    ({"system": {"epsilon_ghz": 5.4, "omega_ghz": 1e300, "g_mhz": 70}}, "system.omega_ghz"),
+    (_with_drive(amp2_ghz=-4.849), "drive.amp2_ghz"),
+    ({"drive": {"omega1_ghz": 0, "eta1": 0.7, "omega2_ghz": 6.759, "eta2": 0.7}},
+     "drive.omega1"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
@@ -321,6 +326,21 @@ def test_cli_design_unreachable_exit_code(capsys):
     assert main(["design", "--lambda", "1", "--gr-mhz", "100"]) == 4
 
 
+def test_design_at_coupling_null_is_unreachable(tmp_path, capsys):
+    # lambda = inf nulls g_r; no detuning realizes |g_r|/omega_eff = 1 there
+    assert main(["design", "--lambda", "inf", "--gratio", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unreachable" in captured.err
+    doc = small_doc(model="effective")
+    doc["drive"] = {"design": {"anisotropy": "inf", "g_r_over_omega_eff": 1.0}}
+    with pytest.raises(ValidationError, match="drive.design"):
+        parse_scenario(doc)
+    scn_file = tmp_path / "null.json"
+    scn_file.write_text(json.dumps(doc))
+    assert main(["validate", str(scn_file)]) == 2
+    assert "drive.design" in capsys.readouterr().err
+
+
 def test_cli_sweep_end_to_end(tmp_path):
     scn_file = tmp_path / "small.json"
     scn_file.write_text(json.dumps(small_doc(model="effective")))
@@ -334,6 +354,37 @@ def test_cli_sweep_end_to_end(tmp_path):
     manifest = json.loads((tmp_path / "swp" / "manifest.json").read_text())
     assert manifest["status"] == "complete"
     assert len(manifest["points"]) == 3
+
+
+def test_cli_warns_on_failed_cutoff_check(tmp_path, capsys):
+    scn_file = tmp_path / "small.json"
+    scn_file.write_text(json.dumps(small_doc(fock_cutoff=2)))
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "sim")]) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert [manifest["diagnostics"][side]["cutoff_ok"] for side in ("exact", "effective")] \
+        == [False, False]
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    assert "exact run" in warnings[0] and "effective run" in warnings[1]
+    assert all(w.startswith("warning: small:") and "Fock-cutoff" in w for w in warnings)
+    # a sweep names the point; the adequate cutoff prints nothing
+    assert main(["sweep", str(scn_file), "--param", "fock_cutoff", "--from", "2",
+                 "--to", "8", "--points", "2", "--threads", "1",
+                 "-o", str(tmp_path / "swp")]) == 0
+    manifest = json.loads((tmp_path / "swp" / "manifest.json").read_text())
+    assert [p["diagnostics"]["cutoff_ok"] for p in manifest["points"]] == [False, True]
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: fock_cutoff = 2.0: exact run")
+
+
+def test_cli_passing_cutoff_check_prints_no_warning(tmp_path, capsys):
+    scn_file = tmp_path / "small.json"
+    scn_file.write_text(json.dumps(small_doc()))
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "sim")]) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["exact"]["cutoff_ok"] is True
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_sweep_single_point_rejected(tmp_path):

@@ -195,7 +195,9 @@ def cmd_sweep(args) -> int:
           f"wrote {out / 'sweep.csv'}")
     side = "effective" if parse_scenario(doc, name).model == "effective" else "exact"
     for point in manifest["points"]:
-        _warn_failed(f"{args.param} = {point['value']}", side, point["diagnostics"])
+        where = f"{args.param} = {point['value']}"
+        _warn_failed(where, side, point["diagnostics"])
+        _warn_failed(where, "effective", point["reference_diagnostics"])
     if manifest["status"] != "complete":
         for failure in manifest["failures"]:
             print(f"  failed at {failure['value']}: {failure['error']}",

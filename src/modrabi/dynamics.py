@@ -1,8 +1,13 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
-Both equations run through one propagation loop and, for the fixed-step
-method, one classical RK4 over arrays; a state vector is the (d,) case and
-a density matrix the (d, d) one.  The Lindblad right-hand side is
+Both equations run through one propagation loop over arrays; a state vector
+is the (d,) case and a density matrix the (d, d) one.  The loop steps with
+classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp`: DOP853
+under `adaptive`, the default, and RK45 under `adaptive_rk45`.  A
+Schrodinger run under `adaptive` with a static Hamiltonian skips the loop:
+one eigendecomposition H = V diag(lam) V+ gives
+psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every stored sample, and
+the run reports method "spectral".  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
@@ -22,7 +27,9 @@ Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
 inside the stepper, so an integrator bug cannot hide behind symmetrization;
 the largest max |rho - rho+| removed there is reported as `herm_defect`.
 Positivity is monitored, not projected: a violation beyond the floor aborts,
-because it is evidence of a cutoff or step-size misconfiguration.
+because it is evidence of a cutoff or step-size misconfiguration.  When the
+generator, the jumps and rho0 respect the parity (n + excited qubits) mod 2,
+rho stays block diagonal in it and the spectrum is taken per block.
 """
 
 from __future__ import annotations
@@ -39,19 +46,33 @@ from scipy.integrate import solve_ivp
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                      annihilation, number_operator, qubit_operator)
+                      annihilation, collective_qubit_operator, number_operator,
+                      qubit_operator)
 from .modulation import SystemParams
 
-METHODS = ("fixed_rk4", "adaptive_rk45")
+METHODS = ("adaptive", "fixed_rk4", "adaptive_rk45")
+_SOLVE_IVP_METHOD = {"adaptive": "DOP853", "adaptive_rk45": "RK45"}
 
 STATE_NORM_TOL = 1e-6       # wrapping tolerance for stored trajectory states
 POSITIVITY_FLOOR = -1e-6
 CUTOFF_POP_LIMIT = 1e-6
+HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "adaptive_rk45"
+    """How a run is propagated and which samples it stores.
+
+    `adaptive` (the default) integrates with DOP853 at `rtol`/`atol`; a
+    Schrodinger run under a static Hamiltonian (no coupling terms) is
+    instead solved exactly by one eigendecomposition and reports method
+    "spectral".  `adaptive_rk45` integrates with RK45 at the same
+    tolerances and is kept so that documents naming it keep their numbers.
+    `fixed_rk4` is classical RK4 at steps <= `dt` (default: the
+    Hamiltonian's `suggested_dt`), the oracle and the exact-frame default.
+    """
+
+    method: str = "adaptive"
     dt: float | None = None          # fixed-step target; default from the Hamiltonian
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -60,10 +81,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"integrator method must be one of {METHODS}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be > 0")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValidationError("rtol and atol must be > 0")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be finite and > 0")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValidationError("rtol and atol must be finite and > 0")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
 
@@ -297,12 +318,26 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
         rhs(generator.at(t), y, out)
         return out.reshape(-1)
 
-    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="RK45",
+    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1),
+                    method=_SOLVE_IVP_METHOD[cfg.method],
                     t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         raise NumericsError(f"adaptive integration failed: {sol.message}")
     for i in range(sol.y.shape[1]):
         record(i, sol.y[:, i].reshape(y0.shape))
+
+
+def _spectral(static: np.ndarray, psi0: np.ndarray, times: np.ndarray, record):
+    """psi(t) = V exp(-i lam (t - t0)) V+ psi0 at every time, for static
+    H = V diag(lam) V+; hands sample i to record(i, psi)."""
+    static = np.asarray(static, dtype=complex)
+    if (np.max(np.abs(static - static.conj().T))
+            > HERMITIAN_RTOL * np.max(np.abs(static))):
+        raise ValidationError("spectral propagation needs a Hermitian static Hamiltonian")
+    lam, V = np.linalg.eigh(static)
+    c0 = V.conj().T @ psi0
+    for i, t in enumerate(times):
+        record(i, V @ (np.exp(-1j * lam * (t - times[0])) * c0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +348,11 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
                        times: np.ndarray, cfg: IntegratorConfig | None = None,
                        observables: Sequence[str] = DEFAULT_OBSERVABLES,
                        store_states: bool = True) -> Trajectory:
-    """Propagate |psi> under H; norm is a monitored quality metric, not enforced."""
+    """Propagate |psi> under H; norm is a monitored quality metric, not enforced.
+
+    Under `adaptive`, a static H (no coupling terms) is propagated exactly by
+    one eigendecomposition and must be Hermitian.
+    """
     if psi0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
@@ -332,11 +371,15 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
             states.append(PureState(H.space, psi / norm, norm_tol=STATE_NORM_TOL))
         return psi
 
-    _propagate(H, _schrodinger_rhs, _Generator(H), psi0.amplitudes,
-               times, cfg, record)
+    spectral = cfg.method == "adaptive" and not H.terms
+    if spectral:
+        _spectral(H.static, psi0.amplitudes, stored_t, record)
+    else:
+        _propagate(H, _schrodinger_rhs, _Generator(H), psi0.amplitudes,
+                   times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, "cutoff_ok": obs.cutoff_ok(),
-                                   "method": cfg.method})
+                                   "method": "spectral" if spectral else cfg.method})
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +404,37 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]):
     return _Generator(H, damping), functools.partial(_lindblad_rhs, jumps)
 
 
+def _parity_blocks(generator: _Generator, jumps: Sequence[np.ndarray],
+                   rho0: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
+    """Index sets of the diagonal blocks that hold rho for the whole run.
+
+    Each basis state is labelled by (n + number of excited qubits) mod 2.
+    The run is structured when K (static part, damping and every term) has
+    no entry between the labels, every jump maps each label into a single
+    label and rho0 has no entry between them: the flow then keeps rho block
+    diagonal and its spectrum is that of the two blocks.  Any other run is
+    one block.
+    """
+    excited = (np.real(np.diagonal(collective_qubit_operator(space, "jz").matrix))
+               + 0.5 * space.n_qubits)
+    label = np.rint(np.arange(space.dim) % space.fock_cutoff + excited).astype(int) % 2
+
+    def within(rows, cols):
+        return np.array_equal(label[rows], label[cols])
+
+    def into_one(jump):
+        rows, cols = np.nonzero(jump)
+        return all(np.unique(label[rows[label[cols] == s]]).size <= 1 for s in (0, 1))
+
+    k = generator.matrix
+    structured = (within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
+                  and within(*np.nonzero(rho0))
+                  and all(into_one(jump) for jump in jumps))
+    if not structured:
+        return [np.arange(space.dim)]
+    return [block for block in (np.flatnonzero(label == s) for s in (0, 1)) if block.size]
+
+
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                   rho0: DensityMatrix, times: np.ndarray,
                   cfg: IntegratorConfig | None = None,
@@ -382,11 +456,16 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     min_eig = math.inf
     herm_defect = 0.0
 
+    generator, rhs = _lindblad(H, dissipators)
+    blocks = [np.ix_(b, b) for b in _parity_blocks(
+        generator, [d.jump.matrix for d in dissipators if d.rate != 0.0], rho0.matrix, H.space)]
+
     def record(i, rho):
         nonlocal trace_drift, min_eig, herm_defect
-        herm_defect = max(herm_defect, float(np.max(np.abs(rho - rho.conj().T))))
-        rho = 0.5 * (rho + rho.conj().T)
-        lo = float(np.linalg.eigvalsh(rho).min())
+        rho_h = rho.conj().T
+        herm_defect = max(herm_defect, float(np.max(np.abs(rho - rho_h))))
+        rho = 0.5 * (rho + rho_h)
+        lo = min(float(np.linalg.eigvalsh(rho[block])[0]) for block in blocks)
         min_eig = min(min_eig, lo)
         if lo < positivity_floor:
             raise NumericsError(
@@ -400,7 +479,6 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                                         eig_floor=positivity_floor))
         return rho
 
-    generator, rhs = _lindblad(H, dissipators)
     _propagate(H, rhs, generator, rho0.matrix, times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,

@@ -297,7 +297,7 @@ def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
     if side == "exact":
         # multi-GHz phases: uniform small steps beat adaptivity
         return IntegratorConfig(method="fixed_rk4")
-    return IntegratorConfig(method="adaptive_rk45", rtol=1e-10, atol=1e-12)
+    return IntegratorConfig()
 
 
 @dataclass
@@ -452,14 +452,18 @@ def _sweep_point(args):
     try:
         scn = parse_scenario(apply_sweep_value(doc, param, value), name=name)
         res = run_simulation(scn)
-        obs = (res.exact or res.effective).observables
+        primary = res.exact or res.effective
+        obs = primary.observables
         times = np.linspace(0.0, scn.t_end, scn.samples)
         return {"value": value, "ok": True,
                 "times": times.tolist(),
                 "sigma_pop": obs["sigma_pop"].tolist(),
                 "photon_number": obs["photon_number"].tolist(),
                 "effective": effective_summary(effective_params(scn.system, scn.drive)),
-                "diagnostics": (res.exact or res.effective).diagnostics}
+                "diagnostics": primary.diagnostics,
+                # the lossless effective reference behind the fidelity
+                "reference_diagnostics": (res.effective.diagnostics
+                                          if scn.model == "both" else None)}
     except Exception as err:  # per-point failure is data, not a crash
         return {"value": value, "ok": False,
                 "error": f"{type(err).__name__}: {err}"}
@@ -496,7 +500,8 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
         for t, sig, pho in zip(pt["times"], pt["sigma_pop"], pt["photon_number"]):
             rows.append([pt["value"], t, sig, pho])
         point_meta.append({"value": pt["value"], "effective": pt["effective"],
-                           "diagnostics": pt["diagnostics"]})
+                           "diagnostics": pt["diagnostics"],
+                           "reference_diagnostics": pt["reference_diagnostics"]})
     base = parse_scenario(doc, name=name)
     manifest = {
         "schema_version": SCHEMA_VERSION,

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from modrabi.dynamics import (Dissipator, IntegratorConfig, _Generator,
-                              _lindblad, dissipator_frame_defect, evolve_master,
+from modrabi.dynamics import (DEFAULT_OBSERVABLES, Dissipator, IntegratorConfig,
+                              _Generator, _lindblad, dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -291,6 +292,15 @@ def test_store_every_thins_output():
     assert traj.times[-1] == 1.0
 
 
+@pytest.mark.parametrize("setting", [{"dt": math.inf}, {"dt": math.nan}, {"dt": -math.inf},
+                                     {"rtol": math.nan}, {"rtol": math.inf},
+                                     {"atol": math.inf}, {"atol": math.nan}])
+def test_integrator_config_rejects_non_finite_settings(setting):
+    # dt = inf once ran fixed RK4 at one step per sample interval
+    with pytest.raises(ValidationError, match="finite"):
+        IntegratorConfig(method="fixed_rk4", **setting)
+
+
 def test_grid_validation():
     space = HilbertSpace(1, 3)
     psi0 = basis_state(space, "g", 0)
@@ -434,3 +444,78 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
         assert np.max(np.abs(traj.states[i].matrix - rho)) <= 1e-6
     # the slice is long enough for the state to move well past the tolerance
     assert np.max(np.abs(rho - rho0.matrix)) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# adaptive methods and the spectral path against independent oracles
+# ---------------------------------------------------------------------------
+
+STATIC_EFF = EffectiveParams(g_r=-20 * MHZ, g_cr=12 * MHZ, omega_eff=17.5 * MHZ,
+                             epsilon_eff=9 * MHZ, theta=0.0, anisotropy=-0.6,
+                             phi1=0.4, phi2=1.3)
+
+
+@pytest.mark.parametrize("n_qubits, fock", [(1, 10), (2, 8)])
+def test_spectral_run_matches_dense_expm(n_qubits, fock):
+    rng = np.random.default_rng(3 + n_qubits)
+    space = HilbertSpace(n_qubits, fock)
+    H = dicke_hamiltonian(STATIC_EFF, space, interaction_picture=False)
+    v = random_complex(rng, space.dim)
+    psi0 = PureState(space, v / np.linalg.norm(v))
+    times = np.linspace(0.0, 100 * NS, 41)        # |H| t_end is about 140 rad
+    traj = evolve_schrodinger(H, psi0, times)
+    assert traj.diagnostics["method"] == "spectral"
+    assert traj.diagnostics["norm_drift"] < 1e-13
+    for t, state in zip(times, traj.states):
+        exact = expm(-1j * H.static * t) @ psi0.amplitudes
+        assert np.max(np.abs(state.amplitudes - exact)) < 1e-12
+
+
+def test_spectral_run_rejects_non_hermitian_static_part():
+    space = HilbertSpace(1, 3)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h[0, 1] = 1.0
+    H = TimeDependentHamiltonian(space=space, static=h)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        evolve_schrodinger(H, basis_state(space, "g", 0), np.linspace(0.0, 1.0, 3))
+
+
+def test_adaptive_methods_are_scipy_dop853_and_rk45():
+    space = HilbertSpace(1, 4)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    psi0 = basis_state(space, "e", 0)
+    times = np.linspace(0.0, 0.5 * NS, 6)
+    runs = {}
+    for method, scipy_method in (("adaptive", "DOP853"), ("adaptive_rk45", "RK45")):
+        traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method=method))
+        assert traj.diagnostics["method"] == method
+        sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t) @ y), (0.0, times[-1]),
+                        psi0.amplitudes, method=scipy_method, t_eval=times,
+                        rtol=1e-10, atol=1e-12)
+        runs[method] = np.array([s.amplitudes for s in traj.states])
+        direct = (sol.y / np.linalg.norm(sol.y, axis=0)).T
+        assert np.max(np.abs(runs[method] - direct)) < 1e-14
+    # the two pairs differ by more than that, so the method really is dispatched
+    assert np.max(np.abs(runs["adaptive"] - runs["adaptive_rk45"])) > 1e-12
+
+
+def test_adaptive_master_matches_converged_rk4_on_fig5():
+    scn = load_scenario("fig5")
+    space = HilbertSpace(1, scn.fock_cutoff)
+    H = effective_hamiltonian(effective_params(scn.system, scn.drive), space)
+    channels = loss_dissipators(scn.system, space)
+    rho0 = basis_state(space, "g", 0).density_matrix()
+    times = np.linspace(0.0, scn.t_end, scn.samples)
+    dt = H.descriptor["suggested_dt"]
+
+    def series(cfg):
+        traj = evolve_master(H, channels, rho0, times, cfg)
+        return np.array([traj.observables[name] for name in DEFAULT_OBSERVABLES])
+
+    oracle = series(IntegratorConfig(method="fixed_rk4", dt=dt / 16))
+    coarse = series(IntegratorConfig(method="fixed_rk4", dt=dt / 8))
+    assert np.max(np.abs(coarse - oracle)) < 1e-10        # the oracle has converged
+    dev = {method: np.max(np.abs(series(IntegratorConfig(method=method)) - oracle))
+           for method in ("adaptive", "adaptive_rk45")}
+    assert dev["adaptive"] < 1e-8
+    assert dev["adaptive"] <= dev["adaptive_rk45"]

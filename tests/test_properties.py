@@ -1,5 +1,6 @@
-"""Property tests: the Lindblad right-hand side on random channels, and
-scenario parsing on mutated packaged documents."""
+"""Property tests: the Lindblad right-hand side on random channels, the
+per-parity-block positivity check, and scenario parsing on mutated packaged
+documents."""
 
 import copy
 import re
@@ -8,10 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modrabi.dynamics import Dissipator, _lindblad
+from modrabi.dynamics import (Dissipator, IntegratorConfig, _lindblad, _parity_blocks,
+                              evolve_master)
 from modrabi.errors import ValidationError
-from modrabi.hamiltonians import TimeDependentHamiltonian
-from modrabi.hilbert import HilbertSpace, Operator, annihilation, qubit_operator
+from modrabi.hamiltonians import TimeDependentHamiltonian, effective_hamiltonian
+from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, annihilation,
+                             number_operator, qubit_operator)
+from modrabi.modulation import EffectiveParams
 from modrabi.scenarios import (load_scenario_document, packaged_scenarios,
                                parse_scenario)
 
@@ -29,6 +33,60 @@ def _jump(rng, space, kind):
     if kind == "sparse":
         mat *= rng.random((space.dim, space.dim)) < 0.15
     return mat
+
+
+MIXING_JUMPS = ("sz+a", "kick")
+
+
+def _parity_jump(space, kind):
+    """A jump that maps each parity label into one label, or (MIXING_JUMPS) not.
+
+    'kick' = (|g..g,0> + |e g..g,0>)<g..g,0| mixes the labels while its L+L
+    does not, so only the check on the jump itself can see it.
+    """
+    if kind == "kick":
+        ground = space.index("g" * space.n_qubits, 0)
+        kick = np.zeros((space.dim, space.dim), dtype=complex)
+        kick[[ground, space.index("e" + "g" * (space.n_qubits - 1), 0)], ground] = 1.0
+        return kick
+    sz = qubit_operator(space, 0, "sz").matrix
+    a = annihilation(space).matrix
+    return {"sm": lambda: qubit_operator(space, space.n_qubits - 1, "sm").matrix,
+            "a": lambda: a, "sz": lambda: sz,
+            "n": lambda: number_operator(space).matrix,
+            "sz+a": lambda: sz + a}[kind]()
+
+
+@settings(max_examples=30)
+@given(n_qubits=st.integers(1, 2), fock=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["sm", "a", "sz", "n", *MIXING_JUMPS]), max_size=3),
+       parity_start=st.booleans(), method=st.sampled_from(["fixed_rk4", "adaptive"]))
+def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, parity_start,
+                                                method):
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(n_qubits, fock)
+    g_r, g_cr, omega, eps = rng.uniform(-1.0, 1.0, size=4)
+    H = effective_hamiltonian(EffectiveParams(g_r=g_r, g_cr=g_cr, omega_eff=omega,
+                                              epsilon_eff=eps, theta=0.0, anisotropy=0.0,
+                                              phi1=rng.uniform(0, 6), phi2=rng.uniform(0, 6)),
+                              space)
+    channels = [Dissipator(Operator(space, _parity_jump(space, kind)), rng.uniform(0.1, 1.0))
+                for kind in kinds]
+    v = _random_complex(rng, (space.dim, space.dim))
+    rho = v @ v.conj().T
+    qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    label = (n + np.array([int(q).bit_count() for q in qubits])) % 2
+    if parity_start:                 # keep the parity-diagonal part, still positive
+        rho = rho * (label[:, None] == label[None, :])
+    rho0 = DensityMatrix(space, rho / np.trace(rho).real)
+
+    generator, _ = _lindblad(H, channels)
+    blocks = _parity_blocks(generator, [d.jump.matrix for d in channels], rho0.matrix, space)
+    assert len(blocks) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
+    traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
+                         IntegratorConfig(method=method, dt=0.02), store_states=True)
+    full = min(float(np.linalg.eigvalsh(state.matrix)[0]) for state in traj.states)
+    assert abs(traj.diagnostics["min_eigenvalue"] - full) <= 1e-14
 
 
 @settings(max_examples=100)

@@ -198,6 +198,9 @@ def test_cli_simulate_writes_outputs(tmp_path):
     assert manifest["resolved"]["effective"]["g_r_over_omega_eff"] == \
         pytest.approx(0.05, rel=1e-2)
     assert manifest["resolved"]["validity"]["ok"] is True
+    # the static lossless reference is solved by one eigendecomposition
+    assert manifest["diagnostics"]["exact"]["method"] == "fixed_rk4"
+    assert manifest["diagnostics"]["effective"]["method"] == "spectral"
 
 
 def test_cli_simulate_is_deterministic(tmp_path):
@@ -373,9 +376,13 @@ def test_cli_warns_on_failed_cutoff_check(tmp_path, capsys):
                  "-o", str(tmp_path / "swp")]) == 0
     manifest = json.loads((tmp_path / "swp" / "manifest.json").read_text())
     assert [p["diagnostics"]["cutoff_ok"] for p in manifest["points"]] == [False, True]
+    # the lossless effective reference of each point is kept and warned for too
+    assert [p["reference_diagnostics"]["cutoff_ok"] for p in manifest["points"]] \
+        == [False, True]
     warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 1
+    assert len(warnings) == 2
     assert warnings[0].startswith("warning: fock_cutoff = 2.0: exact run")
+    assert warnings[1].startswith("warning: fock_cutoff = 2.0: effective run")
 
 
 def test_cli_passing_cutoff_check_prints_no_warning(tmp_path, capsys):

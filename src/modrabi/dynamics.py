@@ -2,9 +2,9 @@
 
 Both equations run through one propagation loop over arrays; a state vector
 is the (d,) case and a density matrix the (d, d) one.  The loop steps with
-classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp`: DOP853
-under `adaptive`, the default, and RK45 under `adaptive_rk45`.  A
-Schrodinger run under `adaptive` with a static Hamiltonian skips the loop:
+classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp` with
+DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive` with
+a static Hamiltonian skips the loop:
 one eigendecomposition H = V diag(lam) V+ gives
 psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every stored sample, and
 the run reports method "spectral".  The Lindblad right-hand side is
@@ -46,12 +46,10 @@ from scipy.integrate import solve_ivp
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                      annihilation, collective_qubit_operator, number_operator,
-                      qubit_operator)
+                      annihilation, number_operator, qubit_operator)
 from .modulation import SystemParams
 
-METHODS = ("adaptive", "fixed_rk4", "adaptive_rk45")
-_SOLVE_IVP_METHOD = {"adaptive": "DOP853", "adaptive_rk45": "RK45"}
+METHODS = ("adaptive", "fixed_rk4")
 
 STATE_NORM_TOL = 1e-6       # wrapping tolerance for stored trajectory states
 POSITIVITY_FLOOR = -1e-6
@@ -66,9 +64,7 @@ class IntegratorConfig:
     `adaptive` (the default) integrates with DOP853 at `rtol`/`atol`; a
     Schrodinger run under a static Hamiltonian (no coupling terms) is
     instead solved exactly by one eigendecomposition and reports method
-    "spectral".  `adaptive_rk45` integrates with RK45 at the same
-    tolerances and is kept so that documents naming it keep their numbers.
-    `fixed_rk4` is classical RK4 at steps <= `dt` (default: the
+    "spectral".  `fixed_rk4` is classical RK4 at steps <= `dt` (default: the
     Hamiltonian's `suggested_dt`), the oracle and the exact-frame default.
     """
 
@@ -79,6 +75,9 @@ class IntegratorConfig:
     store_every: int = 1
 
     def __post_init__(self):
+        if self.method == "adaptive_rk45":
+            raise ValidationError("integrator method 'adaptive_rk45' was replaced by "
+                                  "'adaptive' (DOP853 at the same rtol/atol)")
         if self.method not in METHODS:
             raise ValidationError(f"integrator method must be one of {METHODS}")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -319,7 +318,7 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
         return out.reshape(-1)
 
     sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1),
-                    method=_SOLVE_IVP_METHOD[cfg.method],
+                    method="DOP853",
                     t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         raise NumericsError(f"adaptive integration failed: {sol.message}")
@@ -371,7 +370,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
             states.append(PureState(H.space, psi / norm, norm_tol=STATE_NORM_TOL))
         return psi
 
-    spectral = cfg.method == "adaptive" and not H.terms
+    spectral = cfg.method != "fixed_rk4" and not H.terms
     if spectral:
         _spectral(H.static, psi0.amplitudes, stored_t, record)
     else:
@@ -394,17 +393,17 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]):
     J = sum_j r_j L_j (x) conj(L_j), built once: nnz(J) = sum_j nnz(L_j)^2,
     at most d^2 per channel for sigma- and a (one nonzero per column).
     """
-    active = [d for d in dissipators if d.rate != 0.0]
-    damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix) for d in active)
+    damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
+                  for d in dissipators)
     dim = H.space.dim
     jumps = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
-    for d in active:
+    for d in dissipators:
         L = sparse.csr_array(d.jump.matrix)
         jumps = jumps + (0.5j * d.rate) * sparse.kron(L, L.conj(), format="csr")
     return _Generator(H, damping), functools.partial(_lindblad_rhs, jumps)
 
 
-def _parity_blocks(generator: _Generator, jumps: Sequence[np.ndarray],
+def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
                    rho0: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
     """Index sets of the diagonal blocks that hold rho for the whole run.
 
@@ -415,9 +414,9 @@ def _parity_blocks(generator: _Generator, jumps: Sequence[np.ndarray],
     diagonal and its spectrum is that of the two blocks.  Any other run is
     one block.
     """
-    excited = (np.real(np.diagonal(collective_qubit_operator(space, "jz").matrix))
-               + 0.5 * space.n_qubits)
-    label = np.rint(np.arange(space.dim) % space.fock_cutoff + excited).astype(int) % 2
+    qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    excited = space.n_qubits - np.bitwise_count(qubits)     # a set bit is a ground qubit
+    label = (n + excited) % 2
 
     def within(rows, cols):
         return np.array_equal(label[rows], label[cols])
@@ -429,7 +428,7 @@ def _parity_blocks(generator: _Generator, jumps: Sequence[np.ndarray],
     k = generator.matrix
     structured = (within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
                   and within(*np.nonzero(rho0))
-                  and all(into_one(jump) for jump in jumps))
+                  and all(into_one(d.jump.matrix) for d in dissipators))
     if not structured:
         return [np.arange(space.dim)]
     return [block for block in (np.flatnonzero(label == s) for s in (0, 1)) if block.size]
@@ -456,9 +455,9 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     min_eig = math.inf
     herm_defect = 0.0
 
-    generator, rhs = _lindblad(H, dissipators)
-    blocks = [np.ix_(b, b) for b in _parity_blocks(
-        generator, [d.jump.matrix for d in dissipators if d.rate != 0.0], rho0.matrix, H.space)]
+    active = [d for d in dissipators if d.rate != 0.0]
+    generator, rhs = _lindblad(H, active)
+    blocks = [np.ix_(b, b) for b in _parity_blocks(generator, active, rho0.matrix, H.space)]
 
     def record(i, rho):
         nonlocal trace_drift, min_eig, herm_defect

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from modrabi.dynamics import (DEFAULT_OBSERVABLES, Dissipator, IntegratorConfig,
-                              _Generator, _lindblad, dissipator_frame_defect, evolve_master,
+                              _Generator, _lindblad, _ObservableSet,
+                              dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -107,7 +109,7 @@ def test_master_reports_hermiticity_defect():
     rho0 = basis_state(space, "e", 1).density_matrix()
     times = np.linspace(0.0, 0.3 * NS, 7)
     runs = [evolve_master(H, channels, rho0, times, IntegratorConfig(method=m))
-            for m in ("fixed_rk4", "adaptive_rk45", "fixed_rk4")]
+            for m in ("fixed_rk4", "adaptive", "fixed_rk4")]
     for traj in runs:
         defect = traj.diagnostics["herm_defect"]
         assert isinstance(defect, float) and 0.0 <= defect < 1e-12
@@ -301,6 +303,11 @@ def test_integrator_config_rejects_non_finite_settings(setting):
         IntegratorConfig(method="fixed_rk4", **setting)
 
 
+def test_integrator_config_points_removed_rk45_to_adaptive():
+    with pytest.raises(ValidationError, match="'adaptive'"):
+        IntegratorConfig(method="adaptive_rk45")
+
+
 def test_grid_validation():
     space = HilbertSpace(1, 3)
     psi0 = basis_state(space, "g", 0)
@@ -480,23 +487,36 @@ def test_spectral_run_rejects_non_hermitian_static_part():
         evolve_schrodinger(H, basis_state(space, "g", 0), np.linspace(0.0, 1.0, 3))
 
 
-def test_adaptive_methods_are_scipy_dop853_and_rk45():
+def test_adaptive_method_is_scipy_dop853():
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     psi0 = basis_state(space, "e", 0)
     times = np.linspace(0.0, 0.5 * NS, 6)
-    runs = {}
-    for method, scipy_method in (("adaptive", "DOP853"), ("adaptive_rk45", "RK45")):
-        traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method=method))
-        assert traj.diagnostics["method"] == method
+    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="adaptive"))
+    assert traj.diagnostics["method"] == "adaptive"
+    run = np.array([s.amplitudes for s in traj.states])
+    direct = {}
+    for scipy_method in ("DOP853", "RK45"):
         sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t) @ y), (0.0, times[-1]),
                         psi0.amplitudes, method=scipy_method, t_eval=times,
                         rtol=1e-10, atol=1e-12)
-        runs[method] = np.array([s.amplitudes for s in traj.states])
-        direct = (sol.y / np.linalg.norm(sol.y, axis=0)).T
-        assert np.max(np.abs(runs[method] - direct)) < 1e-14
-    # the two pairs differ by more than that, so the method really is dispatched
-    assert np.max(np.abs(runs["adaptive"] - runs["adaptive_rk45"])) > 1e-12
+        direct[scipy_method] = (sol.y / np.linalg.norm(sol.y, axis=0)).T
+    assert np.max(np.abs(run - direct["DOP853"])) < 1e-14
+    # RK45 differs by more than that, so the match names the pair
+    assert np.max(np.abs(run - direct["RK45"])) > 1e-12
+
+
+def _liouvillian(H: TimeDependentHamiltonian, channels) -> sparse.csr_array:
+    """Dense-formula Lindblad generator on the row-major vec(rho), static H."""
+    eye = sparse.identity(H.space.dim, format="csr")
+    h = sparse.csr_array(H.static)
+    out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for d in channels:
+        L = sparse.csr_array(d.jump.matrix)
+        LdL = L.conj().T @ L
+        out = out + d.rate * (sparse.kron(L, L.conj())
+                              - 0.5 * (sparse.kron(LdL, eye) + sparse.kron(eye, LdL.T)))
+    return sparse.csr_array(out)
 
 
 def test_adaptive_master_matches_converged_rk4_on_fig5():
@@ -515,7 +535,16 @@ def test_adaptive_master_matches_converged_rk4_on_fig5():
     oracle = series(IntegratorConfig(method="fixed_rk4", dt=dt / 16))
     coarse = series(IntegratorConfig(method="fixed_rk4", dt=dt / 8))
     assert np.max(np.abs(coarse - oracle)) < 1e-10        # the oracle has converged
-    dev = {method: np.max(np.abs(series(IntegratorConfig(method=method)) - oracle))
-           for method in ("adaptive", "adaptive_rk45")}
-    assert dev["adaptive"] < 1e-8
-    assert dev["adaptive"] <= dev["adaptive_rk45"]
+    dev = np.max(np.abs(series(IntegratorConfig(method="adaptive")) - oracle))
+    assert dev < 1e-8
+    # no farther from the oracle than RK45 at the same tolerances
+    liouvillian = _liouvillian(H, channels)
+    sol = solve_ivp(lambda t, y: liouvillian @ y, (times[0], times[-1]),
+                    rho0.matrix.reshape(-1), method="RK45", t_eval=times,
+                    rtol=1e-10, atol=1e-12)
+    obs = _ObservableSet(space, DEFAULT_OBSERVABLES, len(times))
+    for i, y in enumerate(sol.y.T):
+        rho = y.reshape(space.dim, space.dim)
+        obs.from_matrix(i, 0.5 * (rho + rho.conj().T))
+    rk45 = np.array([obs.series[name] for name in DEFAULT_OBSERVABLES])
+    assert dev <= np.max(np.abs(rk45 - oracle))

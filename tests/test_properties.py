@@ -81,7 +81,7 @@ def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, par
     rho0 = DensityMatrix(space, rho / np.trace(rho).real)
 
     generator, _ = _lindblad(H, channels)
-    blocks = _parity_blocks(generator, [d.jump.matrix for d in channels], rho0.matrix, space)
+    blocks = _parity_blocks(generator, channels, rho0.matrix, space)
     assert len(blocks) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
     traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
                          IntegratorConfig(method=method, dt=0.02), store_states=True)

@@ -1,11 +1,11 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
 Both equations run through one propagation loop over arrays; a state vector
-is the (d,) case and a density matrix the (d, d) one.  The loop steps with
-classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp` with
-DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive` with
-a static Hamiltonian skips the loop:
-one eigendecomposition H = V diag(lam) V+ gives
+is the (d,) case and a density matrix the (d, d) one, and the stored states
+of a run are one (T, d) or (T, d, d) array.  The loop steps with classical
+RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp` with DOP853
+(`adaptive`, the default).  A Schrodinger run under `adaptive` with a static
+Hamiltonian skips the loop: one eigendecomposition H = V diag(lam) V+ gives
 psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every stored sample, and
 the run reports method "spectral".  The Lindblad right-hand side is
 
@@ -27,7 +27,8 @@ Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
 inside the stepper, so an integrator bug cannot hide behind symmetrization;
 the largest max |rho - rho+| removed there is reported as `herm_defect`.
 Positivity is monitored, not projected: a violation beyond the floor aborts,
-because it is evidence of a cutoff or step-size misconfiguration.  When the
+because it is evidence of a cutoff or step-size misconfiguration, and so does
+a trace that leaves 1 by more than `TRACE_TOL`.  When the
 generator, the jumps and rho0 respect the parity (n + excited qubits) mod 2,
 rho stays block diagonal in it and the spectrum is taken per block.
 """
@@ -51,7 +52,7 @@ from .modulation import SystemParams
 
 METHODS = ("adaptive", "fixed_rk4")
 
-STATE_NORM_TOL = 1e-6       # wrapping tolerance for stored trajectory states
+TRACE_TOL = 1e-6            # largest |Tr rho - 1| a Lindblad run accepts
 POSITIVITY_FLOOR = -1e-6
 CUTOFF_POP_LIMIT = 1e-6
 HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
@@ -112,11 +113,12 @@ def loss_dissipators(sys: SystemParams, space: HilbertSpace) -> list[Dissipator]
 
 @dataclass
 class Trajectory:
-    """Stored grid, per-step states, and named real observable series."""
+    """Stored grid, named real observable series, and the stored states: None,
+    (T, d) normalized vectors or (T, d, d) symmetrized density matrices."""
 
     times: np.ndarray
     observables: dict[str, np.ndarray]
-    states: list | None = None
+    states: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -358,7 +360,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
     obs = _ObservableSet(H.space, observables, len(stored_t))
-    states = [] if store_states else None
+    states = np.empty((len(stored_t), H.space.dim), complex) if store_states else None
     norm_drift = 0.0
 
     def record(i, psi):
@@ -367,7 +369,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         norm = np.linalg.norm(psi)
         norm_drift = max(norm_drift, abs(norm - 1.0))
         if states is not None:
-            states.append(PureState(H.space, psi / norm, norm_tol=STATE_NORM_TOL))
+            np.divide(psi, norm, out=states[i])
         return psi
 
     spectral = cfg.method != "fixed_rk4" and not H.terms
@@ -440,7 +442,8 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                   observables: Sequence[str] = DEFAULT_OBSERVABLES,
                   store_states: bool = False,
                   positivity_floor: float = POSITIVITY_FLOOR) -> Trajectory:
-    """Propagate rho under H plus Lindblad loss channels."""
+    """Propagate rho under H plus Lindblad loss channels; abort when rho
+    loses positivity or its trace leaves 1 by more than TRACE_TOL."""
     if rho0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     for d in dissipators:
@@ -450,7 +453,7 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
     obs = _ObservableSet(H.space, observables, len(stored_t))
-    states = [] if store_states else None
+    states = np.empty((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
     min_eig = math.inf
     herm_defect = 0.0
@@ -471,11 +474,16 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                 f"density matrix lost positivity at t = {stored_t[i]:.6g}",
                 diagnostics={"time": float(stored_t[i]), "min_eigenvalue": lo,
                              "positivity_floor": positivity_floor})
+        trace = float(np.real(np.trace(rho)))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise NumericsError(
+                f"density matrix trace drifted to {trace:.9g} at t = {stored_t[i]:.6g}",
+                diagnostics={"time": float(stored_t[i]), "trace": trace,
+                             "trace_tol": TRACE_TOL})
+        trace_drift = max(trace_drift, abs(trace - 1.0))
         obs.from_matrix(i, rho)
-        trace_drift = max(trace_drift, abs(float(np.real(np.trace(rho))) - 1.0))
         if states is not None:
-            states.append(DensityMatrix(H.space, rho, trace_tol=STATE_NORM_TOL,
-                                        eig_floor=positivity_floor))
+            states[i] = rho
         return rho
 
     _propagate(H, rhs, generator, rho0.matrix, times, cfg, record)
@@ -489,14 +497,21 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
 # scalar diagnostics
 # ---------------------------------------------------------------------------
 
-def fidelity(psi_ideal: PureState, state) -> float:
-    """|<psi|rho|psi>|, or |<psi|phi>|^2 for a pure comparison state."""
-    if psi_ideal.space != state.space:
-        raise ValidationError("states live on different spaces")
-    v = psi_ideal.amplitudes
-    if isinstance(state, PureState):
-        return float(abs(np.vdot(v, state.amplitudes)) ** 2)
-    return float(abs(np.vdot(v, state.matrix @ v)))
+def fidelity(psi: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Overlap of each vector in `psi`, shape (..., d), with `state`.
+
+    A `state` of the same ndim holds vectors u and gives |<psi|u>|^2; one of
+    ndim + 1 holds density matrices rho and gives |<psi|rho|psi>|, so a
+    (T, d) stack with T == d is not ambiguous.  Other shapes are rejected.
+    """
+    psi, state = np.asarray(psi), np.asarray(state)
+    bra = psi.conj()[..., None, :]
+    if state.shape == psi.shape:
+        return np.abs(bra @ state[..., None])[..., 0, 0] ** 2
+    if state.shape == psi.shape + psi.shape[-1:]:
+        return np.abs(bra @ (state @ psi[..., None]))[..., 0, 0]
+    raise ValidationError(f"fidelity: state shape {state.shape} does not match "
+                          f"vectors of shape {psi.shape}")
 
 
 @dataclass(frozen=True)

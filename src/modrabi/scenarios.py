@@ -31,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (DEFAULT_OBSERVABLES, IntegratorConfig, Trajectory,
-                       evolve_master, evolve_schrodinger, fidelity,
-                       loss_dissipators)
+from .dynamics import (IntegratorConfig, Trajectory, evolve_master,
+                       evolve_schrodinger, fidelity, loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
 from .hilbert import HilbertSpace, basis_state
@@ -317,61 +316,42 @@ def run_simulation(scn: Scenario) -> SimulationResult:
     validity = validity_report(scn.system, scn.drive)
     times = np.linspace(0.0, scn.t_end, scn.samples)
     psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
-    base_obs = DEFAULT_OBSERVABLES
 
-    exact_traj = None
-    eff_traj = None
+    exact_traj = eff_traj = None
     if scn.model in ("rotated_exact", "both"):
         H = rotated_hamiltonian(scn.system, scn.drive, space)
         cfg = _integrator_for(scn, "exact")
         if scn.dissipation:
             exact_traj = evolve_master(H, loss_dissipators(scn.system, space),
                                        psi0.density_matrix(), times, cfg,
-                                       observables=base_obs,
                                        store_states=(scn.model == "both"))
         else:
             exact_traj = evolve_schrodinger(H, psi0, times, cfg,
-                                            observables=base_obs,
                                             store_states=(scn.model == "both"))
     if scn.model in ("effective", "both"):
         H_eff = effective_hamiltonian(eff, space)
         cfg_eff = _integrator_for(scn, "effective")
         if scn.model == "effective" and scn.dissipation:
             eff_traj = evolve_master(H_eff, loss_dissipators(scn.system, space),
-                                     psi0.density_matrix(), times, cfg_eff,
-                                     observables=base_obs)
+                                     psi0.density_matrix(), times, cfg_eff)
         else:
             # in 'both' mode the effective run is the ideal (lossless)
             # reference entering the fidelity
             eff_traj = evolve_schrodinger(H_eff, psi0, times, cfg_eff,
-                                          observables=base_obs,
                                           store_states=(scn.model == "both"))
 
-    fid = None
-    if scn.model == "both":
-        fid = np.array([fidelity(eff_traj.states[i], exact_traj.states[i])
-                        for i in range(len(times))])
-        exact_traj.observables["fidelity"] = fid
-
     primary = exact_traj if exact_traj is not None else eff_traj
-    header = ["time_s", "sigma_pop", "photon_number"]
-    if fid is not None:
-        header.append("fidelity")
-    header += ["trace", "purity", "top_fock_pop"]
     if scn.model == "both":
-        header += ["sigma_pop_eff", "photon_number_eff"]
-
-    rows = []
-    obs = primary.observables
-    for i, t in enumerate(times):
-        row = [t, obs["sigma_pop"][i], obs["photon_number"][i]]
-        if fid is not None:
-            row.append(fid[i])
-        row += [obs["trace"][i], obs["purity"][i], obs["top_fock_pop"][i]]
-        if scn.model == "both":
-            row += [eff_traj.observables["sigma_pop"][i],
-                    eff_traj.observables["photon_number"][i]]
-        rows.append(row)
+        primary.observables["fidelity"] = fidelity(eff_traj.states, exact_traj.states)
+    # the CSV columns in file order: every recorded series of the primary run
+    columns = {"time_s": primary.times}
+    columns.update((name, primary.observables[name]) for name in OUTPUT_NAMES
+                   if name in primary.observables)
+    if scn.model == "both":
+        columns["sigma_pop_eff"] = eff_traj.observables["sigma_pop"]
+        columns["photon_number_eff"] = eff_traj.observables["photon_number"]
+    header = list(columns)
+    rows = [list(row) for row in zip(*columns.values())]
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -454,9 +434,8 @@ def _sweep_point(args):
         res = run_simulation(scn)
         primary = res.exact or res.effective
         obs = primary.observables
-        times = np.linspace(0.0, scn.t_end, scn.samples)
         return {"value": value, "ok": True,
-                "times": times.tolist(),
+                "times": primary.times.tolist(),
                 "sigma_pop": obs["sigma_pop"].tolist(),
                 "photon_number": obs["photon_number"].tolist(),
                 "effective": effective_summary(effective_params(scn.system, scn.drive)),

@@ -16,7 +16,7 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   effective_hamiltonian, frame_phases,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
-from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
+from modrabi.hilbert import (HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
@@ -47,7 +47,7 @@ def test_zero_hamiltonian_identity_evolution():
     psi0 = basis_state(space, "e", 2)
     times = np.linspace(0.0, 5.0, 11)
     traj = evolve_schrodinger(zero_hamiltonian(space), psi0, times)
-    assert np.max(np.abs(traj.states[-1].amplitudes - psi0.amplitudes)) < 1e-12
+    assert np.max(np.abs(traj.states[-1] - psi0.amplitudes)) < 1e-12
     assert traj.diagnostics["norm_drift"] < 1e-12
 
 
@@ -80,10 +80,10 @@ def test_constant_hamiltonian_matches_expm_oracle():
     times = np.linspace(0.0, t_end, 5)
     traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(rtol=1e-12, atol=1e-14))
     expected = expm(-1j * h * t_end) @ psi0.amplitudes
-    assert np.max(np.abs(traj.states[-1].amplitudes - expected)) < 1e-8
+    assert np.max(np.abs(traj.states[-1] - expected)) < 1e-8
     traj_rk4 = evolve_schrodinger(H, psi0, times,
                                   IntegratorConfig(method="fixed_rk4", dt=2e-4))
-    assert np.max(np.abs(traj_rk4.states[-1].amplitudes - expected)) < 1e-8
+    assert np.max(np.abs(traj_rk4.states[-1] - expected)) < 1e-8
 
 
 def test_pure_photon_decay_law():
@@ -162,7 +162,8 @@ def test_lindblad_dissipative_run_integrity():
                          IntegratorConfig(rtol=1e-10, atol=1e-12), store_states=True)
     assert traj.diagnostics["trace_drift"] < 1e-8
     assert traj.diagnostics["min_eigenvalue"] > -1e-6
-    assert traj.states[-1].purity() <= 1.0 + 1e-9
+    rho = traj.states[-1]
+    assert np.real(np.trace(rho @ rho)) <= 1.0 + 1e-9
 
 
 def test_positivity_abort_on_unstable_step():
@@ -179,6 +180,26 @@ def test_positivity_abort_on_unstable_step():
                       IntegratorConfig(method="fixed_rk4", dt=0.1))
     assert "positivity" in str(err.value)
     assert err.value.diagnostics["min_eigenvalue"] < -1e-6
+
+
+def test_trace_guard_aborts_growing_trace():
+    # H + i gamma 1 keeps rho positive but multiplies it by e^{2 gamma t}; the
+    # trace check runs in every Lindblad run, with or without stored states
+    space = HilbertSpace(1, 3)
+    h = np.diag(np.arange(space.dim, dtype=complex))
+    h[0, 1] = h[1, 0] = 0.3
+    gamma = 0.01
+    H = TimeDependentHamiltonian(space=space, static=h + 1j * gamma * np.eye(space.dim))
+    rho0 = basis_state(space, "g", 0).density_matrix()
+    times = np.linspace(0.0, 1.0, 11)
+    for method in ("fixed_rk4", "adaptive"):
+        with pytest.raises(NumericsError, match="trace") as err:
+            evolve_master(H, [], rho0, times, IntegratorConfig(method=method, dt=0.01),
+                          store_states=False)
+        diag = err.value.diagnostics
+        assert diag["time"] == pytest.approx(0.1)
+        assert diag["trace"] == pytest.approx(math.exp(2 * gamma * 0.1), rel=1e-9)
+        assert diag["trace_tol"] == 1e-6
 
 
 def test_dissipator_rejects_negative_rate():
@@ -198,12 +219,12 @@ def test_step_halving_convergence_order():
     base_dt = H.descriptor["suggested_dt"]
     ref = evolve_schrodinger(H, psi0, times,
                              IntegratorConfig(method="fixed_rk4", dt=base_dt / 16),
-                             store_states=True).states[-1].amplitudes
+                             store_states=True).states[-1]
     errs = []
     for div in (1, 2, 4):
         out = evolve_schrodinger(H, psi0, times,
                                  IntegratorConfig(method="fixed_rk4", dt=base_dt / div),
-                                 store_states=True).states[-1].amplitudes
+                                 store_states=True).states[-1]
         errs.append(np.max(np.abs(out - ref)))
     order21 = math.log2(errs[0] / errs[1])
     order42 = math.log2(errs[1] / errs[2])
@@ -213,14 +234,40 @@ def test_step_halving_convergence_order():
 
 def test_fidelity_values():
     space = HilbertSpace(1, 2)
-    e0 = basis_state(space, "e", 0)
-    g0 = basis_state(space, "g", 0)
-    assert fidelity(e0, e0.density_matrix()) == pytest.approx(1.0, abs=1e-14)
-    assert fidelity(e0, g0.density_matrix()) == pytest.approx(0.0, abs=1e-14)
-    mixed = DensityMatrix(space, 0.5 * (e0.density_matrix().matrix
-                                        + g0.density_matrix().matrix))
+    e0 = basis_state(space, "e", 0).amplitudes
+    g0 = basis_state(space, "g", 0).amplitudes
+    assert fidelity(e0, np.outer(e0, e0.conj())) == pytest.approx(1.0, abs=1e-14)
+    assert fidelity(e0, np.outer(g0, g0.conj())) == pytest.approx(0.0, abs=1e-14)
+    mixed = 0.5 * (np.outer(e0, e0.conj()) + np.outer(g0, g0.conj()))
     assert fidelity(e0, mixed) == pytest.approx(0.5, abs=1e-14)
     assert fidelity(e0, g0) == 0.0
+
+
+@pytest.mark.parametrize("stack", [7, 4])       # 4 == d: a square (T, d) stack
+def test_fidelity_of_stacks_matches_per_sample_formula(stack):
+    rng = np.random.default_rng(11 + stack)
+    d = 4
+    psi = random_complex(rng, (stack, d))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = random_complex(rng, (stack, d))
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    m = random_complex(rng, (stack, d, d))
+    rho = m @ m.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    pure = [abs(np.vdot(v, u)) ** 2 for v, u in zip(psi, phi)]
+    mixed = [abs(np.vdot(v, r @ v)) for v, r in zip(psi, rho)]
+    assert fidelity(psi, phi).shape == (stack,)
+    assert np.max(np.abs(fidelity(psi, phi) - pure)) <= 1e-15
+    assert np.max(np.abs(fidelity(psi, rho) - mixed)) <= 1e-15
+    assert fidelity(psi[0], rho[0]) == pytest.approx(mixed[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("psi_shape, state_shape", [
+    ((5, 4), (5, 3)), ((5, 4), (4, 4)), ((5, 4), (5, 4, 3)), ((4,), (3, 3)),
+    ((5, 4), (5, 4, 4, 4)), ((4,), (4, 4, 4))])
+def test_fidelity_rejects_mismatched_shapes(psi_shape, state_shape):
+    with pytest.raises(ValidationError, match="fidelity"):
+        fidelity(np.ones(psi_shape, dtype=complex), np.ones(state_shape, dtype=complex))
 
 
 def test_extract_period_synthetic():
@@ -276,10 +323,10 @@ def test_frame_consistency_lab_vs_rotated():
 
     psi_lab = evolve_schrodinger(lab, psi0, times,
                                  IntegratorConfig(method="fixed_rk4", dt=6e-14),
-                                 store_states=True).states[-1].amplitudes
+                                 store_states=True).states[-1]
     psi_rot = evolve_schrodinger(rot, psi0, times,
                                  IntegratorConfig(method="fixed_rk4", dt=6e-14),
-                                 store_states=True).states[-1].amplitudes
+                                 store_states=True).states[-1]
     back = fp.unitary_diag(t_end).conj() * psi_lab
     assert np.linalg.norm(back - psi_rot) < 1e-6
 
@@ -448,7 +495,7 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
             k3 = f(t + step / 2, rho + step / 2 * k2)
             k4 = f(t + step, rho + step * k3)
             rho = rho + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.max(np.abs(traj.states[i].matrix - rho)) <= 1e-6
+        assert np.max(np.abs(traj.states[i] - rho)) <= 1e-6
     # the slice is long enough for the state to move well past the tolerance
     assert np.max(np.abs(rho - rho0.matrix)) > 1e-2
 
@@ -475,7 +522,7 @@ def test_spectral_run_matches_dense_expm(n_qubits, fock):
     assert traj.diagnostics["norm_drift"] < 1e-13
     for t, state in zip(times, traj.states):
         exact = expm(-1j * H.static * t) @ psi0.amplitudes
-        assert np.max(np.abs(state.amplitudes - exact)) < 1e-12
+        assert np.max(np.abs(state - exact)) < 1e-12
 
 
 def test_spectral_run_rejects_non_hermitian_static_part():
@@ -494,7 +541,7 @@ def test_adaptive_method_is_scipy_dop853():
     times = np.linspace(0.0, 0.5 * NS, 6)
     traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="adaptive"))
     assert traj.diagnostics["method"] == "adaptive"
-    run = np.array([s.amplitudes for s in traj.states])
+    run = traj.states
     direct = {}
     for scipy_method in ("DOP853", "RK45"):
         sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t) @ y), (0.0, times[-1]),

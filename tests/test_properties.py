@@ -85,7 +85,7 @@ def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, par
     assert len(blocks) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
     traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
                          IntegratorConfig(method=method, dt=0.02), store_states=True)
-    full = min(float(np.linalg.eigvalsh(state.matrix)[0]) for state in traj.states)
+    full = min(float(np.linalg.eigvalsh(state)[0]) for state in traj.states)
     assert abs(traj.diagnostics["min_eigenvalue"] - full) <= 1e-14
 
 

@@ -97,6 +97,18 @@ def test_run_simulation_shapes_and_fidelity():
     assert min(fid) > 0.99
 
 
+@pytest.mark.parametrize("model", ["both", "rotated_exact"])
+def test_run_simulation_writes_only_stored_samples(model):
+    scn = parse_scenario(small_doc(model=model, dissipation=True,
+                                   integrator={"method": "fixed_rk4", "store_every": 2}))
+    res = run_simulation(scn)
+    assert len(res.rows) == 11
+    assert [row[0] for row in res.rows] == pytest.approx(np.linspace(0.0, 2e-9, 11).tolist(),
+                                                        abs=1e-24)
+    if model == "both":
+        assert res.rows[0][3] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_sweep_values_and_manifest():
     doc = small_doc(model="effective")
     manifest, header, rows = run_sweep(doc, "drive.eta2", [0.0, 0.3, 0.6],

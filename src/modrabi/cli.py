@@ -121,7 +121,9 @@ def _warn_failed(where: str, side: str, diagnostics: dict | None):
     """One stderr line when a run's Fock-cutoff check failed."""
     if diagnostics is not None and diagnostics.get("cutoff_ok") is False:
         print(f"warning: {where}: {side} run failed its Fock-cutoff check "
-              f"(top-level population reached {CUTOFF_POP_LIMIT:g})", file=sys.stderr)
+              f"(top-level population reached {diagnostics['max_top_fock_pop']:.3g} "
+              f"at t = {diagnostics['max_top_fock_pop_time']:.6g} s; "
+              f"limit {CUTOFF_POP_LIMIT:g})", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:

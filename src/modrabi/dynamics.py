@@ -156,9 +156,16 @@ class _ObservableSet:
         self.series = {name: self.purity if name == "purity" else rows[name]
                        for name in names}
 
-    def cutoff_ok(self) -> bool | None:
+    def cutoff_report(self, times: np.ndarray) -> dict:
+        """`cutoff_ok` and the largest top-Fock population with its time,
+        all None when that series is not recorded."""
         top = self.series.get("top_fock_pop")
-        return bool(np.all(top < CUTOFF_POP_LIMIT)) if top is not None else None
+        if top is None:
+            return {"cutoff_ok": None, "max_top_fock_pop": None,
+                    "max_top_fock_pop_time": None}
+        i = int(np.argmax(top))
+        return {"cutoff_ok": bool(top[i] < CUTOFF_POP_LIMIT),
+                "max_top_fock_pop": float(top[i]), "max_top_fock_pop_time": float(times[i])}
 
     def from_vector(self, i: int, psi: np.ndarray):
         pop = psi.real ** 2 + psi.imag ** 2
@@ -379,7 +386,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         _propagate(H, _schrodinger_rhs, _Generator(H), psi0.amplitudes,
                    times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
-                      diagnostics={"norm_drift": norm_drift, "cutoff_ok": obs.cutoff_ok(),
+                      diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(stored_t),
                                    "method": "spectral" if spectral else cfg.method})
 
 
@@ -490,7 +497,7 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "herm_defect": herm_defect,
-                                   "cutoff_ok": obs.cutoff_ok(), "method": cfg.method})
+                                   **obs.cutoff_report(stored_t), "method": cfg.method})
 
 
 # ---------------------------------------------------------------------------

@@ -448,18 +448,31 @@ def _sweep_point(args):
                 "error": f"{type(err).__name__}: {err}"}
 
 
+def _worker_count(threads: int | None) -> int:
+    """`threads`, else MODRABI_THREADS, else the CPU count; a count that is
+    set must be an integer >= 1."""
+    where, raw = "--threads", threads
+    if raw is None:
+        where, raw = "MODRABI_THREADS", os.environ.get("MODRABI_THREADS", os.cpu_count() or 1)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"{where}: must be an integer >= 1, got {raw!r}")
+    return count
+
+
 def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
               threads: int | None = None) -> tuple[dict, list, list]:
     """Run one scenario per value; returns (manifest, header, rows)."""
     if len(values) < 2:
         raise ValidationError("sweep needs at least 2 points")
-    # validate the base document and every point before any compute
+    # validate the thread count, the base document and every point before any compute
+    threads = min(_worker_count(threads), len(values))
     for v in values:
         parse_scenario(apply_sweep_value(doc, param, v), name=name)
 
-    if threads is None:
-        threads = int(os.environ.get("MODRABI_THREADS", os.cpu_count() or 1))
-    threads = max(1, min(threads, len(values)))
     jobs = [(doc, param, v, name) for v in values]
     if threads == 1:
         points = [_sweep_point(j) for j in jobs]

@@ -301,16 +301,20 @@ def test_criterion_10_open_system_integrity():
     ok &= defect < 1e-12
     details.append(f"frame defect {defect:.1e} over 100 times")
 
-    # every shipped dissipative scenario keeps trace and positivity
+    # every shipped dissipative scenario keeps trace and positivity, and every
+    # side of it (the lossless effective reference too) passes its cutoff check
     for name in packaged_scenarios():
         scn = load_scenario(name)
         if not scn.dissipation:
             continue
         res = run_simulation(scn)
         diag = (res.exact or res.effective).diagnostics
+        sides = [d for d in res.manifest["diagnostics"].values() if d is not None]
+        top = max(d["max_top_fock_pop"] for d in sides)
         ok &= diag["trace_drift"] < 1e-8 and diag["min_eigenvalue"] >= -1e-6
+        ok &= all(d["cutoff_ok"] is True for d in sides)
         details.append(f"{name}: drift {diag['trace_drift']:.1e}, "
-                       f"min eig {diag['min_eigenvalue']:.1e}")
+                       f"min eig {diag['min_eigenvalue']:.1e}, top Fock {top:.1e}")
     report(10, ok, "; ".join(details))
 
 

@@ -202,6 +202,24 @@ def test_trace_guard_aborts_growing_trace():
         assert diag["trace_tol"] == 1e-6
 
 
+def test_cutoff_margin_reports_largest_top_population():
+    space = HilbertSpace(1, 3)
+    H = model("jc", JC_EFF, space)
+    psi0 = basis_state(space, "e", 1)       # swaps into |g, 2>, the top level
+    times = np.linspace(0.0, 40 * NS, 81)
+    traj = evolve_schrodinger(H, psi0, times)
+    top = traj.observables["top_fock_pop"]
+    diag = traj.diagnostics
+    assert diag["max_top_fock_pop"] == top.max()
+    assert diag["max_top_fock_pop_time"] == times[np.argmax(top)]
+    assert diag["cutoff_ok"] is False
+    rho_diag = evolve_master(H, [], psi0.density_matrix(), times).diagnostics
+    assert rho_diag["max_top_fock_pop"] == pytest.approx(top.max(), abs=1e-9)
+    unrecorded = evolve_schrodinger(H, psi0, times, observables=("sigma_pop",)).diagnostics
+    assert [unrecorded[k] for k in ("cutoff_ok", "max_top_fock_pop",
+                                    "max_top_fock_pop_time")] == [None, None, None]
+
+
 def test_dissipator_rejects_negative_rate():
     space = HilbertSpace(1, 3)
     with pytest.raises(ValidationError):

@@ -135,6 +135,37 @@ def test_sweep_rejects_unknown_param_and_single_point():
         run_sweep(doc, "drive.eta2", [0.5])
 
 
+@pytest.mark.parametrize("threads, env, where", [
+    (0, None, "--threads"), (-3, None, "--threads"),
+    (None, "abc", "MODRABI_THREADS"), (None, "0", "MODRABI_THREADS"),
+    (None, "2.5", "MODRABI_THREADS")])
+def test_sweep_rejects_bad_thread_count_before_compute(monkeypatch, threads, env, where):
+    import modrabi.scenarios as scenarios
+
+    def no_compute(job):
+        raise AssertionError("a sweep point ran")
+    monkeypatch.setattr(scenarios, "_sweep_point", no_compute)
+    if env is None:
+        monkeypatch.delenv("MODRABI_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MODRABI_THREADS", env)
+    with pytest.raises(ValidationError, match=where):
+        run_sweep(small_doc(), "drive.eta2", [0.0, 0.4], threads=threads)
+
+
+def test_cli_sweep_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+    scn_file = tmp_path / "small.json"
+    scn_file.write_text(json.dumps(small_doc(model="effective")))
+    args = ["sweep", str(scn_file), "--param", "drive.eta2", "--from", "0", "--to", "0.6",
+            "--points", "2", "-o", str(tmp_path / "swp")]
+    assert main(args + ["--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("MODRABI_THREADS", "abc")
+    assert main(args) == 2
+    assert "MODRABI_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "swp").exists()
+
+
 def test_apply_sweep_value_replaces_amplitude_spec():
     doc = small_doc()
     out = apply_sweep_value(doc, "drive.eta2", 0.9)
@@ -382,6 +413,12 @@ def test_cli_warns_on_failed_cutoff_check(tmp_path, capsys):
     assert len(warnings) == 2
     assert "exact run" in warnings[0] and "effective run" in warnings[1]
     assert all(w.startswith("warning: small:") and "Fock-cutoff" in w for w in warnings)
+    # the line names the population reached, when, and the limit
+    for w, side in zip(warnings, ("exact", "effective")):
+        diag = manifest["diagnostics"][side]
+        assert diag["max_top_fock_pop"] > 1e-6
+        assert (f"reached {diag['max_top_fock_pop']:.3g} "
+                f"at t = {diag['max_top_fock_pop_time']:.6g} s; limit 1e-06") in w
     # a sweep names the point; the adequate cutoff prints nothing
     assert main(["sweep", str(scn_file), "--param", "fock_cutoff", "--from", "2",
                  "--to", "8", "--points", "2", "--threads", "1",

@@ -1,13 +1,14 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
 Both equations run through one propagation loop over arrays; a state vector
-is the (d,) case and a density matrix the (d, d) one, and the stored states
-of a run are one (T, d) or (T, d, d) array.  The loop steps with classical
-RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp` with DOP853
-(`adaptive`, the default).  A Schrodinger run under `adaptive` with a static
-Hamiltonian skips the loop: one eigendecomposition H = V diag(lam) V+ gives
-psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every stored sample, and
-the run reports method "spectral".  The Lindblad right-hand side is
+is the (d,) case and a density matrix a stack of diagonal blocks, and the
+stored states of a run are one (T, d) or (T, d, d) array.  The loop steps
+with classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp`
+with DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive`
+with a static Hamiltonian skips the loop: one eigendecomposition
+H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at
+every stored sample, and the run reports method "spectral".  The Lindblad
+right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
@@ -15,22 +16,34 @@ the run reports method "spectral".  The Lindblad right-hand side is
 with the (rate/2)(2 L rho L+ - rho L+L - L+L rho) normalization, so a pure
 decay run gives <n>(t) = e^{-gamma t} exactly.  K keeps the Hamiltonian's
 form, a static part plus scalar coefficients times fixed sparse matrices,
-and applies as one sparse product whose nonzeros are rewritten per stage;
-the coefficients of every stage time of a sample interval come from one
-call.  All jump terms together are one fixed sparse superoperator on the
-row-major vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel,
-whatever its structure, costs one more sparse product per call.  Every
+and applies as one sparse product with the nonzeros of its stage; the
+coefficients of every stage time of a sample interval come from one call.
+All jump terms together are one fixed sparse superoperator on the row-major
+vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel, whatever its
+structure, costs one more sparse product per call.  Both products call
+scipy's compiled CSR kernels directly, into preallocated buffers: at these
+sizes the dispatch of scipy's `@` cost more than the products.  Every
 recorded series except the purity is a set of diagonal weights applied to
 |psi|^2 or diag(rho).
+
+When the generator, the jumps and rho0 respect the parity
+(n + excited qubits) mod 2, which every packaged lossy run does, rho stays
+block diagonal in its two equal sectors.  The run then orders the basis by
+sector and carries only the two blocks, as one (2, d/2, d/2) stack: K in
+sector order is block diagonal, so one product gives both K_s rho_s, J acts
+on the entries of the blocks alone, and the spectrum, the weights and the
+purity are taken per block.  That halves the state and the work per step.
+Any other run is the one-block case of the same code, a (1, d, d) stack.
 
 Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
 inside the stepper, so an integrator bug cannot hide behind symmetrization;
 the largest max |rho - rho+| removed there is reported as `herm_defect`.
 Positivity is monitored, not projected: a violation beyond the floor aborts,
 because it is evidence of a cutoff or step-size misconfiguration, and so does
-a trace that leaves 1 by more than `TRACE_TOL`.  When the
-generator, the jumps and rho0 respect the parity (n + excited qubits) mod 2,
-rho stays block diagonal in it and the spectrum is taken per block.
+a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how many
+right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step, the solver's
+count under `adaptive`, 0 for `spectral`) and, for rho, when its least
+eigenvalue occurred (`min_eigenvalue_time`).
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse import _sparsetools     # private: the CSR kernels behind `@`
 
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
@@ -139,17 +153,19 @@ class _ObservableSet:
 
     Every series but the purity is <M> for an M diagonal in the product
     basis, so they are one (K, d) weight matrix applied to |psi|^2 or
-    diag(rho); the purity is the one nonlinear series.
+    diag(rho); the purity is the one nonlinear series.  Entry k of a state
+    handed in is basis state order[k].
     """
 
-    def __init__(self, space: HilbertSpace, names: Sequence[str], samples: int):
+    def __init__(self, space: HilbertSpace, names: Sequence[str], samples: int,
+                 order=slice(None)):
         names = list(dict.fromkeys(names))
         linear = [name for name in names if name != "purity"]
         for name in linear:
             if name not in _DIAGONAL_WEIGHTS:
                 raise ValidationError(f"unknown observable {name!r}")
         self.weights = np.array([_DIAGONAL_WEIGHTS[name](space) for name in linear]
-                                ).reshape(len(linear), space.dim)
+                                ).reshape(len(linear), space.dim)[:, order]
         self.table = np.empty((len(linear), samples))
         self.purity = np.empty(samples) if "purity" in names else None
         rows = dict(zip(linear, self.table))
@@ -173,8 +189,9 @@ class _ObservableSet:
         if self.purity is not None:
             self.purity[i] = pop.sum() ** 2
 
-    def from_matrix(self, i: int, rho: np.ndarray):
-        self.table[:, i] = self.weights @ np.real(np.diagonal(rho))
+    def from_blocks(self, i: int, rho: np.ndarray):
+        """Sample i of a block-diagonal rho, given as its (S, N, N) blocks."""
+        self.table[:, i] = self.weights @ np.real(np.diagonal(rho, axis1=1, axis2=2)).ravel()
         if self.purity is not None:   # Tr(rho^2) = sum |rho_ij|^2, rho Hermitian
             self.purity[i] = np.real(np.vdot(rho, rho))
 
@@ -189,18 +206,40 @@ DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_foc
 _MAX_BLOCK = 512    # steps whose stage coefficients are evaluated in one call
 
 
+def _csr_matmul(a, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += A x, for the CSR matrix A with the pattern of `a` and nonzeros `data`.
+
+    x holds x.size / a.shape[1] columns in C order (a vector is one), and out
+    the same number of a.shape[0]-long columns, whatever their shapes.  This
+    calls scipy's compiled kernels directly: its `@` allocates the result and
+    re-checks the operands on every call, which costs more than the product
+    at these sizes, and `data` lets every stage of a step use the pattern
+    with its own nonzeros, copied nowhere.
+    """
+    n_row, n_col = a.shape
+    vecs = x.size // n_col
+    if x.size != vecs * n_col or out.size != vecs * n_row or data.size != a.indices.size:
+        raise ValueError(f"operands of sizes {x.size}, {out.size} and {data.size} "
+                         f"do not fit a {n_row} x {n_col} matrix with {a.indices.size} nonzeros")
+    if vecs == 1:
+        _sparsetools.csr_matvec(n_row, n_col, a.indptr, a.indices, data, x, out)
+    else:
+        _sparsetools.csr_matvecs(n_row, n_col, vecs, a.indptr, a.indices, data, x, out)
+    return out
+
+
 class _Generator:
-    """K(t) = static - i damping + sum_k c_k(t) M_k as one CSR matrix.
+    """K(t) = -i H(t) - damping as one CSR pattern, in the basis `order`.
 
     The static part, the damping and every coupling term share one sparsity
-    pattern, so the nonzeros of K at any time are static_data + c(t) @ weights
-    and moving K to another time rewrites `matrix.data`, nothing else.
+    pattern, held by `matrix`, so the nonzeros of K at any time are
+    static_data + c(t) @ weights and a right-hand side takes them as one row
+    of `data`.  Basis state k of the generator is state order[k] of the space.
     """
 
-    def __init__(self, H: TimeDependentHamiltonian, damping=0.0):
-        static = np.array(H.static, dtype=complex)
-        static -= 1j * damping
-        terms = [m.toarray() for m in H.terms]
+    def __init__(self, H: TimeDependentHamiltonian, damping=0.0, order=slice(None)):
+        static = (-1j * np.asarray(H.static) - damping)[order][:, order]
+        terms = [-1j * m.toarray()[order][:, order] for m in H.terms]
         rows, cols = np.nonzero(np.logical_or.reduce([static != 0]
                                                      + [m != 0 for m in terms]))
         dim = static.shape[0]
@@ -208,8 +247,9 @@ class _Generator:
         self.weights = np.array([m[rows, cols] for m in terms]).reshape(
             len(terms), rows.size)
         self.coefficients = H.coefficients
-        self.matrix = sparse.csr_array(
-            (self.static_data.copy(), cols, np.searchsorted(rows, np.arange(dim + 1))),
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        self.matrix = sparse.csr_array(    # int32 indices, the faster kernel; nnz <= d^2
+            (self.static_data, cols.astype(np.int32), indptr.astype(np.int32)),
             shape=(dim, dim))
 
     def data(self, times: np.ndarray) -> np.ndarray:
@@ -218,32 +258,27 @@ class _Generator:
             return np.broadcast_to(self.static_data, (len(times), self.static_data.size))
         return self.static_data + self.coefficients(times) @ self.weights
 
-    def load(self, data: np.ndarray):
-        np.copyto(self.matrix.data, data)
-        return self.matrix
 
-    def at(self, t: float):
-        if self.coefficients is None:
-            return self.matrix
-        return self.load(self.data(np.array([t]))[0])
+def _schrodinger_rhs(k, data: np.ndarray, psi: np.ndarray, out: np.ndarray):
+    """-i H psi = K psi, with K's nonzeros `data`."""
+    out.fill(0.0)
+    _csr_matmul(k, data, psi, out)
 
 
-def _schrodinger_rhs(k, psi: np.ndarray, out: np.ndarray):
-    np.multiply(k @ psi, -1j, out=out)
+def _lindblad_rhs(k, jumps, m: np.ndarray, data: np.ndarray, rho: np.ndarray,
+                  out: np.ndarray):
+    """M + M+ per sector, with M = K rho + J rho / 2 and K's nonzeros `data`.
 
-
-def _lindblad_rhs(jumps, k, rho: np.ndarray, out: np.ndarray):
-    """-i (M - M+) with M = K rho + (i/2) sum_j r_j L_j rho L_j+.
-
-    For Hermitian rho, which every stage of the flow preserves, this is
-    K rho + rho K+ + sum_j r_j L_j rho L_j+; `jumps` is (i/2) J on vec(rho),
-    and the result is Hermitian by construction whatever the channels.
+    rho is the (S, N, N) stack of the sectors' blocks and `jumps` is J / 2,
+    restricted to them.  For Hermitian rho, which every stage of the flow
+    preserves, this is K rho + rho K+ + sum_j r_j L_j rho L_j+, and it is
+    Hermitian by construction whatever the channels.  `m` is scratch space.
     """
-    m = k @ rho
-    m += (jumps @ rho.reshape(-1)).reshape(m.shape)
-    np.conjugate(m.T, out=out)
-    out -= m
-    out *= 1j
+    m.fill(0.0)
+    _csr_matmul(k, data, rho, m)
+    _csr_matmul(jumps, jumps.data, rho, m)
+    np.conjugate(m.transpose(0, 2, 1), out=out)
+    out += m
 
 
 class _Rk4:
@@ -255,8 +290,9 @@ class _Rk4:
         self.k1, self.k2, self.k3, self.k4, self.tmp = (
             np.empty(shape, dtype=complex) for _ in range(5))
 
-    def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float):
-        """Step y from t0 to t1 in place with steps <= dt_target."""
+    def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float) -> int:
+        """Step y from t0 to t1 in place with steps <= dt_target; returns the
+        number of steps."""
         nsub = max(1, int(math.ceil((t1 - t0) / dt_target)))
         h = (t1 - t0) / nsub
         gen, rhs = self.generator, self.rhs
@@ -266,23 +302,24 @@ class _Rk4:
             n = starts.size
             data = gen.data(np.concatenate([starts, starts + 0.5 * h, starts + h]))
             for s in range(n):
-                rhs(gen.load(data[s]), y, k1)
+                rhs(data[s], y, k1)
                 np.multiply(k1, 0.5 * h, out=tmp)
                 tmp += y
-                mid = gen.load(data[n + s])
+                mid = data[n + s]
                 rhs(mid, tmp, k2)
                 np.multiply(k2, 0.5 * h, out=tmp)
                 tmp += y
                 rhs(mid, tmp, k3)
                 np.multiply(k3, h, out=tmp)
                 tmp += y
-                rhs(gen.load(data[2 * n + s]), tmp, k4)
+                rhs(data[2 * n + s], tmp, k4)
                 k2 += k3
                 k2 *= 2.0
                 k1 += k4
                 k1 += k2
                 k1 *= h / 6.0
                 y += k1
+        return nsub
 
 
 def _pick_dt(cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> float:
@@ -304,8 +341,9 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
 
 
 def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
-               y0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, record):
-    """Carry y0 over the grid, handing each stored sample i to record(i, y).
+               y0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, record) -> int:
+    """Carry y0 over the grid, handing each stored sample i to record(i, y);
+    returns the number of right-hand-side evaluations.
 
     The fixed-step stepper continues from what record returns, so a state
     symmetrized at a stored step is the one propagated further.
@@ -314,16 +352,16 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
         dt = _pick_dt(cfg, H)
         stepper = _Rk4(rhs, generator, y0.shape)
         y = record(0, y0.copy()).copy()
+        steps = 0
         for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
-            stepper.advance(t0, y, t1, dt)
+            steps += stepper.advance(t0, y, t1, dt)
             if k % cfg.store_every == 0:
                 y = record(k // cfg.store_every, y).copy()
-        return
+        return 4 * steps
 
     def fun(t, flat):
-        y = flat.reshape(y0.shape)
-        out = np.empty_like(y)
-        rhs(generator.at(t), y, out)
+        out = np.empty(y0.shape, dtype=complex)
+        rhs(generator.data(np.array([t]))[0], flat.reshape(y0.shape), out)
         return out.reshape(-1)
 
     sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1),
@@ -333,6 +371,7 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
         raise NumericsError(f"adaptive integration failed: {sol.message}")
     for i in range(sol.y.shape[1]):
         record(i, sol.y[:, i].reshape(y0.shape))
+    return int(sol.nfev)
 
 
 def _spectral(static: np.ndarray, psi0: np.ndarray, times: np.ndarray, record):
@@ -382,50 +421,70 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     spectral = cfg.method != "fixed_rk4" and not H.terms
     if spectral:
         _spectral(H.static, psi0.amplitudes, stored_t, record)
+        rhs_evals = 0
     else:
-        _propagate(H, _schrodinger_rhs, _Generator(H), psi0.amplitudes,
-                   times, cfg, record)
+        generator = _Generator(H)
+        rhs_evals = _propagate(H, functools.partial(_schrodinger_rhs, generator.matrix),
+                               generator, psi0.amplitudes, times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(stored_t),
-                                   "method": "spectral" if spectral else cfg.method})
+                                   "method": "spectral" if spectral else cfg.method,
+                                   "rhs_evals": rhs_evals})
 
 
 # ---------------------------------------------------------------------------
 # Lindblad propagation
 # ---------------------------------------------------------------------------
 
-def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]):
-    """Generator K = H - i sum_j (r_j/2) L_j+ L_j and right-hand side
-    rhs(K, rho, out) of the Lindblad flow, two sparse products per call.
+def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
+              rho0: np.ndarray):
+    """Generator, right-hand side rhs(data, rho, out) and sector layout of the
+    Lindblad flow, two sparse products per call.
 
-    Every channel enters one CSR superoperator on the row-major vec(rho),
-    J = sum_j r_j L_j (x) conj(L_j), built once: nnz(J) = sum_j nnz(L_j)^2,
-    at most d^2 per channel for sigma- and a (one nonzero per column).
+    rho is carried as the (S, N, N) stack of its diagonal blocks in the
+    parity sectors (S = 2), or as the one (1, d, d) block when the run does
+    not keep rho block diagonal.  `layout[s, i, j]` is the index in the
+    row-major vec(rho) of entry (i, j) of block s.  K = -i H - sum_j (r_j/2)
+    L_j+ L_j is built in sector order, so K is block diagonal and one CSR
+    product on the (d, N) stack gives every K_s rho_s.  Every channel enters
+    one CSR superoperator J = sum_j r_j L_j (x) conj(L_j) on vec(rho), built
+    once and restricted to the entries in `layout`: a jump maps each sector
+    into one sector, so a block-diagonal rho has a block-diagonal image.
     """
-    damping = sum(0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
-                  for d in dissipators)
     dim = H.space.dim
+    damping = sum((0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
+                   for d in dissipators), np.zeros((dim, dim)))
+    blocks = _parity_blocks(_Generator(H, damping), dissipators, rho0, H.space)
+    generator = _Generator(H, damping, np.concatenate(blocks))
+    sectors = np.array(blocks)
+    layout = sectors[:, :, None] * dim + sectors[:, None, :]
     jumps = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
     for d in dissipators:
         L = sparse.csr_array(d.jump.matrix)
-        jumps = jumps + (0.5j * d.rate) * sparse.kron(L, L.conj(), format="csr")
-    return _Generator(H, damping), functools.partial(_lindblad_rhs, jumps)
+        jumps = jumps + (0.5 * d.rate) * sparse.kron(L, L.conj(), format="csr")
+    live = layout.reshape(-1)
+    jumps = jumps[live][:, live]
+    rhs = functools.partial(_lindblad_rhs, generator.matrix, jumps,
+                            np.empty(layout.shape, dtype=complex))
+    return generator, rhs, layout
 
 
 def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
                    rho0: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
-    """Index sets of the diagonal blocks that hold rho for the whole run.
+    """Index sets of the equal diagonal blocks that hold rho for the whole run.
 
     Each basis state is labelled by (n + number of excited qubits) mod 2.
     The run is structured when K (static part, damping and every term) has
     no entry between the labels, every jump maps each label into a single
     label and rho0 has no entry between them: the flow then keeps rho block
-    diagonal and its spectrum is that of the two blocks.  Any other run is
-    one block.
+    diagonal in the two sectors, which `_lindblad` propagates as two N x N
+    blocks and whose spectrum is that of the blocks.  Any other run is one
+    block, and so is a structured run whose sectors differ in size (no qubit
+    and an odd cutoff), since the blocks of the stack share one shape.
     """
     qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
-    excited = space.n_qubits - np.bitwise_count(qubits)     # a set bit is a ground qubit
-    label = (n + excited) % 2
+    ground = sum((qubits >> k) & 1 for k in range(space.n_qubits))  # a set bit is a ground qubit
+    label = (n + space.n_qubits - ground) % 2
 
     def within(rows, cols):
         return np.array_equal(label[rows], label[cols])
@@ -435,12 +494,13 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
         return all(np.unique(label[rows[label[cols] == s]]).size <= 1 for s in (0, 1))
 
     k = generator.matrix
-    structured = (within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
+    structured = (2 * np.count_nonzero(label) == space.dim
+                  and within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
                   and within(*np.nonzero(rho0))
                   and all(into_one(d.jump.matrix) for d in dissipators))
     if not structured:
         return [np.arange(space.dim)]
-    return [block for block in (np.flatnonzero(label == s) for s in (0, 1)) if block.size]
+    return [np.flatnonzero(label == s) for s in (0, 1)]
 
 
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -459,45 +519,48 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
-    obs = _ObservableSet(H.space, observables, len(stored_t))
-    states = np.empty((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
+    active = [d for d in dissipators if d.rate != 0.0]
+    generator, rhs, layout = _lindblad(H, active, rho0.matrix)
+    obs = _ObservableSet(H.space, observables, len(stored_t),    # basis state of each row
+                         layout[:, :, 0].reshape(-1) // H.space.dim)
+    states = np.zeros((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
-    min_eig = math.inf
+    min_eig, min_eig_time = math.inf, None
     herm_defect = 0.0
 
-    active = [d for d in dissipators if d.rate != 0.0]
-    generator, rhs = _lindblad(H, active)
-    blocks = [np.ix_(b, b) for b in _parity_blocks(generator, active, rho0.matrix, H.space)]
-
     def record(i, rho):
-        nonlocal trace_drift, min_eig, herm_defect
-        rho_h = rho.conj().T
+        nonlocal trace_drift, min_eig, min_eig_time, herm_defect
+        rho_h = rho.conj().transpose(0, 2, 1)
         herm_defect = max(herm_defect, float(np.max(np.abs(rho - rho_h))))
         rho = 0.5 * (rho + rho_h)
-        lo = min(float(np.linalg.eigvalsh(rho[block])[0]) for block in blocks)
-        min_eig = min(min_eig, lo)
+        lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
+        if lo < min_eig:
+            min_eig, min_eig_time = lo, float(stored_t[i])
         if lo < positivity_floor:
             raise NumericsError(
                 f"density matrix lost positivity at t = {stored_t[i]:.6g}",
                 diagnostics={"time": float(stored_t[i]), "min_eigenvalue": lo,
                              "positivity_floor": positivity_floor})
-        trace = float(np.real(np.trace(rho)))
+        trace = float(np.real(np.trace(rho, axis1=1, axis2=2).sum()))
         if abs(trace - 1.0) > TRACE_TOL:
             raise NumericsError(
                 f"density matrix trace drifted to {trace:.9g} at t = {stored_t[i]:.6g}",
                 diagnostics={"time": float(stored_t[i]), "trace": trace,
                              "trace_tol": TRACE_TOL})
         trace_drift = max(trace_drift, abs(trace - 1.0))
-        obs.from_matrix(i, rho)
+        obs.from_blocks(i, rho)
         if states is not None:
-            states[i] = rho
+            states[i].reshape(-1)[layout] = rho
         return rho
 
-    _propagate(H, rhs, generator, rho0.matrix, times, cfg, record)
+    rhs_evals = _propagate(H, rhs, generator, rho0.matrix.reshape(-1)[layout], times, cfg,
+                           record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
+                                   "min_eigenvalue_time": min_eig_time,
                                    "herm_defect": herm_defect,
-                                   **obs.cutoff_report(stored_t), "method": cfg.method})
+                                   **obs.cutoff_report(stored_t), "method": cfg.method,
+                                   "rhs_evals": rhs_evals})
 
 
 # ---------------------------------------------------------------------------

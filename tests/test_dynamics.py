@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from modrabi.dynamics import (DEFAULT_OBSERVABLES, Dissipator, IntegratorConfig,
-                              _Generator, _lindblad, _ObservableSet,
+                              _csr_matmul, _Generator, _lindblad, _ObservableSet,
                               dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
@@ -200,6 +200,29 @@ def test_trace_guard_aborts_growing_trace():
         assert diag["time"] == pytest.approx(0.1)
         assert diag["trace"] == pytest.approx(math.exp(2 * gamma * 0.1), rel=1e-9)
         assert diag["trace_tol"] == 1e-6
+
+
+def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():
+    space = HilbertSpace(1, 4)
+    H = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
+    channels = loss_dissipators(SYS, space)
+    rho0 = basis_state(space, "g", 0).density_matrix()
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 4 * 3.5 * dt, 5)      # 4 steps per interval, 16 in all
+    fixed = IntegratorConfig(method="fixed_rk4", dt=dt)
+    traj = evolve_master(H, channels, rho0, times, fixed, store_states=True)
+    assert traj.diagnostics["rhs_evals"] == 4 * 16
+    assert evolve_schrodinger(H, basis_state(space, "g", 0), times,
+                              fixed).diagnostics["rhs_evals"] == 4 * 16
+    i = list(traj.times).index(traj.diagnostics["min_eigenvalue_time"])
+    assert abs(np.linalg.eigvalsh(traj.states[i])[0]
+               - traj.diagnostics["min_eigenvalue"]) <= 1e-14
+    adaptive = evolve_master(H, channels, rho0, times).diagnostics["rhs_evals"]
+    assert adaptive > 0
+    assert evolve_master(H, channels, rho0, times).diagnostics["rhs_evals"] == adaptive
+    static = TimeDependentHamiltonian(space=space, static=H.static)
+    assert evolve_schrodinger(static, basis_state(space, "g", 0),
+                              times).diagnostics["rhs_evals"] == 0
 
 
 def test_cutoff_margin_reports_largest_top_population():
@@ -417,6 +440,26 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_matmul_matches_scipy_product(index_dtype):
+    """The direct kernel call accumulates A x like scipy's `@`, for one vector
+    and for a stack of them; a scipy release that moves the kernels fails here."""
+    rng = np.random.default_rng(3)
+    for rows, cols, vecs in [(7, 5, 1), (7, 5, 3), (40, 40, 1), (40, 40, 20)]:
+        dense = random_complex(rng, (rows, cols)) * (rng.random((rows, cols)) < 0.3)
+        dense[::3] = 0.0                                    # empty rows
+        a = sparse.csr_array(dense)
+        a.indptr, a.indices = a.indptr.astype(index_dtype), a.indices.astype(index_dtype)
+        shape = (vecs,) if vecs > 1 else ()
+        x = random_complex(rng, (cols, *shape))
+        start = random_complex(rng, (rows, *shape))
+        ref = start + a @ x
+        out = _csr_matmul(a, a.data, x, start.copy())
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+    with pytest.raises(ValueError):
+        _csr_matmul(a, a.data, x[:-1], np.zeros_like(x))
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_structured_apply_matches_dense_evaluate(n_qubits):
     rng = np.random.default_rng(11 + n_qubits)
@@ -427,8 +470,9 @@ def test_structured_apply_matches_dense_evaluate(n_qubits):
         batch = gen.data(ts)          # all times in one call, as the stepper does
         for x in (random_complex(rng, space.dim), random_complex(rng, (space.dim, space.dim))):
             for i, t in enumerate(ts):
-                ref = H.evaluate(float(t)) @ x
-                for got in (gen.at(float(t)) @ x, gen.load(batch[i]) @ x):
+                ref = -1j * H.evaluate(float(t)) @ x
+                for data in (gen.data(np.array([t]))[0], batch[i]):
+                    got = _csr_matmul(gen.matrix, data, x, np.zeros_like(x))
                     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
@@ -442,10 +486,13 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
                 for k in range(n_qubits)]
     # a channel that factors over neither subsystem, beside the factoring ones
     channels += [(a, 0.3 * SYS.g), (a + qubit_operator(space, 0, "sm").matrix, 0.1 * SYS.g)]
-    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels])
     v = random_complex(rng, (space.dim, space.dim))
     rho = v @ v.conj().T
     rho /= np.trace(rho)
+    # rho mixes the parity sectors, so the run is one block holding all of rho
+    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels],
+                                 rho)
+    assert layout.shape == (1, space.dim, space.dim)
     for t in rng.uniform(0.0, 20 * NS, size=4):
         h = H.evaluate(float(t))
         expected = -1j * (h @ rho - rho @ h)
@@ -453,7 +500,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
             LdL = L.conj().T @ L
             expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
         out = np.empty_like(rho)
-        rhs(gen.at(float(t)), rho, out)
+        rhs(gen.data(np.array([t]))[0], rho[None], out[None])
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -610,6 +657,6 @@ def test_adaptive_master_matches_converged_rk4_on_fig5():
     obs = _ObservableSet(space, DEFAULT_OBSERVABLES, len(times))
     for i, y in enumerate(sol.y.T):
         rho = y.reshape(space.dim, space.dim)
-        obs.from_matrix(i, 0.5 * (rho + rho.conj().T))
+        obs.from_blocks(i, 0.5 * (rho + rho.conj().T)[None])
     rk45 = np.array([obs.series[name] for name in DEFAULT_OBSERVABLES])
     assert dev <= np.max(np.abs(rk45 - oracle))

@@ -8,9 +8,9 @@ import re
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from modrabi.dynamics import (Dissipator, IntegratorConfig, _lindblad, _parity_blocks,
-                              evolve_master)
+from modrabi.dynamics import Dissipator, IntegratorConfig, _lindblad, evolve_master
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import TimeDependentHamiltonian, effective_hamiltonian
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, annihilation,
@@ -49,12 +49,11 @@ def _parity_jump(space, kind):
         kick = np.zeros((space.dim, space.dim), dtype=complex)
         kick[[ground, space.index("e" + "g" * (space.n_qubits - 1), 0)], ground] = 1.0
         return kick
-    sz = qubit_operator(space, 0, "sz").matrix
     a = annihilation(space).matrix
     return {"sm": lambda: qubit_operator(space, space.n_qubits - 1, "sm").matrix,
-            "a": lambda: a, "sz": lambda: sz,
+            "a": lambda: a, "sz": lambda: qubit_operator(space, 0, "sz").matrix,
             "n": lambda: number_operator(space).matrix,
-            "sz+a": lambda: sz + a}[kind]()
+            "sz+a": lambda: qubit_operator(space, 0, "sz").matrix + a}[kind]()
 
 
 @settings(max_examples=30)
@@ -80,13 +79,57 @@ def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, par
         rho = rho * (label[:, None] == label[None, :])
     rho0 = DensityMatrix(space, rho / np.trace(rho).real)
 
-    generator, _ = _lindblad(H, channels)
-    blocks = _parity_blocks(generator, channels, rho0.matrix, space)
-    assert len(blocks) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
+    _, _, layout = _lindblad(H, channels, rho0.matrix)
+    assert len(layout) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
     traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
                          IntegratorConfig(method=method, dt=0.02), store_states=True)
     full = min(float(np.linalg.eigvalsh(state)[0]) for state in traj.states)
     assert abs(traj.diagnostics["min_eigenvalue"] - full) <= 1e-14
+
+
+@settings(max_examples=100)
+@given(n_qubits=st.integers(0, 2), fock=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["sm", "a", "sz", "n", *MIXING_JUMPS]), max_size=3))
+def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
+    """On a parity-diagonal rho under a parity-keeping H, the right-hand side
+    in the sector layout is the dense Lindblad formula on the blocks, which
+    hold all of it; a label-mixing channel, or no qubit with an odd cutoff,
+    leaves one block that holds all of rho."""
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(n_qubits, fock)
+    kinds = [kind for kind in kinds if n_qubits or kind in ("a", "n")]
+    qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    label = (n + np.array([int(q).bit_count() for q in qubits])) % 2
+    same = label[:, None] == label[None, :]
+    h = _random_complex(rng, (space.dim, space.dim)) * same
+    coupling = _random_complex(rng, (space.dim, space.dim)) * same
+    rate = rng.uniform(0.5, 2.0)
+    H = TimeDependentHamiltonian(
+        space=space, static=h + h.conj().T,
+        terms=(sparse.csr_array(coupling), sparse.csr_array(coupling.conj().T)),
+        coefficients=lambda t: np.exp(1j * rate * np.outer(t, [1.0, -1.0])))
+    jumps = [(_parity_jump(space, kind), rng.uniform(0.1, 1.0)) for kind in kinds]
+    v = _random_complex(rng, (space.dim, space.dim))
+    rho = v @ v.conj().T * same
+    rho /= np.trace(rho).real
+
+    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
+                                 rho)
+    mixing = set(MIXING_JUMPS) & set(kinds) or (n_qubits == 0 and fock % 2)
+    assert len(layout) == (1 if mixing else 2)
+    t = rng.uniform(0.0, 5.0)
+    hm = H.evaluate(t)
+    expected = -1j * (hm @ rho - rho @ hm)
+    for L, r in jumps:
+        LdL = L.conj().T @ L
+        expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    out = np.empty(layout.shape, dtype=complex)
+    rhs(gen.data(np.array([t]))[0], rho.reshape(-1)[layout], out)
+    scale = np.max(np.abs(hm @ rho)) + np.max(np.abs(expected))    # > 0 when expected is 0
+    assert np.max(np.abs(out - expected.reshape(-1)[layout])) <= 1e-12 * scale
+    assert np.array_equal(out, out.conj().transpose(0, 2, 1))
+    outside = np.delete(expected.reshape(-1), layout.reshape(-1))
+    assert np.max(np.abs(outside), initial=0.0) <= 1e-12 * scale
 
 
 @settings(max_examples=100)
@@ -99,10 +142,12 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     h = _random_complex(rng, (space.dim, space.dim))
     H = TimeDependentHamiltonian(space=space, static=h + h.conj().T)
     jumps = [(_jump(rng, space, kind), rate) for kind, rate in channels]
-    gen, rhs = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps])
     v = _random_complex(rng, (space.dim, space.dim))
     rho = v @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real      # exactly Hermitian
+    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
+                                 rho)
+    assert layout.shape == (1, space.dim, space.dim)       # rho mixes the sectors
 
     hm = H.static
     expected = -1j * (hm @ rho - rho @ hm)
@@ -110,7 +155,7 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
         LdL = L.conj().T @ L
         expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
     out = np.empty_like(rho)
-    rhs(gen.at(0.0), rho, out)
+    rhs(gen.data(np.array([0.0]))[0], rho[None], out[None])
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(out, out.conj().T)
     assert abs(np.trace(out)) <= 1e-12 * np.sum(np.abs(out))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, PureState, annihilation,
-                      collective_qubit_operator, displacement)
+                      coherent_state, collective_qubit_operator, displacement)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -77,21 +77,14 @@ def cat_evolution(g_eff: float, omega_eff: float, t: float,
     ph = magnus_phase(g_eff, omega_eff, t)
     n = space.fock_cutoff
     res_space = HilbertSpace(0, n)
-    plus_branch = _coherent_vector(res_space, ph.xi)
-    minus_branch = _coherent_vector(res_space, -ph.xi)
+    plus_branch = coherent_state(res_space, ph.xi).amplitudes
+    minus_branch = coherent_state(res_space, -ph.xi).amplitudes
     # qubit basis (|e>, |g>): |+-> = (|e> +- |g>)/sqrt2
     amp = np.zeros(2 * n, dtype=complex)
     pref = cmath.exp(1j * ph.phi) / SQRT2
     amp[:n] = pref * (plus_branch - minus_branch) / SQRT2     # <e| component
     amp[n:] = pref * (plus_branch + minus_branch) / SQRT2     # <g| component
     return PureState(space, amp / np.linalg.norm(amp))
-
-
-def _coherent_vector(res_space: HilbertSpace, xi: complex) -> np.ndarray:
-    vac = np.zeros(res_space.dim, dtype=complex)
-    vac[0] = 1.0
-    v = displacement(res_space, xi).matrix @ vac
-    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_applications_cat(args) -> int:
+    if not (math.isfinite(args.omega_mhz) and args.omega_mhz != 0.0):
+        raise ValidationError("--omega-mhz: must be finite and nonzero, "
+                              f"got {args.omega_mhz}")
+    if args.samples < 1:
+        raise ValidationError(f"--samples: must be >= 1, got {args.samples}")
     omega_eff = args.omega_mhz * MHZ
     g_eff = args.g_ratio * omega_eff
     t_end = args.time_ns * NS if args.time_ns is not None else math.pi / omega_eff

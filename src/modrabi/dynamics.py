@@ -35,15 +35,19 @@ on the entries of the blocks alone, and the spectrum, the weights and the
 purity are taken per block.  That halves the state and the work per step.
 Any other run is the one-block case of the same code, a (1, d, d) stack.
 
-Hermiticity is restored by rho <- (rho + rho+)/2 at stored steps only, never
-inside the stepper, so an integrator bug cannot hide behind symmetrization;
-the largest max |rho - rho+| removed there is reported as `herm_defect`.
-Positivity is monitored, not projected: a violation beyond the floor aborts,
-because it is evidence of a cutoff or step-size misconfiguration, and so does
-a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how many
-right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step, the solver's
-count under `adaptive`, 0 for `spectral`) and, for rho, when its least
-eigenvalue occurred (`min_eigenvalue_time`).
+Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
+reports `cutoff_ok`: whether the top-Fock population stayed below
+`CUTOFF_POP_LIMIT`.  Hermiticity is restored by rho <- (rho + rho+)/2 at
+stored steps only, never inside the stepper, so an integrator bug cannot
+hide behind symmetrization; the largest max |rho - rho+| removed there is
+reported as `herm_defect`.  Positivity is monitored, not projected: an
+eigenvalue below `POSITIVITY_FLOOR` aborts, because it is evidence of a
+cutoff or step-size misconfiguration, and so does a trace that leaves 1 by
+more than `TRACE_TOL`.  Each run reports how many right-hand sides it
+evaluated (`rhs_evals`: 4 per RK4 step, the solver's count under
+`adaptive`, 0 for `spectral`) and, for rho, when its least eigenvalue
+occurred (`min_eigenvalue_time`).  `extract_period` counts the maxima whose
+prominence is at least `MIN_PROMINENCE` of the series' range.
 """
 
 from __future__ import annotations
@@ -67,9 +71,13 @@ from .modulation import SystemParams
 METHODS = ("adaptive", "fixed_rk4")
 
 TRACE_TOL = 1e-6            # largest |Tr rho - 1| a Lindblad run accepts
-POSITIVITY_FLOOR = -1e-6
-CUTOFF_POP_LIMIT = 1e-6
+POSITIVITY_FLOOR = -1e-6    # least eigenvalue of rho a Lindblad run accepts
+CUTOFF_POP_LIMIT = 1e-6     # largest top-Fock population of a run with cutoff_ok
 HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
+MIN_PROMINENCE = 0.05       # least peak prominence extract_period counts, of the range
+
+# the series every run records, in this order
+DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,6 @@ class IntegratorConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.method == "adaptive_rk45":
-            raise ValidationError("integrator method 'adaptive_rk45' was replaced by "
-                                  "'adaptive' (DOP853 at the same rtol/atol)")
         if self.method not in METHODS:
             raise ValidationError(f"integrator method must be one of {METHODS}")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -149,7 +154,7 @@ _DIAGONAL_WEIGHTS = {    # series -> its operator's diagonal in the product basi
 
 
 class _ObservableSet:
-    """Named real series over the stored samples of one run.
+    """The DEFAULT_OBSERVABLES series over the stored samples of one run.
 
     Every series but the purity is <M> for an M diagonal in the product
     basis, so they are one (K, d) weight matrix applied to |psi|^2 or
@@ -157,28 +162,16 @@ class _ObservableSet:
     handed in is basis state order[k].
     """
 
-    def __init__(self, space: HilbertSpace, names: Sequence[str], samples: int,
-                 order=slice(None)):
-        names = list(dict.fromkeys(names))
-        linear = [name for name in names if name != "purity"]
-        for name in linear:
-            if name not in _DIAGONAL_WEIGHTS:
-                raise ValidationError(f"unknown observable {name!r}")
-        self.weights = np.array([_DIAGONAL_WEIGHTS[name](space) for name in linear]
-                                ).reshape(len(linear), space.dim)[:, order]
-        self.table = np.empty((len(linear), samples))
-        self.purity = np.empty(samples) if "purity" in names else None
-        rows = dict(zip(linear, self.table))
-        self.series = {name: self.purity if name == "purity" else rows[name]
-                       for name in names}
+    def __init__(self, space: HilbertSpace, samples: int, order=slice(None)):
+        self.weights = np.array([w(space) for w in _DIAGONAL_WEIGHTS.values()])[:, order]
+        self.table = np.empty((len(_DIAGONAL_WEIGHTS), samples))
+        self.purity = np.empty(samples)
+        rows = dict(zip(_DIAGONAL_WEIGHTS, self.table), purity=self.purity)
+        self.series = {name: rows[name] for name in DEFAULT_OBSERVABLES}
 
     def cutoff_report(self, times: np.ndarray) -> dict:
-        """`cutoff_ok` and the largest top-Fock population with its time,
-        all None when that series is not recorded."""
-        top = self.series.get("top_fock_pop")
-        if top is None:
-            return {"cutoff_ok": None, "max_top_fock_pop": None,
-                    "max_top_fock_pop_time": None}
+        """`cutoff_ok` and the largest top-Fock population with its time."""
+        top = self.series["top_fock_pop"]
         i = int(np.argmax(top))
         return {"cutoff_ok": bool(top[i] < CUTOFF_POP_LIMIT),
                 "max_top_fock_pop": float(top[i]), "max_top_fock_pop_time": float(times[i])}
@@ -186,17 +179,13 @@ class _ObservableSet:
     def from_vector(self, i: int, psi: np.ndarray):
         pop = psi.real ** 2 + psi.imag ** 2
         self.table[:, i] = self.weights @ pop
-        if self.purity is not None:
-            self.purity[i] = pop.sum() ** 2
+        self.purity[i] = pop.sum() ** 2
 
     def from_blocks(self, i: int, rho: np.ndarray):
         """Sample i of a block-diagonal rho, given as its (S, N, N) blocks."""
         self.table[:, i] = self.weights @ np.real(np.diagonal(rho, axis1=1, axis2=2)).ravel()
-        if self.purity is not None:   # Tr(rho^2) = sum |rho_ij|^2, rho Hermitian
-            self.purity[i] = np.real(np.vdot(rho, rho))
-
-
-DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
+        # Tr(rho^2) = sum |rho_ij|^2, rho Hermitian
+        self.purity[i] = np.real(np.vdot(rho, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +382,6 @@ def _spectral(static: np.ndarray, psi0: np.ndarray, times: np.ndarray, record):
 
 def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
                        times: np.ndarray, cfg: IntegratorConfig | None = None,
-                       observables: Sequence[str] = DEFAULT_OBSERVABLES,
                        store_states: bool = True) -> Trajectory:
     """Propagate |psi> under H; norm is a monitored quality metric, not enforced.
 
@@ -405,7 +393,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
-    obs = _ObservableSet(H.space, observables, len(stored_t))
+    obs = _ObservableSet(H.space, len(stored_t))
     states = np.empty((len(stored_t), H.space.dim), complex) if store_states else None
     norm_drift = 0.0
 
@@ -506,11 +494,10 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                   rho0: DensityMatrix, times: np.ndarray,
                   cfg: IntegratorConfig | None = None,
-                  observables: Sequence[str] = DEFAULT_OBSERVABLES,
-                  store_states: bool = False,
-                  positivity_floor: float = POSITIVITY_FLOOR) -> Trajectory:
-    """Propagate rho under H plus Lindblad loss channels; abort when rho
-    loses positivity or its trace leaves 1 by more than TRACE_TOL."""
+                  store_states: bool = False) -> Trajectory:
+    """Propagate rho under H plus Lindblad loss channels; abort when an
+    eigenvalue of rho falls below POSITIVITY_FLOOR or its trace leaves 1 by
+    more than TRACE_TOL."""
     if rho0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     for d in dissipators:
@@ -521,7 +508,7 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     stored_t = times[::cfg.store_every]
     active = [d for d in dissipators if d.rate != 0.0]
     generator, rhs, layout = _lindblad(H, active, rho0.matrix)
-    obs = _ObservableSet(H.space, observables, len(stored_t),    # basis state of each row
+    obs = _ObservableSet(H.space, len(stored_t),    # basis state of each row
                          layout[:, :, 0].reshape(-1) // H.space.dim)
     states = np.zeros((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
@@ -536,11 +523,11 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
         if lo < min_eig:
             min_eig, min_eig_time = lo, float(stored_t[i])
-        if lo < positivity_floor:
+        if lo < POSITIVITY_FLOOR:
             raise NumericsError(
                 f"density matrix lost positivity at t = {stored_t[i]:.6g}",
                 diagnostics={"time": float(stored_t[i]), "min_eigenvalue": lo,
-                             "positivity_floor": positivity_floor})
+                             "positivity_floor": POSITIVITY_FLOOR})
         trace = float(np.real(np.trace(rho, axis1=1, axis2=2).sum()))
         if abs(trace - 1.0) > TRACE_TOL:
             raise NumericsError(
@@ -591,11 +578,10 @@ class PeriodEstimate:
     peak_times: tuple
 
 
-def extract_period(times: np.ndarray, series: np.ndarray,
-                   min_prominence: float = 0.05) -> PeriodEstimate:
+def extract_period(times: np.ndarray, series: np.ndarray) -> PeriodEstimate:
     """Oscillation period from the mean spacing of interpolated maxima.
 
-    Maxima are selected by prominence (at least `min_prominence` of the full
+    Maxima are selected by prominence (at least MIN_PROMINENCE of the full
     range), which keeps sideband micromotion ripples riding on a slow
     oscillation from being counted as cycles, then refined with a
     three-point parabola.  The spread of the gaps is the uncertainty.
@@ -609,7 +595,7 @@ def extract_period(times: np.ndarray, series: np.ndarray,
     lo, hi = float(s.min()), float(s.max())
     if hi - lo <= 0:
         raise ValidationError("no oscillation detected: series is constant")
-    idx, _ = find_peaks(s, prominence=min_prominence * (hi - lo))
+    idx, _ = find_peaks(s, prominence=MIN_PROMINENCE * (hi - lo))
     peaks = []
     for i in idx:
         if i == 0 or i == len(s) - 1:

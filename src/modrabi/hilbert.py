@@ -12,6 +12,10 @@ Conventions
   top level, where it is -(fock_cutoff - 1).
 * Every value is immutable after construction (backing arrays are marked
   read-only), so instances are safe to share across worker processes.
+* A `PureState` has a norm within `STATE_NORM_TOL` of 1.  A `DensityMatrix`
+  has a Hermiticity defect max |rho - rho+| of at most `STATE_HERM_TOL`, a
+  trace within `STATE_TRACE_TOL` of 1 and no eigenvalue below
+  `STATE_EIG_FLOOR`; anything else is rejected at construction.
 
 Degenerate spaces with ``n_qubits = 0`` or ``fock_cutoff = 1`` are allowed so
 partial traces can return a marginal on the kept factor; the ladder and drive
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,6 +39,11 @@ _SIGMA = {
     "sp": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),  # |e><g|
     "sm": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),  # |g><e|
 }
+
+STATE_NORM_TOL = 1e-12      # largest |norm - 1| of a PureState
+STATE_HERM_TOL = 1e-10      # largest max |rho - rho+| of a DensityMatrix
+STATE_TRACE_TOL = 1e-10     # largest |Tr rho - 1| of a DensityMatrix
+STATE_EIG_FLOOR = -1e-8     # least eigenvalue of a DensityMatrix
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -95,9 +104,6 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     def is_unitary(self, tol: float = 1e-9) -> bool:
         d = self.matrix @ self.matrix.conj().T - np.eye(self.space.dim)
         return bool(np.max(np.abs(d)) <= tol)
@@ -131,7 +137,6 @@ class Operator:
 class PureState:
     space: HilbertSpace
     amplitudes: np.ndarray
-    norm_tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         v = _frozen(self.amplitudes).reshape(-1)
@@ -139,8 +144,8 @@ class PureState:
             raise ValidationError(
                 f"amplitude vector length {v.shape[0]} does not match dimension {self.space.dim}")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > self.norm_tol:
-            raise ValidationError(f"state norm {nrm} deviates from 1 beyond {self.norm_tol}")
+        if abs(nrm - 1.0) > STATE_NORM_TOL:
+            raise ValidationError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
         object.__setattr__(self, "amplitudes", v)
 
     def density_matrix(self) -> "DensityMatrix":
@@ -152,9 +157,6 @@ class PureState:
 class DensityMatrix:
     space: HilbertSpace
     matrix: np.ndarray
-    herm_tol: float = field(default=1e-10, compare=False)
-    trace_tol: float = field(default=1e-10, compare=False)
-    eig_floor: float = field(default=-1e-8, compare=False)
 
     def __post_init__(self):
         m = _frozen(self.matrix)
@@ -162,18 +164,15 @@ class DensityMatrix:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > self.herm_tol:
-            raise ValidationError(f"hermiticity defect {herm} beyond {self.herm_tol}")
+        if herm > STATE_HERM_TOL:
+            raise ValidationError(f"hermiticity defect {herm} beyond {STATE_HERM_TOL}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValidationError(f"trace {tr} deviates from 1 beyond {self.trace_tol}")
+        if abs(tr - 1.0) > STATE_TRACE_TOL:
+            raise ValidationError(f"trace {tr} deviates from 1 beyond {STATE_TRACE_TOL}")
         lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if lo < self.eig_floor:
-            raise ValidationError(f"minimum eigenvalue {lo} below floor {self.eig_floor}")
+        if lo < STATE_EIG_FLOOR:
+            raise ValidationError(f"minimum eigenvalue {lo} below floor {STATE_EIG_FLOOR}")
         object.__setattr__(self, "matrix", m)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +323,4 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
         out_space = HilbertSpace(0, rho.space.fock_cutoff)
     else:
         raise ValidationError(f"keep must be 'qubits' or 'resonator', got {keep!r}")
-    return DensityMatrix(out_space, reduced,
-                         herm_tol=rho.herm_tol, trace_tol=rho.trace_tol,
-                         eig_floor=rho.eig_floor)
+    return DensityMatrix(out_space, reduced)

@@ -163,10 +163,12 @@ def sideband_amplitudes(drive: DriveParams, det: Detunings,
         raise ValidationError("n_max must be >= 1")
     alpha: list[SidebandTerm] = []
     beta: list[SidebandTerm] = []
-    for n1 in range(-n_max, n_max + 1):
+    orders = range(-n_max, n_max + 1)
+    j2s = [_signed_j(n2, 2 * drive.eta2) for n2 in orders]
+    for n1 in orders:
         j1 = _signed_j(n1, 2 * drive.eta1)
-        for n2 in range(-n_max, n_max + 1):
-            j = j1 * _signed_j(n2, 2 * drive.eta2)
+        for n2, j2 in zip(orders, j2s):
+            j = j1 * j2
             phase = n1 * drive.phi1 + n2 * drive.phi2
             comb = n1 * drive.omega1 + n2 * drive.omega2
             alpha.append(SidebandTerm(n1, n2, j * complex(math.cos(phase), math.sin(phase)),

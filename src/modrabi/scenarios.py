@@ -420,9 +420,10 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
         out["fock_cutoff"] = int(round(value))
         return out
     target = out.setdefault(section, {})
-    if field.startswith("eta"):
-        for unit in _UNIT_SCALE:
-            target.pop(f"amp{field[-1]}_{unit}", None)
+    if field.startswith(("eta", "amp")):    # the swept spelling replaces the tone's others
+        tone = field[3]
+        for key in (f"eta{tone}", *(f"amp{tone}_{unit}" for unit in _UNIT_SCALE)):
+            target.pop(key, None)
     target[field] = value
     return out
 
@@ -438,7 +439,7 @@ def _sweep_point(args):
                 "times": primary.times.tolist(),
                 "sigma_pop": obs["sigma_pop"].tolist(),
                 "photon_number": obs["photon_number"].tolist(),
-                "effective": effective_summary(effective_params(scn.system, scn.drive)),
+                "effective": res.manifest["resolved"]["effective"],
                 "diagnostics": primary.diagnostics,
                 # the lossless effective reference behind the fidelity
                 "reference_diagnostics": (res.effective.diagnostics

@@ -238,9 +238,31 @@ def test_cutoff_margin_reports_largest_top_population():
     assert diag["cutoff_ok"] is False
     rho_diag = evolve_master(H, [], psi0.density_matrix(), times).diagnostics
     assert rho_diag["max_top_fock_pop"] == pytest.approx(top.max(), abs=1e-9)
-    unrecorded = evolve_schrodinger(H, psi0, times, observables=("sigma_pop",)).diagnostics
-    assert [unrecorded[k] for k in ("cutoff_ok", "max_top_fock_pop",
-                                    "max_top_fock_pop_time")] == [None, None, None]
+
+
+def test_every_run_records_the_fixed_observables_and_cutoff_margin():
+    # one run on each path: spectral, fixed RK4 and adaptive; psi and rho
+    space = HilbertSpace(1, 4)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    static = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
+    psi0 = basis_state(space, "g", 0)
+    rho0 = psi0.density_matrix()
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 20 * dt, 5)
+    fixed = IntegratorConfig(method="fixed_rk4", dt=dt)
+    runs = [("spectral", evolve_schrodinger(static, psi0, times)),
+            ("fixed_rk4", evolve_schrodinger(H, psi0, times, fixed)),
+            ("adaptive", evolve_schrodinger(H, psi0, times)),
+            ("fixed_rk4", evolve_master(H, loss_dissipators(SYS, space), rho0, times, fixed)),
+            ("adaptive", evolve_master(H, loss_dissipators(SYS, space), rho0, times))]
+    for method, traj in runs:
+        diag = traj.diagnostics
+        assert diag["method"] == method
+        assert tuple(traj.observables) == DEFAULT_OBSERVABLES
+        assert all(series.shape == times.shape for series in traj.observables.values())
+        assert type(diag["cutoff_ok"]) is bool
+        assert type(diag["max_top_fock_pop"]) is float
+        assert type(diag["max_top_fock_pop_time"]) is float
 
 
 def test_dissipator_rejects_negative_rate():
@@ -654,7 +676,7 @@ def test_adaptive_master_matches_converged_rk4_on_fig5():
     sol = solve_ivp(lambda t, y: liouvillian @ y, (times[0], times[-1]),
                     rho0.matrix.reshape(-1), method="RK45", t_eval=times,
                     rtol=1e-10, atol=1e-12)
-    obs = _ObservableSet(space, DEFAULT_OBSERVABLES, len(times))
+    obs = _ObservableSet(space, len(times))
     for i, y in enumerate(sol.y.T):
         rho = y.reshape(space.dim, space.dim)
         obs.from_blocks(i, 0.5 * (rho + rho.conj().T)[None])

@@ -175,6 +175,17 @@ def test_apply_sweep_value_replaces_amplitude_spec():
     assert out2["fock_cutoff"] == 12
 
 
+def test_cli_sweep_amplitude_in_the_other_spelling(tmp_path):
+    # fig5 spells the blue tone eta2; sweeping amp2_ghz replaces it
+    out = tmp_path / "swp"
+    assert main(["sweep", "fig5", "--param", "drive.amp2_ghz", "--from", "5.0",
+                 "--to", "5.5", "--points", "2", "--threads", "1", "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    effective = [p["effective"]["g_r_rad_s"] for p in manifest["points"]]
+    assert effective[0] != effective[1]
+
+
 def test_fock_cutoff_sweep_converges():
     # strong-ratio drive reaching <n> ~ 5: stored observables must be
     # insensitive to the ladder truncation well before cutoff 20
@@ -465,6 +476,17 @@ def test_cli_applications_cat(tmp_path):
     assert header == ["time_s", "xi_re", "xi_im", "xi_abs", "phase"]
     header, rows = read_csv(tmp_path / "cat_fock.csv")
     assert len(rows) == 40
+
+
+@pytest.mark.parametrize("flag, value", [("--omega-mhz", "0"), ("--omega-mhz", "inf"),
+                                         ("--omega-mhz", "nan"), ("--samples", "0"),
+                                         ("--samples", "-1")])
+def test_cli_applications_cat_bad_flag_exits_2(flag, value, tmp_path, capsys):
+    out = tmp_path / "cat"
+    assert main(["applications", "cat", "--g-ratio", "1.2", flag, value,
+                 "-o", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_applications_gate(tmp_path):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -48,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing does
+    not change it."""
     p = _Parser(
         prog="modrabi",
         description="Two-tone frequency-modulation simulator for tunable "
@@ -208,7 +212,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_g_ratio(args):
+    if not math.isfinite(args.g_ratio):
+        raise ValidationError(f"--g-ratio: must be finite, got {args.g_ratio}")
+
+
 def cmd_applications_cat(args) -> int:
+    _check_g_ratio(args)
+    if args.time_ns is not None and not 0.0 < args.time_ns < math.inf:
+        raise ValidationError(f"--time-ns: must be finite and > 0, got {args.time_ns}")
     if not (math.isfinite(args.omega_mhz) and args.omega_mhz != 0.0):
         raise ValidationError("--omega-mhz: must be finite and nonzero, "
                               f"got {args.omega_mhz}")
@@ -258,6 +270,7 @@ def cmd_applications_cat(args) -> int:
 
 
 def cmd_applications_gate(args) -> int:
+    _check_g_ratio(args)
     gate = gate_at_period(args.g_ratio, 1.0)
     theta = theta_from_coupling_ratio(args.g_ratio)
     power = entangling_power(theta)

@@ -1,7 +1,7 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
 Both equations run through one propagation loop over arrays; a state vector
-is the (d,) case and a density matrix a stack of diagonal blocks, and the
+is the (n,) case and a density matrix a stack of diagonal blocks, and the
 stored states of a run are one (T, d) or (T, d, d) array.  The loop steps
 with classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp`
 with DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive`
@@ -15,25 +15,36 @@ right-hand side is
 
 with the (rate/2)(2 L rho L+ - rho L+L - L+L rho) normalization, so a pure
 decay run gives <n>(t) = e^{-gamma t} exactly.  K keeps the Hamiltonian's
-form, a static part plus scalar coefficients times fixed sparse matrices,
-and applies as one sparse product with the nonzeros of its stage; the
-coefficients of every stage time of a sample interval come from one call.
+form, a static part plus scalar coefficients times fixed sparse matrices.
 All jump terms together are one fixed sparse superoperator on the row-major
 vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel, whatever its
-structure, costs one more sparse product per call.  Both products call
-scipy's compiled CSR kernels directly, into preallocated buffers: at these
-sizes the dispatch of scipy's `@` cost more than the products.  Every
-recorded series except the purity is a set of diagonal weights applied to
-|psi|^2 or diag(rho).
+structure, costs one more sparse product.  Both products call scipy's
+compiled CSR kernels directly, into preallocated buffers, with the operand
+sizes checked once when a run starts: at these sizes the dispatch of
+scipy's `@` cost more than the products.  Every recorded series except the
+purity is a set of diagonal weights applied to |psi|^2 or diag(rho).
 
-When the generator, the jumps and rho0 respect the parity
-(n + excited qubits) mod 2, which every packaged lossy run does, rho stays
-block diagonal in its two equal sectors.  The run then orders the basis by
-sector and carries only the two blocks, as one (2, d/2, d/2) stack: K in
-sector order is block diagonal, so one product gives both K_s rho_s, J acts
-on the entries of the blocks alone, and the spectrum, the weights and the
-purity are taken per block.  That halves the state and the work per step.
-Any other run is the one-block case of the same code, a (1, d, d) stack.
+RK4 runs as four stages out = base + c f(t, x), with c one of h/2, h/2, h
+and h/6.  A stage adds c f(t, x) to an output that already holds its base,
+with the nonzeros of c K and c J / 2 precomputed: those of c K for every
+stage of up to 512 steps come from one call.  A Schrodinger stage is one
+sparse product, and a Lindblad stage two products and the Hermitian sum.
+The last stage adds (h/6) f(t + h, u4) to (u2 + 2 u3 + u4 - y) / 3, written
+into y itself, so the RK4 sum keeps no slopes.  The adaptive path calls the
+same stage with c = 1 and a zero base.
+
+Every generator here conserves the parity (n + excited qubits) mod 2.  A
+state vector whose psi0 lies in one parity sector stays there, and the run
+steps that sector alone.  When the generator, the jumps and rho0 respect
+the parity, which every packaged lossy run does, rho stays block diagonal in
+its two equal sectors.  The run then orders the basis by sector and carries
+only the two blocks, as one (2, d/2, d/2) stack: K in sector order is block
+diagonal, so one product gives both K_s rho_s, J acts on the entries of the
+blocks alone, and the spectrum, the weights and the purity are taken per
+block.  That halves the state and the work per step.  Any other run is the
+one-block case of the same code, a (d,) vector or a (1, d, d) stack.
+`_parity_blocks` is the one rule for both equations, and each run reports
+the sizes of the blocks it carried (`blocks`).
 
 Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
 reports `cutoff_ok`: whether the top-Fock population stayed below
@@ -192,38 +203,39 @@ class _ObservableSet:
 # generator, right-hand sides and stepper
 # ---------------------------------------------------------------------------
 
-_MAX_BLOCK = 512    # steps whose stage coefficients are evaluated in one call
+_MAX_BLOCK = 512    # steps whose stage nonzeros are evaluated in one call
 
 
-def _csr_matmul(a, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out += A x, for the CSR matrix A with the pattern of `a` and nonzeros `data`.
+def _csr_kernel(a, x_shape: tuple, out_shape: tuple):
+    """kernel(data, x, out) adds A x to out, for the CSR matrix A with the
+    pattern of `a` and nonzeros `data`.
 
-    x holds x.size / a.shape[1] columns in C order (a vector is one), and out
-    the same number of a.shape[0]-long columns, whatever their shapes.  This
-    calls scipy's compiled kernels directly: its `@` allocates the result and
-    re-checks the operands on every call, which costs more than the product
-    at these sizes, and `data` lets every stage of a step use the pattern
-    with its own nonzeros, copied nowhere.
+    x holds prod(x_shape) / a.shape[1] columns in C order (a vector is one),
+    and out as many a.shape[0]-long ones.  The kernel is scipy's compiled one,
+    called directly: its `@` allocates the result and re-checks the operands
+    on every call, which costs more than the product at these sizes.  So the
+    operand sizes are checked here, once; every call must pass C-contiguous
+    complex arrays of these sizes and `data` of a.indices.size entries.
     """
     n_row, n_col = a.shape
-    vecs = x.size // n_col
-    if x.size != vecs * n_col or out.size != vecs * n_row or data.size != a.indices.size:
-        raise ValueError(f"operands of sizes {x.size}, {out.size} and {data.size} "
-                         f"do not fit a {n_row} x {n_col} matrix with {a.indices.size} nonzeros")
+    vecs = math.prod(x_shape) // n_col
+    if math.prod(x_shape) != vecs * n_col or math.prod(out_shape) != vecs * n_row:
+        raise ValueError(f"operands of shapes {x_shape} and {out_shape} do not fit "
+                         f"a {n_row} x {n_col} matrix")
     if vecs == 1:
-        _sparsetools.csr_matvec(n_row, n_col, a.indptr, a.indices, data, x, out)
-    else:
-        _sparsetools.csr_matvecs(n_row, n_col, vecs, a.indptr, a.indices, data, x, out)
-    return out
+        return functools.partial(_sparsetools.csr_matvec, n_row, n_col, a.indptr, a.indices)
+    return functools.partial(_sparsetools.csr_matvecs, n_row, n_col, vecs,
+                             a.indptr, a.indices)
 
 
 class _Generator:
     """K(t) = -i H(t) - damping as one CSR pattern, in the basis `order`.
 
     The static part, the damping and every coupling term share one sparsity
-    pattern, held by `matrix`, so the nonzeros of K at any time are
-    static_data + c(t) @ weights and a right-hand side takes them as one row
-    of `data`.  Basis state k of the generator is state order[k] of the space.
+    pattern, held by `matrix`.  Row 0 of `weights` holds the static
+    nonzeros and row k those of term k, so the nonzeros of c K at time t are
+    c [1, coefficients(t)] @ weights, one row of `data`.
+    Basis state k of the generator is state order[k] of the space.
     """
 
     def __init__(self, H: TimeDependentHamiltonian, damping=0.0, order=slice(None)):
@@ -232,82 +244,123 @@ class _Generator:
         rows, cols = np.nonzero(np.logical_or.reduce([static != 0]
                                                      + [m != 0 for m in terms]))
         dim = static.shape[0]
-        self.static_data = static[rows, cols]
-        self.weights = np.array([m[rows, cols] for m in terms]).reshape(
-            len(terms), rows.size)
+        self.weights = np.array([m[rows, cols] for m in [static, *terms]])
         self.coefficients = H.coefficients
         indptr = np.searchsorted(rows, np.arange(dim + 1))
         self.matrix = sparse.csr_array(    # int32 indices, the faster kernel; nnz <= d^2
-            (self.static_data, cols.astype(np.int32), indptr.astype(np.int32)),
+            (self.weights[0], cols.astype(np.int32), indptr.astype(np.int32)),
             shape=(dim, dim))
 
-    def data(self, times: np.ndarray) -> np.ndarray:
-        """Nonzeros of K at each time, shape (T, nnz)."""
-        if self.coefficients is None:
-            return np.broadcast_to(self.static_data, (len(times), self.static_data.size))
-        return self.static_data + self.coefficients(times) @ self.weights
+    def data(self, times: np.ndarray, scale=1.0) -> np.ndarray:
+        """Nonzeros of scale * K at each time, shape (T, nnz); `scale` is one
+        number or one per time."""
+        c = np.empty((len(times), len(self.weights)), dtype=complex)
+        c[:, 0] = scale
+        if self.coefficients is not None:
+            np.multiply(self.coefficients(times), c[:, :1], out=c[:, 1:])
+        return c @ self.weights
 
 
-def _schrodinger_rhs(k, data: np.ndarray, psi: np.ndarray, out: np.ndarray):
-    """-i H psi = K psi, with K's nonzeros `data`."""
-    out.fill(0.0)
-    _csr_matmul(k, data, psi, out)
+class _Flow:
+    """The right-hand side y' = f(t, y) of a run on arrays of `shape`, linear
+    in y and applied in RK4 stages out = base + c f(t, x).
+
+    stage(data, jump_data, x, out) adds c f(t, x) to out, which holds the
+    base: `data` holds the nonzeros of c K(t) (`generator.data(times, c)`)
+    and `jump_data` those of c J / 2 (c times `jump_data`), so a stage is one
+    pass over each operator and no copy.  A state vector has no J.
+    """
+
+    def __init__(self, generator: _Generator, stage, shape: tuple,
+                 jump_data: np.ndarray = np.zeros(0, dtype=complex)):
+        self.generator, self.stage, self.shape = generator, stage, shape
+        self.jump_data = jump_data
+
+    def rhs(self, t: float, y: np.ndarray, out: np.ndarray):
+        """out = f(t, y): the stage with c = 1 and a zero base."""
+        out.fill(0.0)
+        self.stage(self.generator.data(np.array([t]))[0], self.jump_data, y, out)
 
 
-def _lindblad_rhs(k, jumps, m: np.ndarray, data: np.ndarray, rho: np.ndarray,
-                  out: np.ndarray):
-    """M + M+ per sector, with M = K rho + J rho / 2 and K's nonzeros `data`.
+def _vector_stage(generator: _Generator, shape: tuple):
+    """stage(data, jump_data, psi, out): out += c K psi, with the nonzeros
+    `data` of c K; `jump_data` is unused."""
+    apply = _csr_kernel(generator.matrix, shape, shape)
+
+    def stage(data, jump_data, psi, out):
+        apply(data, psi, out)
+    return stage
+
+
+def _block_stage(generator: _Generator, jumps, shape: tuple):
+    """stage(data, jump_data, rho, out): out += M + M+ per sector, with
+    M = c K rho + c J rho / 2, `data` the nonzeros of c K and `jump_data`
+    those of c J / 2.
 
     rho is the (S, N, N) stack of the sectors' blocks and `jumps` is J / 2,
     restricted to them.  For Hermitian rho, which every stage of the flow
-    preserves, this is K rho + rho K+ + sum_j r_j L_j rho L_j+, and it is
-    Hermitian by construction whatever the channels.  `m` is scratch space.
+    preserves, M + M+ is c (K rho + rho K+ + sum_j r_j L_j rho L_j+), and it
+    is Hermitian by construction whatever the channels.  The base in out is
+    added to, never symmetrized, so a stepper bug cannot hide behind it.
     """
-    m.fill(0.0)
-    _csr_matmul(k, data, rho, m)
-    _csr_matmul(jumps, jumps.data, rho, m)
-    np.conjugate(m.transpose(0, 2, 1), out=out)
-    out += m
+    apply_k = _csr_kernel(generator.matrix, shape, shape)
+    apply_j = _csr_kernel(jumps, shape, shape)
+    m, m_h = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    m_t = m.transpose(0, 2, 1)
+
+    def stage(data, jump_data, rho, out):
+        m.fill(0.0)
+        apply_k(data, rho, m)
+        apply_j(jump_data, rho, m)
+        np.conjugate(m_t, out=m_h)
+        out += m
+        out += m_h
+    return stage
 
 
 class _Rk4:
-    """Classical RK4 over arrays, in place, with preallocated stage buffers."""
+    """Classical RK4 over arrays, in place, as four stages out = base + c f(x):
 
-    def __init__(self, rhs, generator: _Generator, shape: tuple):
-        self.rhs = rhs
-        self.generator = generator
-        self.k1, self.k2, self.k3, self.k4, self.tmp = (
-            np.empty(shape, dtype=complex) for _ in range(5))
+        u2 = y + (h/2) f(t, y),        u3 = y + (h/2) f(t + h/2, u2),
+        u4 = y + h f(t + h/2, u3),
+        y <- (u2 + 2 u3 + u4 - y) / 3 + (h/6) f(t + h, u4),
+
+    which is y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  One copy puts y in u2, u3
+    and u4 before the stages add to them.  The scaled nonzeros of every stage
+    of up to _MAX_BLOCK steps come from one call.
+    """
+
+    def __init__(self, flow: _Flow):
+        self.flow = flow
+        self.u = np.empty((3, *flow.shape), dtype=complex)
+        self.base = np.empty(flow.shape, dtype=complex)
 
     def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float) -> int:
         """Step y from t0 to t1 in place with steps <= dt_target; returns the
         number of steps."""
         nsub = max(1, int(math.ceil((t1 - t0) / dt_target)))
         h = (t1 - t0) / nsub
-        gen, rhs = self.generator, self.rhs
-        k1, k2, k3, k4, tmp = self.k1, self.k2, self.k3, self.k4, self.tmp
+        gen, stage = self.flow.generator, self.flow.stage
+        j_half, j_full, j_sixth = (c * self.flow.jump_data for c in (0.5 * h, h, h / 6.0))
+        u, base = self.u, self.base
+        u2, u3, u4 = u
         for first in range(0, nsub, _MAX_BLOCK):
             starts = t0 + np.arange(first, min(first + _MAX_BLOCK, nsub)) * h
             n = starts.size
-            data = gen.data(np.concatenate([starts, starts + 0.5 * h, starts + h]))
+            mids = starts + 0.5 * h
+            data = gen.data(np.concatenate([starts, mids, mids, starts + h]),
+                            np.repeat([0.5 * h, 0.5 * h, h, h / 6.0], n))
             for s in range(n):
-                rhs(data[s], y, k1)
-                np.multiply(k1, 0.5 * h, out=tmp)
-                tmp += y
-                mid = data[n + s]
-                rhs(mid, tmp, k2)
-                np.multiply(k2, 0.5 * h, out=tmp)
-                tmp += y
-                rhs(mid, tmp, k3)
-                np.multiply(k3, h, out=tmp)
-                tmp += y
-                rhs(data[2 * n + s], tmp, k4)
-                k2 += k3
-                k2 *= 2.0
-                k1 += k4
-                k1 += k2
-                k1 *= h / 6.0
-                y += k1
+                u[...] = y
+                stage(data[s], j_half, y, u2)
+                stage(data[n + s], j_half, u2, u3)
+                stage(data[2 * n + s], j_full, u3, u4)
+                np.add(u2, u4, out=base)
+                base += u3
+                base += u3
+                base -= y
+                np.multiply(base, 1.0 / 3.0, out=y)
+                stage(data[3 * n + s], j_sixth, u4, y)
         return nsub
 
 
@@ -329,8 +382,8 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
-               y0: np.ndarray, times: np.ndarray, cfg: IntegratorConfig, record) -> int:
+def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
+               times: np.ndarray, cfg: IntegratorConfig, record) -> int:
     """Carry y0 over the grid, handing each stored sample i to record(i, y);
     returns the number of right-hand-side evaluations.
 
@@ -339,7 +392,7 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
     """
     if cfg.method == "fixed_rk4":
         dt = _pick_dt(cfg, H)
-        stepper = _Rk4(rhs, generator, y0.shape)
+        stepper = _Rk4(flow)
         y = record(0, y0.copy()).copy()
         steps = 0
         for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
@@ -350,7 +403,7 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
 
     def fun(t, flat):
         out = np.empty(y0.shape, dtype=complex)
-        rhs(generator.data(np.array([t]))[0], flat.reshape(y0.shape), out)
+        flow.rhs(t, flat.reshape(y0.shape), out)
         return out.reshape(-1)
 
     sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1),
@@ -363,14 +416,16 @@ def _propagate(H: TimeDependentHamiltonian, rhs, generator: _Generator,
     return int(sol.nfev)
 
 
-def _spectral(static: np.ndarray, psi0: np.ndarray, times: np.ndarray, record):
-    """psi(t) = V exp(-i lam (t - t0)) V+ psi0 at every time, for static
-    H = V diag(lam) V+; hands sample i to record(i, psi)."""
+def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
+              times: np.ndarray, record):
+    """psi(t) = V exp(-i lam (t - t0)) V+ psi0 at every time, for the static
+    H restricted to the basis states `order`, = V diag(lam) V+ there; hands
+    sample i to record(i, psi)."""
     static = np.asarray(static, dtype=complex)
     if (np.max(np.abs(static - static.conj().T))
             > HERMITIAN_RTOL * np.max(np.abs(static))):
         raise ValidationError("spectral propagation needs a Hermitian static Hamiltonian")
-    lam, V = np.linalg.eigh(static)
+    lam, V = np.linalg.eigh(static[np.ix_(order, order)])
     c0 = V.conj().T @ psi0
     for i, t in enumerate(times):
         record(i, V @ (np.exp(-1j * lam * (t - times[0])) * c0))
@@ -385,16 +440,19 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
                        store_states: bool = True) -> Trajectory:
     """Propagate |psi> under H; norm is a monitored quality metric, not enforced.
 
-    Under `adaptive`, a static H (no coupling terms) is propagated exactly by
-    one eigendecomposition and must be Hermitian.
+    When H keeps the parity sector that holds psi0, the run carries that
+    sector alone and the stored states are exactly 0 outside it.  Under
+    `adaptive`, a static H (no coupling terms) is propagated exactly by one
+    eigendecomposition and must be Hermitian.
     """
     if psi0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
-    obs = _ObservableSet(H.space, len(stored_t))
-    states = np.empty((len(stored_t), H.space.dim), complex) if store_states else None
+    [order] = _parity_blocks(_Generator(H), (), psi0.amplitudes, H.space)
+    obs = _ObservableSet(H.space, len(stored_t), order)
+    states = np.zeros((len(stored_t), H.space.dim), complex) if store_states else None
     norm_drift = 0.0
 
     def record(i, psi):
@@ -403,21 +461,22 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         norm = np.linalg.norm(psi)
         norm_drift = max(norm_drift, abs(norm - 1.0))
         if states is not None:
-            np.divide(psi, norm, out=states[i])
+            states[i, order] = psi / norm
         return psi
 
+    psi0_sector = psi0.amplitudes[order]
     spectral = cfg.method != "fixed_rk4" and not H.terms
     if spectral:
-        _spectral(H.static, psi0.amplitudes, stored_t, record)
+        _spectral(H.static, order, psi0_sector, stored_t, record)
         rhs_evals = 0
     else:
-        generator = _Generator(H)
-        rhs_evals = _propagate(H, functools.partial(_schrodinger_rhs, generator.matrix),
-                               generator, psi0.amplitudes, times, cfg, record)
+        generator = _Generator(H, order=order)
+        flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
+        rhs_evals = _propagate(H, flow, psi0_sector, times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(stored_t),
                                    "method": "spectral" if spectral else cfg.method,
-                                   "rhs_evals": rhs_evals})
+                                   "rhs_evals": rhs_evals, "blocks": [order.size]})
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +485,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
 
 def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
               rho0: np.ndarray):
-    """Generator, right-hand side rhs(data, rho, out) and sector layout of the
-    Lindblad flow, two sparse products per call.
+    """Flow and sector layout of a Lindblad run, two sparse products per stage.
 
     rho is carried as the (S, N, N) stack of its diagonal blocks in the
     parity sectors (S = 2), or as the one (1, d, d) block when the run does
@@ -452,23 +510,24 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
         jumps = jumps + (0.5 * d.rate) * sparse.kron(L, L.conj(), format="csr")
     live = layout.reshape(-1)
     jumps = jumps[live][:, live]
-    rhs = functools.partial(_lindblad_rhs, generator.matrix, jumps,
-                            np.empty(layout.shape, dtype=complex))
-    return generator, rhs, layout
+    return _Flow(generator, _block_stage(generator, jumps, layout.shape), layout.shape,
+                 jumps.data), layout
 
 
 def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
-                   rho0: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
-    """Index sets of the equal diagonal blocks that hold rho for the whole run.
+                   state: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
+    """Index sets of the parity sectors that hold the state, a vector psi0 or
+    a matrix rho0, for the whole run.
 
     Each basis state is labelled by (n + number of excited qubits) mod 2.
-    The run is structured when K (static part, damping and every term) has
-    no entry between the labels, every jump maps each label into a single
-    label and rho0 has no entry between them: the flow then keeps rho block
+    The flow keeps the labels when K (static part, damping and every term)
+    has no entry between them and every jump maps each label into a single
+    label.  A psi0 within one label then stays in its sector, the one block
+    the run carries.  A rho0 with no entry between the labels stays block
     diagonal in the two sectors, which `_lindblad` propagates as two N x N
     blocks and whose spectrum is that of the blocks.  Any other run is one
-    block, and so is a structured run whose sectors differ in size (no qubit
-    and an odd cutoff), since the blocks of the stack share one shape.
+    block, the whole space, and so is a rho0 whose sectors differ in size (no
+    qubit and an odd cutoff), since the blocks of the stack share one shape.
     """
     qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
     ground = sum((qubits >> k) & 1 for k in range(space.n_qubits))  # a set bit is a ground qubit
@@ -482,13 +541,15 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
         return all(np.unique(label[rows[label[cols] == s]]).size <= 1 for s in (0, 1))
 
     k = generator.matrix
-    structured = (2 * np.count_nonzero(label) == space.dim
-                  and within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
-                  and within(*np.nonzero(rho0))
-                  and all(into_one(d.jump.matrix) for d in dissipators))
-    if not structured:
-        return [np.arange(space.dim)]
-    return [np.flatnonzero(label == s) for s in (0, 1)]
+    keeps = (within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
+             and all(into_one(d.jump.matrix) for d in dissipators))
+    if keeps and state.ndim == 1:
+        held = np.unique(label[np.flatnonzero(state)])
+        if held.size == 1:
+            return [np.flatnonzero(label == held[0])]
+    elif keeps and 2 * np.count_nonzero(label) == space.dim and within(*np.nonzero(state)):
+        return [np.flatnonzero(label == s) for s in (0, 1)]
+    return [np.arange(space.dim)]
 
 
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -507,7 +568,7 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
     active = [d for d in dissipators if d.rate != 0.0]
-    generator, rhs, layout = _lindblad(H, active, rho0.matrix)
+    flow, layout = _lindblad(H, active, rho0.matrix)
     obs = _ObservableSet(H.space, len(stored_t),    # basis state of each row
                          layout[:, :, 0].reshape(-1) // H.space.dim)
     states = np.zeros((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
@@ -540,14 +601,14 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
             states[i].reshape(-1)[layout] = rho
         return rho
 
-    rhs_evals = _propagate(H, rhs, generator, rho0.matrix.reshape(-1)[layout], times, cfg,
-                           record)
+    rhs_evals = _propagate(H, flow, rho0.matrix.reshape(-1)[layout], times, cfg, record)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "min_eigenvalue_time": min_eig_time,
                                    "herm_defect": herm_defect,
                                    **obs.cutoff_report(stored_t), "method": cfg.method,
-                                   "rhs_evals": rhs_evals})
+                                   "rhs_evals": rhs_evals,
+                                   "blocks": [layout.shape[1]] * layout.shape[0]})
 
 
 # ---------------------------------------------------------------------------

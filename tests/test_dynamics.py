@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from modrabi.dynamics import (DEFAULT_OBSERVABLES, Dissipator, IntegratorConfig,
-                              _csr_matmul, _Generator, _lindblad, _ObservableSet,
+                              _csr_kernel, _Generator, _lindblad, _ObservableSet,
                               dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
@@ -465,7 +465,8 @@ def random_complex(rng, shape):
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 def test_csr_matmul_matches_scipy_product(index_dtype):
     """The direct kernel call accumulates A x like scipy's `@`, for one vector
-    and for a stack of them; a scipy release that moves the kernels fails here."""
+    and for a stack of them, and operands that do not fit are rejected when
+    the kernel is made; a scipy release that moves the kernels fails here."""
     rng = np.random.default_rng(3)
     for rows, cols, vecs in [(7, 5, 1), (7, 5, 3), (40, 40, 1), (40, 40, 20)]:
         dense = random_complex(rng, (rows, cols)) * (rng.random((rows, cols)) < 0.3)
@@ -476,10 +477,11 @@ def test_csr_matmul_matches_scipy_product(index_dtype):
         x = random_complex(rng, (cols, *shape))
         start = random_complex(rng, (rows, *shape))
         ref = start + a @ x
-        out = _csr_matmul(a, a.data, x, start.copy())
+        out = start.copy()
+        _csr_kernel(a, x.shape, out.shape)(a.data, x, out)
         assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
     with pytest.raises(ValueError):
-        _csr_matmul(a, a.data, x[:-1], np.zeros_like(x))
+        _csr_kernel(a, x[:-1].shape, x.shape)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -494,7 +496,8 @@ def test_structured_apply_matches_dense_evaluate(n_qubits):
             for i, t in enumerate(ts):
                 ref = -1j * H.evaluate(float(t)) @ x
                 for data in (gen.data(np.array([t]))[0], batch[i]):
-                    got = _csr_matmul(gen.matrix, data, x, np.zeros_like(x))
+                    got = np.zeros_like(x)
+                    _csr_kernel(gen.matrix, x.shape, got.shape)(data, x, got)
                     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
@@ -512,8 +515,8 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
     rho = v @ v.conj().T
     rho /= np.trace(rho)
     # rho mixes the parity sectors, so the run is one block holding all of rho
-    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels],
-                                 rho)
+    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels],
+                             rho)
     assert layout.shape == (1, space.dim, space.dim)
     for t in rng.uniform(0.0, 20 * NS, size=4):
         h = H.evaluate(float(t))
@@ -522,8 +525,18 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
             LdL = L.conj().T @ L
             expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
         out = np.empty_like(rho)
-        rhs(gen.data(np.array([t]))[0], rho[None], out[None])
+        flow.rhs(t, rho[None], out[None])
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def parity_sector(space, psi):
+    """Basis states of the parity (n + excited qubits) mod 2 of psi, which
+    lies in one sector."""
+    qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    excited = space.n_qubits - np.array([int(q).bit_count() for q in qubits])
+    label = (n + excited) % 2
+    [held] = np.unique(label[np.flatnonzero(psi)])
+    return np.flatnonzero(label == held)
 
 
 def dense_rotated_frame(sys, drive, space):
@@ -558,6 +571,7 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
     rho0 = PureState(space, v).density_matrix()
     traj = evolve_master(H, loss_dissipators(sys, space), rho0, times,
                          IntegratorConfig(method="fixed_rk4"), store_states=True)
+    assert traj.diagnostics["blocks"] == [space.dim // 2] * 2
 
     h = dense_rotated_frame(sys, drive, space)
     a = annihilation(space).matrix
@@ -585,6 +599,48 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
         assert np.max(np.abs(traj.states[i] - rho)) <= 1e-6
     # the slice is long enough for the state to move well past the tolerance
     assert np.max(np.abs(rho - rho0.matrix)) > 1e-2
+
+
+@pytest.mark.parametrize("initial", ["vac_g", "vac_e", "mixed"])
+def test_fixed_rk4_schrodinger_matches_dense_rk4_at_half_step(initial):
+    """A vacuum carries its parity sector alone, with the stored states exactly
+    0 outside it; a psi0 that mixes the sectors is the full-space run."""
+    scn = load_scenario("fig2a")
+    sys, drive = scn.system, scn.drive
+    space = HilbertSpace(1, scn.fock_cutoff)
+    H = rotated_hamiltonian(sys, drive, space)
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 0.4 * NS, 5)
+    g0, e0 = (basis_state(space, q, 0).amplitudes for q in "ge")
+    v = {"vac_g": g0, "vac_e": e0, "mixed": 0.6 * g0 + 0.8j * e0}[initial]
+    psi0 = PureState(space, v)
+    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="fixed_rk4"))
+    if initial == "mixed":
+        assert traj.diagnostics["blocks"] == [space.dim]
+    else:
+        sector = parity_sector(space, v)
+        assert traj.diagnostics["blocks"] == [sector.size] == [space.dim // 2]
+        assert not np.any(np.delete(traj.states, sector, axis=1))
+
+    h = dense_rotated_frame(sys, drive, space)
+
+    def f(t, psi):
+        return -1j * (h(t) @ psi)
+
+    psi = psi0.amplitudes.copy()
+    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
+        n = math.ceil((t1 - t0) / (dt / 2))
+        step = (t1 - t0) / n
+        for k in range(n):
+            t = t0 + k * step
+            k1 = f(t, psi)
+            k2 = f(t + step / 2, psi + step / 2 * k1)
+            k3 = f(t + step / 2, psi + step / 2 * k2)
+            k4 = f(t + step, psi + step * k3)
+            psi = psi + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(traj.states[i] - psi)) <= 1e-6
+    # the slice is long enough for the state to move well past the tolerance
+    assert np.max(np.abs(psi - psi0.amplitudes)) > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +678,23 @@ def test_spectral_run_rejects_non_hermitian_static_part():
 
 
 def test_adaptive_method_is_scipy_dop853():
+    """The run carries psi0's parity sector alone, so scipy's DOP853 is run on
+    H and psi0 restricted to that sector."""
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     psi0 = basis_state(space, "e", 0)
     times = np.linspace(0.0, 0.5 * NS, 6)
     traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="adaptive"))
     assert traj.diagnostics["method"] == "adaptive"
-    run = traj.states
+    sector = parity_sector(space, psi0.amplitudes)
+    assert traj.diagnostics["blocks"] == [sector.size] == [space.dim // 2]
+    assert not np.any(np.delete(traj.states, sector, axis=1))
+    run = traj.states[:, sector]
     direct = {}
     for scipy_method in ("DOP853", "RK45"):
-        sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t) @ y), (0.0, times[-1]),
-                        psi0.amplitudes, method=scipy_method, t_eval=times,
-                        rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t)[np.ix_(sector, sector)] @ y),
+                        (0.0, times[-1]), psi0.amplitudes[sector], method=scipy_method,
+                        t_eval=times, rtol=1e-10, atol=1e-12)
         direct[scipy_method] = (sol.y / np.linalg.norm(sol.y, axis=0)).T
     assert np.max(np.abs(run - direct["DOP853"])) < 1e-14
     # RK45 differs by more than that, so the match names the pair

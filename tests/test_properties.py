@@ -79,7 +79,7 @@ def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, par
         rho = rho * (label[:, None] == label[None, :])
     rho0 = DensityMatrix(space, rho / np.trace(rho).real)
 
-    _, _, layout = _lindblad(H, channels, rho0.matrix)
+    _, layout = _lindblad(H, channels, rho0.matrix)
     assert len(layout) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
     traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
                          IntegratorConfig(method=method, dt=0.02), store_states=True)
@@ -113,8 +113,8 @@ def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
     rho = v @ v.conj().T * same
     rho /= np.trace(rho).real
 
-    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
-                                 rho)
+    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
+                             rho)
     mixing = set(MIXING_JUMPS) & set(kinds) or (n_qubits == 0 and fock % 2)
     assert len(layout) == (1 if mixing else 2)
     t = rng.uniform(0.0, 5.0)
@@ -124,7 +124,7 @@ def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
         LdL = L.conj().T @ L
         expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
     out = np.empty(layout.shape, dtype=complex)
-    rhs(gen.data(np.array([t]))[0], rho.reshape(-1)[layout], out)
+    flow.rhs(t, rho.reshape(-1)[layout], out)
     scale = np.max(np.abs(hm @ rho)) + np.max(np.abs(expected))    # > 0 when expected is 0
     assert np.max(np.abs(out - expected.reshape(-1)[layout])) <= 1e-12 * scale
     assert np.array_equal(out, out.conj().transpose(0, 2, 1))
@@ -145,8 +145,8 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     v = _random_complex(rng, (space.dim, space.dim))
     rho = v @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real      # exactly Hermitian
-    gen, rhs, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
-                                 rho)
+    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
+                             rho)
     assert layout.shape == (1, space.dim, space.dim)       # rho mixes the sectors
 
     hm = H.static
@@ -155,7 +155,7 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
         LdL = L.conj().T @ L
         expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
     out = np.empty_like(rho)
-    rhs(gen.data(np.array([0.0]))[0], rho[None], out[None])
+    flow.rhs(0.0, rho[None], out[None])
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(out, out.conj().T)
     assert abs(np.trace(out)) <= 1e-12 * np.sum(np.abs(out))

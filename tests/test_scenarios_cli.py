@@ -480,12 +480,23 @@ def test_cli_applications_cat(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--omega-mhz", "0"), ("--omega-mhz", "inf"),
                                          ("--omega-mhz", "nan"), ("--samples", "0"),
-                                         ("--samples", "-1")])
+                                         ("--samples", "-1"), ("--g-ratio", "nan"),
+                                         ("--g-ratio", "inf"),
+                                         ("--time-ns", "nan"), ("--time-ns", "inf"),
+                                         ("--time-ns", "0"), ("--time-ns", "-1")])
 def test_cli_applications_cat_bad_flag_exits_2(flag, value, tmp_path, capsys):
     out = tmp_path / "cat"
     assert main(["applications", "cat", "--g-ratio", "1.2", flag, value,
                  "-o", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_applications_gate_non_finite_g_ratio_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "gate"
+    assert main(["applications", "gate", "--g-ratio", value, "-o", str(out)]) == 2
+    assert "--g-ratio" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -199,7 +199,8 @@ def cmd_sweep(args) -> int:
     write_csv(out / "sweep.csv", header, rows)
     print(f"sweep {args.param}: {args.points} points, status {manifest['status']}, "
           f"wrote {out / 'sweep.csv'}")
-    side = "effective" if parse_scenario(doc, name).model == "effective" else "exact"
+    # run_sweep has validated the model; absent, it is 'both', whose primary is exact
+    side = "effective" if doc.get("model") == "effective" else "exact"
     for point in manifest["points"]:
         where = f"{args.param} = {point['value']}"
         _warn_failed(where, side, point["diagnostics"])

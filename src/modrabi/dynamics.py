@@ -1,8 +1,9 @@
 """Time evolution: Schrodinger and Lindblad propagation, observables, periods.
 
 Both equations run through one propagation loop over arrays; a state vector
-is the (n,) case and a density matrix a stack of diagonal blocks, and the
-stored states of a run are one (T, d) or (T, d, d) array.  The loop steps
+is the (n,) case and a density matrix a stack of diagonal blocks.  A
+Schrodinger run keeps its stored states, one (T, d) array; a Lindblad run
+keeps its (T, d, d) stack only when asked (`store_states`).  The loop steps
 with classical RK4 (`fixed_rk4`) or hands the flow to scipy's `solve_ivp`
 with DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive`
 with a static Hamiltonian skips the loop: one eigendecomposition
@@ -48,17 +49,21 @@ the sizes of the blocks it carried (`blocks`).
 
 Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
 reports `cutoff_ok`: whether the top-Fock population stayed below
-`CUTOFF_POP_LIMIT`.  Hermiticity is restored by rho <- (rho + rho+)/2 at
-stored steps only, never inside the stepper, so an integrator bug cannot
-hide behind symmetrization; the largest max |rho - rho+| removed there is
-reported as `herm_defect`.  Positivity is monitored, not projected: an
-eigenvalue below `POSITIVITY_FLOOR` aborts, because it is evidence of a
-cutoff or step-size misconfiguration, and so does a trace that leaves 1 by
-more than `TRACE_TOL`.  Each run reports how many right-hand sides it
-evaluated (`rhs_evals`: 4 per RK4 step, the solver's count under
-`adaptive`, 0 for `spectral`) and, for rho, when its least eigenvalue
-occurred (`min_eigenvalue_time`).  `extract_period` counts the maxima whose
-prominence is at least `MIN_PROMINENCE` of the series' range.
+`CUTOFF_POP_LIMIT`.  A run handed `reference` vectors, one per stored
+sample, also records `fidelity`: |<ref|psi>|^2, or <ref|rho|ref> taken
+block by block as each sample is stored, so comparing a Lindblad run with
+a reference keeps no density matrices.  Hermiticity is restored by
+rho <- (rho + rho+)/2 at stored steps only, never inside the stepper, so an
+integrator bug cannot hide behind symmetrization; the largest
+max |rho - rho+| removed there is reported as `herm_defect`.  Positivity
+is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
+because it is evidence of a cutoff or step-size misconfiguration, and so
+does a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how
+many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step, the
+solver's count under `adaptive`, 0 for `spectral`) and, for rho, when its
+least eigenvalue occurred (`min_eigenvalue_time`).  `extract_period` counts
+the maxima whose prominence is at least `MIN_PROMINENCE` of the series'
+range.
 """
 
 from __future__ import annotations
@@ -373,6 +378,12 @@ def _pick_dt(cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> float:
     return dt
 
 
+def _check_reference(reference: np.ndarray | None, shape: tuple):
+    if reference is not None and np.shape(reference) != shape:
+        raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
+                              f"one vector per stored sample, {shape}")
+
+
 def _check_grid(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -437,22 +448,25 @@ def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
 
 def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
                        times: np.ndarray, cfg: IntegratorConfig | None = None,
-                       store_states: bool = True) -> Trajectory:
+                       reference: np.ndarray | None = None) -> Trajectory:
     """Propagate |psi> under H; norm is a monitored quality metric, not enforced.
 
-    When H keeps the parity sector that holds psi0, the run carries that
-    sector alone and the stored states are exactly 0 outside it.  Under
-    `adaptive`, a static H (no coupling terms) is propagated exactly by one
-    eigendecomposition and must be Hermitian.
+    The run keeps its normalized states, one (T, d) array.  When H keeps the
+    parity sector that holds psi0, the run carries that sector alone and the
+    stored states are exactly 0 outside it.  Under `adaptive`, a static H
+    (no coupling terms) is propagated exactly by one eigendecomposition and
+    must be Hermitian.  Given `reference`, one vector per stored sample, the
+    run also records `fidelity`, |<ref|psi>|^2.
     """
     if psi0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
+    _check_reference(reference, (len(stored_t), H.space.dim))
     [order] = _parity_blocks(_Generator(H), (), psi0.amplitudes, H.space)
     obs = _ObservableSet(H.space, len(stored_t), order)
-    states = np.zeros((len(stored_t), H.space.dim), complex) if store_states else None
+    states = np.zeros((len(stored_t), H.space.dim), complex)
     norm_drift = 0.0
 
     def record(i, psi):
@@ -460,8 +474,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         obs.from_vector(i, psi)
         norm = np.linalg.norm(psi)
         norm_drift = max(norm_drift, abs(norm - 1.0))
-        if states is not None:
-            states[i, order] = psi / norm
+        states[i, order] = psi / norm
         return psi
 
     psi0_sector = psi0.amplitudes[order]
@@ -473,6 +486,8 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         generator = _Generator(H, order=order)
         flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
         rhs_evals = _propagate(H, flow, psi0_sector, times, cfg, record)
+    if reference is not None:
+        obs.series["fidelity"] = fidelity(reference, states)
     return Trajectory(times=stored_t, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(stored_t),
                                    "method": "spectral" if spectral else cfg.method,
@@ -555,10 +570,17 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                   rho0: DensityMatrix, times: np.ndarray,
                   cfg: IntegratorConfig | None = None,
-                  store_states: bool = False) -> Trajectory:
+                  store_states: bool = False,
+                  reference: np.ndarray | None = None) -> Trajectory:
     """Propagate rho under H plus Lindblad loss channels; abort when an
     eigenvalue of rho falls below POSITIVITY_FLOOR or its trace leaves 1 by
-    more than TRACE_TOL."""
+    more than TRACE_TOL.
+
+    The (T, d, d) stack of stored rho is kept only with `store_states`.
+    Given `reference`, one vector per stored sample, the run records
+    `fidelity`, <ref|rho|ref>, as it goes: the sum over the blocks it
+    carries of <ref_s|rho_s|ref_s>.
+    """
     if rho0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     for d in dissipators:
@@ -567,10 +589,13 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     cfg = cfg or IntegratorConfig()
     times = _check_grid(times)
     stored_t = times[::cfg.store_every]
+    _check_reference(reference, (len(stored_t), H.space.dim))
     active = [d for d in dissipators if d.rate != 0.0]
     flow, layout = _lindblad(H, active, rho0.matrix)
-    obs = _ObservableSet(H.space, len(stored_t),    # basis state of each row
-                         layout[:, :, 0].reshape(-1) // H.space.dim)
+    rows = layout[:, :, 0] // H.space.dim       # basis state of each row, (S, N)
+    obs = _ObservableSet(H.space, len(stored_t), rows.reshape(-1))
+    if reference is not None:
+        obs.series["fidelity"] = np.empty(len(stored_t))
     states = np.zeros((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
     min_eig, min_eig_time = math.inf, None
@@ -597,6 +622,8 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                              "trace_tol": TRACE_TOL})
         trace_drift = max(trace_drift, abs(trace - 1.0))
         obs.from_blocks(i, rho)
+        if reference is not None:
+            obs.series["fidelity"][i] = fidelity(reference[i][rows], rho).sum()
         if states is not None:
             states[i].reshape(-1)[layout] = rho
         return rho

@@ -31,6 +31,15 @@ from .errors import UnreachableTargetError, ValidationError
 ETA_BALANCED = 0.7173          # amplitude with J1(2 eta)/J0(2 eta) = 1 to ~4 digits
 ETA_NULL = J0_FIRST_ZERO / 2.0  # amplitude that nulls one coupling exactly
 RATIO_RTOL = 1e-6              # a designed drive must realize |g_r|/omega_eff to this
+COUPLING_RTOL = 1e-9           # relative tolerance on |g_r| of amplitudes_for_coupling
+
+# validity_report: the approximations hold while the dispersive ratio is below
+# DISPERSIVE_MAX, the detuning ratio below DETUNING_MAX and the sideband margin
+# above RWA_MIN, over the discarded terms with |n_i| <= SIDEBAND_ORDERS
+DISPERSIVE_MAX = 0.1
+DETUNING_MAX = 0.2
+RWA_MIN = 10.0
+SIDEBAND_ORDERS = 5
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,8 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("epsilon", "omega", "g", "kappa", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         if self.epsilon == self.omega:
             raise ValidationError("epsilon == omega: dispersive regime presupposed")
 
@@ -63,10 +72,12 @@ class DriveParams:
     phi2: float = 0.0
 
     def __post_init__(self):
-        if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValidationError("drive frequencies must be > 0")
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise ValidationError("normalized amplitudes must be >= 0")
+        if not (0 < self.omega1 < math.inf and 0 < self.omega2 < math.inf):
+            raise ValidationError("drive frequencies must be finite and > 0")
+        if not (0 <= self.eta1 < math.inf and 0 <= self.eta2 < math.inf):
+            raise ValidationError("normalized amplitudes must be finite and >= 0")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+            raise ValidationError("drive phases must be finite")
 
 
 @dataclass(frozen=True)
@@ -217,9 +228,7 @@ class ValidityReport:
         }
 
 
-def validity_report(sys: SystemParams, drive: DriveParams,
-                    dispersive_max: float = 0.1, detuning_max: float = 0.2,
-                    rwa_min: float = 10.0, n_max: int = 5) -> ValidityReport:
+def validity_report(sys: SystemParams, drive: DriveParams) -> ValidityReport:
     """Check |g| << |Delta|, |delta_i| << |Delta| and the sideband margin.
 
     The dispersive ratio compares g against the smaller of the two sideband
@@ -227,10 +236,10 @@ def validity_report(sys: SystemParams, drive: DriveParams,
     own sideband (delta1 against epsilon - omega, delta2 against
     epsilon + omega).  The margin is the worst ratio
     |oscillation frequency| / |coupling| over all discarded series terms with
-    |n_i| <= n_max; the two retained terms, (-1, 0) of the rotating series
-    and (0, -1) of the counter-rotating one, are excluded.  Thresholds are
-    soft conventions (the literature only demands "much smaller"), so all
-    three are keyword-tunable.
+    |n_i| <= SIDEBAND_ORDERS; the two retained terms, (-1, 0) of the rotating
+    series and (0, -1) of the counter-rotating one, are excluded.  The
+    thresholds are soft conventions (the literature only demands "much
+    smaller"); the report carries the ones it applied.
     """
     det = detunings(sys, drive)
     d_min = min(abs(det.delta_minus), abs(det.delta_plus))
@@ -239,7 +248,7 @@ def validity_report(sys: SystemParams, drive: DriveParams,
         abs(det.delta1) / abs(det.delta_minus) if det.delta_minus else math.inf,
         abs(det.delta2) / abs(det.delta_plus) if det.delta_plus else math.inf)
 
-    alpha, beta = sideband_amplitudes(drive, det, n_max)
+    alpha, beta = sideband_amplitudes(drive, det, SIDEBAND_ORDERS)
     margin = math.inf
     for terms, kept in ((alpha, (-1, 0)), (beta, (0, -1))):
         for term in terms:
@@ -253,12 +262,12 @@ def validity_report(sys: SystemParams, drive: DriveParams,
         dispersive_ratio=dispersive_ratio,
         detuning_ratio=detuning_ratio,
         rwa_margin=margin,
-        dispersive_ok=dispersive_ratio < dispersive_max,
-        detuning_ok=detuning_ratio < detuning_max,
-        rwa_ok=margin > rwa_min,
-        dispersive_max=dispersive_max,
-        detuning_max=detuning_max,
-        rwa_min=rwa_min,
+        dispersive_ok=dispersive_ratio < DISPERSIVE_MAX,
+        detuning_ok=detuning_ratio < DETUNING_MAX,
+        rwa_ok=margin > RWA_MIN,
+        dispersive_max=DISPERSIVE_MAX,
+        detuning_max=DETUNING_MAX,
+        rwa_min=RWA_MIN,
     )
 
 
@@ -317,15 +326,15 @@ def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
         f"bisection did not reach |ratio - {lam}| < {tol}")
 
 
-def amplitudes_for_coupling(target_g_r: float, anisotropy: float, g: float,
-                            tol: float = 1e-9) -> tuple[float, float]:
+def amplitudes_for_coupling(target_g_r: float, anisotropy: float,
+                            g: float) -> tuple[float, float]:
     """Drive amplitudes with |g_r| = target_g_r at fixed anisotropy.
 
     Scans eta1 over (0, ETA_NULL); for each eta1 the companion eta2 follows
     from the anisotropy constraint.  |g_r| is not monotone over the whole
     interval, so the bracket is located on a coarse grid first.
     """
-    if target_g_r <= 0 or g <= 0:
+    if not (target_g_r > 0 and g > 0):     # NaN included
         raise UnreachableTargetError("couplings must be positive")
 
     def g_r_at(eta1: float) -> float:
@@ -345,7 +354,7 @@ def amplitudes_for_coupling(target_g_r: float, anisotropy: float, g: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = g_r_at(mid)
-        if abs(val - target_g_r) <= tol * target_g_r:
+        if abs(val - target_g_r) <= COUPLING_RTOL * target_g_r:
             return solve_amplitudes(anisotropy, eta_fixed=mid, tol=1e-12)
         if val < target_g_r:
             lo = mid

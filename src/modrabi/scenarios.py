@@ -9,8 +9,10 @@ usually quoted.
 
 ``run_simulation`` executes one scenario: the frame-exact generator under
 the master equation (or Schrodinger equation when dissipation is off),
-and/or the constant effective model, plus the overlap fidelity between the
-two when both are requested.  ``run_sweep`` repeats it over one scalar
+and/or the constant effective model.  When both are requested, the lossless
+effective run goes first and its states are the reference whose overlap
+fidelity the exact run records as it goes, so no run keeps a stack of
+density matrices.  ``run_sweep`` repeats it over one scalar
 parameter, optionally on a worker pool bounded by MODRABI_THREADS.
 
 Output files are written atomically (temp + rename).  CSV is RFC 4180 with
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (IntegratorConfig, Trajectory, evolve_master,
-                       evolve_schrodinger, fidelity, loss_dissipators)
+                       evolve_schrodinger, loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
 from .hilbert import HilbertSpace, basis_state
@@ -318,16 +320,6 @@ def run_simulation(scn: Scenario) -> SimulationResult:
     psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
 
     exact_traj = eff_traj = None
-    if scn.model in ("rotated_exact", "both"):
-        H = rotated_hamiltonian(scn.system, scn.drive, space)
-        cfg = _integrator_for(scn, "exact")
-        if scn.dissipation:
-            exact_traj = evolve_master(H, loss_dissipators(scn.system, space),
-                                       psi0.density_matrix(), times, cfg,
-                                       store_states=(scn.model == "both"))
-        else:
-            exact_traj = evolve_schrodinger(H, psi0, times, cfg,
-                                            store_states=(scn.model == "both"))
     if scn.model in ("effective", "both"):
         H_eff = effective_hamiltonian(eff, space)
         cfg_eff = _integrator_for(scn, "effective")
@@ -336,13 +328,20 @@ def run_simulation(scn: Scenario) -> SimulationResult:
                                      psi0.density_matrix(), times, cfg_eff)
         else:
             # in 'both' mode the effective run is the ideal (lossless)
-            # reference entering the fidelity
-            eff_traj = evolve_schrodinger(H_eff, psi0, times, cfg_eff,
-                                          store_states=(scn.model == "both"))
+            # reference whose states the exact run records its fidelity to
+            eff_traj = evolve_schrodinger(H_eff, psi0, times, cfg_eff)
+    if scn.model in ("rotated_exact", "both"):
+        H = rotated_hamiltonian(scn.system, scn.drive, space)
+        cfg = _integrator_for(scn, "exact")
+        reference = eff_traj.states if scn.model == "both" else None
+        if scn.dissipation:
+            exact_traj = evolve_master(H, loss_dissipators(scn.system, space),
+                                       psi0.density_matrix(), times, cfg,
+                                       reference=reference)
+        else:
+            exact_traj = evolve_schrodinger(H, psi0, times, cfg, reference=reference)
 
     primary = exact_traj if exact_traj is not None else eff_traj
-    if scn.model == "both":
-        primary.observables["fidelity"] = fidelity(eff_traj.states, exact_traj.states)
     # the CSV columns in file order: every recorded series of the primary run
     columns = {"time_s": primary.times}
     columns.update((name, primary.observables[name]) for name in OUTPUT_NAMES
@@ -414,6 +413,8 @@ def json_float(x: float):
 def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     if param not in SWEEPABLE:
         raise ValidationError(f"sweep param must be one of {SWEEPABLE}, got {param!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{param}: sweep value must be finite, got {value}")
     out = json.loads(json.dumps(doc))  # deep copy
     section, _, field = param.partition(".")
     if param == "fock_cutoff":
@@ -429,9 +430,8 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
 
 
 def _sweep_point(args):
-    doc, param, value, name = args
+    value, scn = args
     try:
-        scn = parse_scenario(apply_sweep_value(doc, param, value), name=name)
         res = run_simulation(scn)
         primary = res.exact or res.effective
         obs = primary.observables
@@ -469,12 +469,10 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
     """Run one scenario per value; returns (manifest, header, rows)."""
     if len(values) < 2:
         raise ValidationError("sweep needs at least 2 points")
-    # validate the thread count, the base document and every point before any compute
+    # validate the thread count and parse every point, once, before any compute
     threads = min(_worker_count(threads), len(values))
-    for v in values:
-        parse_scenario(apply_sweep_value(doc, param, v), name=name)
-
-    jobs = [(doc, param, v, name) for v in values]
+    jobs = [(v, parse_scenario(apply_sweep_value(doc, param, v), name=name))
+            for v in values]
     if threads == 1:
         points = [_sweep_point(j) for j in jobs]
     else:
@@ -495,13 +493,12 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
         point_meta.append({"value": pt["value"], "effective": pt["effective"],
                            "diagnostics": pt["diagnostics"],
                            "reference_diagnostics": pt["reference_diagnostics"]})
-    base = parse_scenario(doc, name=name)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "sweep": {"param": param, "values": list(values), "threads": threads},
         "scenario": doc,
-        "highlight": base.highlight,
+        "highlight": jobs[0][1].highlight,    # no sweepable parameter changes it
         "points": point_meta,
         "failures": failures,
         "status": "complete" if not failures else "partial",

@@ -281,13 +281,11 @@ def test_step_halving_convergence_order():
     times = np.array([0.0, 2.0 * NS])
     base_dt = H.descriptor["suggested_dt"]
     ref = evolve_schrodinger(H, psi0, times,
-                             IntegratorConfig(method="fixed_rk4", dt=base_dt / 16),
-                             store_states=True).states[-1]
+                             IntegratorConfig(method="fixed_rk4", dt=base_dt / 16)).states[-1]
     errs = []
     for div in (1, 2, 4):
         out = evolve_schrodinger(H, psi0, times,
-                                 IntegratorConfig(method="fixed_rk4", dt=base_dt / div),
-                                 store_states=True).states[-1]
+                                 IntegratorConfig(method="fixed_rk4", dt=base_dt / div)).states[-1]
         errs.append(np.max(np.abs(out - ref)))
     order21 = math.log2(errs[0] / errs[1])
     order42 = math.log2(errs[1] / errs[2])
@@ -304,6 +302,63 @@ def test_fidelity_values():
     mixed = 0.5 * (np.outer(e0, e0.conj()) + np.outer(g0, g0.conj()))
     assert fidelity(e0, mixed) == pytest.approx(0.5, abs=1e-14)
     assert fidelity(e0, g0) == 0.0
+
+
+
+def reference_run(space, times, seed):
+    """A fixed-step exact-frame setup and random normalized reference vectors."""
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    cfg = IntegratorConfig(method="fixed_rk4", dt=H.descriptor["suggested_dt"])
+    ref = random_complex(np.random.default_rng(seed), (times.size, space.dim))
+    return H, cfg, ref / np.linalg.norm(ref, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("amplitudes, blocks", [
+    ({0: 1.0}, [5, 5]),                        # |g,0>: the two parity blocks
+    ({0: 0.6, 1: 0.8j}, [10])])                # |g,0> + |g,1> mixes the sectors
+def test_master_records_fidelity_of_the_stored_states(amplitudes, blocks):
+    space = HilbertSpace(1, 5)
+    times = np.linspace(0.0, 0.3 * NS, 7)
+    H, cfg, ref = reference_run(space, times, seed=3)
+    v = np.zeros(space.dim, dtype=complex)
+    v[list(amplitudes)] = list(amplitudes.values())
+    traj = evolve_master(H, loss_dissipators(SYS, space), PureState(space, v).density_matrix(),
+                         times, cfg, store_states=True, reference=ref)
+    assert traj.diagnostics["blocks"] == blocks
+    recorded = traj.observables["fidelity"]
+    assert tuple(traj.observables) == DEFAULT_OBSERVABLES + ("fidelity",)
+    assert np.max(np.abs(recorded - fidelity(ref, traj.states))) <= 1e-14
+    assert np.ptp(recorded) > 1e-2            # the references differ per sample
+
+
+def test_schrodinger_records_fidelity_of_the_stored_states():
+    space = HilbertSpace(1, 5)
+    times = np.linspace(0.0, 0.3 * NS, 7)
+    H, cfg, ref = reference_run(space, times, seed=4)
+    traj = evolve_schrodinger(H, basis_state(space, "g", 0), times, cfg, reference=ref)
+    assert traj.diagnostics["blocks"] == [5]
+    assert np.max(np.abs(traj.observables["fidelity"] - fidelity(ref, traj.states))) <= 1e-14
+    assert "fidelity" not in evolve_schrodinger(H, basis_state(space, "g", 0), times,
+                                                cfg).observables
+
+
+@pytest.mark.parametrize("shape", [(6, 10), (7, 9), (7, 10, 10), (10,)])
+def test_reference_of_wrong_shape_is_rejected_before_compute(shape, monkeypatch):
+    import modrabi.dynamics as dynamics
+
+    def no_compute(*args):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(dynamics, "_propagate", no_compute)
+    monkeypatch.setattr(dynamics, "_lindblad", no_compute)
+    space = HilbertSpace(1, 5)
+    times = np.linspace(0.0, 0.3 * NS, 7)
+    H, cfg, _ = reference_run(space, times, seed=5)
+    psi0 = basis_state(space, "g", 0)
+    bad = np.ones(shape, dtype=complex)
+    with pytest.raises(ValidationError, match="reference"):
+        evolve_schrodinger(H, psi0, times, cfg, reference=bad)
+    with pytest.raises(ValidationError, match="reference"):
+        evolve_master(H, [], psi0.density_matrix(), times, cfg, reference=bad)
 
 
 @pytest.mark.parametrize("stack", [7, 4])       # 4 == d: a square (T, d) stack
@@ -385,11 +440,9 @@ def test_frame_consistency_lab_vs_rotated():
     assert np.max(np.abs(fp.unitary_diag(0.0) - 1.0)) < 1e-15
 
     psi_lab = evolve_schrodinger(lab, psi0, times,
-                                 IntegratorConfig(method="fixed_rk4", dt=6e-14),
-                                 store_states=True).states[-1]
+                                 IntegratorConfig(method="fixed_rk4", dt=6e-14)).states[-1]
     psi_rot = evolve_schrodinger(rot, psi0, times,
-                                 IntegratorConfig(method="fixed_rk4", dt=6e-14),
-                                 store_states=True).states[-1]
+                                 IntegratorConfig(method="fixed_rk4", dt=6e-14)).states[-1]
     back = fp.unitary_diag(t_end).conj() * psi_lab
     assert np.linalg.norm(back - psi_rot) < 1e-6
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modrabi.bessel import bessel_j
-from modrabi.errors import UnreachableTargetError
+from modrabi.errors import UnreachableTargetError, ValidationError
 from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 SystemParams, amplitudes_for_coupling,
                                 coupling_ratio, detunings, drive_for_detunings,
@@ -31,6 +32,17 @@ FIG_SETS = {
     "ratio_1p0": (drive_set(7.558, 5.422), 42.03, 1.0),
     "ratio_1p2": (drive_set(7.565, 5.427), 35.03, 1.2),
 }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("params, field", [
+    (SYS, "epsilon"), (SYS, "omega"), (SYS, "g"), (SYS, "kappa"), (SYS, "gamma"),
+    (FIG_SETS["ratio_0p05"][0], "omega1"), (FIG_SETS["ratio_0p05"][0], "omega2"),
+    (FIG_SETS["ratio_0p05"][0], "eta1"), (FIG_SETS["ratio_0p05"][0], "eta2"),
+    (FIG_SETS["ratio_0p05"][0], "phi1"), (FIG_SETS["ratio_0p05"][0], "phi2")])
+def test_parameters_must_be_finite(params, field, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        replace(params, **{field: value})
 
 
 def test_red_sideband_resonance_is_exact():

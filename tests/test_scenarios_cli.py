@@ -109,6 +109,24 @@ def test_run_simulation_writes_only_stored_samples(model):
         assert res.rows[0][3] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dissipative_comparison_keeps_no_density_matrices():
+    import tracemalloc
+    scn = parse_scenario(small_doc(dissipation=True, fock_cutoff=20,
+                                   grid={"t_end_ns": 0.5, "samples": 401}))
+    stack_bytes = scn.samples * (2 * scn.fock_cutoff) ** 2 * 16     # one (T, d, d) stack
+    tracemalloc.start()
+    try:
+        res = run_simulation(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.exact.states is None
+    assert res.effective.states.shape == (401, 40)
+    assert peak < stack_bytes
+    assert res.header[3] == "fidelity"
+    assert res.rows[0][3] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_sweep_values_and_manifest():
     doc = small_doc(model="effective")
     manifest, header, rows = run_sweep(doc, "drive.eta2", [0.0, 0.3, 0.6],
@@ -173,6 +191,31 @@ def test_apply_sweep_value_replaces_amplitude_spec():
     assert "amp2_ghz" not in out["drive"]
     out2 = apply_sweep_value(doc, "fock_cutoff", 12.2)
     assert out2["fock_cutoff"] == 12
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_sweep_non_finite_value_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "swp"
+    assert main(["sweep", "fig5", "--param", "fock_cutoff", "--from", value, "--to", "10",
+                 "--points", "2", "--threads", "1", "-o", str(out)]) == 2
+    assert "fock_cutoff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_of_a_field_the_base_document_lacks(tmp_path):
+    # every point sets drive.eta2, so the document without it is never parsed alone
+    doc, _ = load_scenario_document("fig5")
+    del doc["drive"]["eta2"]
+    doc["grid"] = {"t_end_ns": 2.0, "samples": 11}
+    scn_file = tmp_path / "no_eta2.json"
+    scn_file.write_text(json.dumps(doc))
+    out = tmp_path / "swp"
+    assert main(["sweep", str(scn_file), "--param", "drive.eta2", "--from", "0",
+                 "--to", "0.6", "--points", "2", "--threads", "1", "-o", str(out)]) == 0
+    header, rows = read_csv(out / "sweep.csv")
+    assert header == ["sweep_value", "time_s", "sigma_pop", "photon_number"]
+    assert len(rows) == 22
+    assert json.loads((out / "manifest.json").read_text())["highlight"] == doc["highlight"]
 
 
 def test_cli_sweep_amplitude_in_the_other_spelling(tmp_path):
@@ -381,6 +424,15 @@ def test_cli_negative_values_in_exponent_notation(capsys):
 
 def test_cli_design_unreachable_exit_code(capsys):
     assert main(["design", "--lambda", "1", "--gr-mhz", "100"]) == 4
+    assert main(["design", "--lambda", "1", "--gr-mhz", "nan"]) == 4
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon-ghz", "nan"), ("--g-mhz", "nan"),
+                                         ("--delta1-mhz", "nan"), ("--kappa-mhz", "inf")])
+def test_cli_design_non_finite_value_exits_2(flag, value, capsys):
+    assert main(["design", "--lambda", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
 
 
 def test_design_at_coupling_null_is_unreachable(tmp_path, capsys):

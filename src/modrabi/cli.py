@@ -190,6 +190,9 @@ def cmd_sweep(args) -> int:
     doc, name = load_scenario_document(args.scenario)
     if args.points < 2:
         raise ValidationError("--points must be >= 2")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ValidationError(f"{args.param}: --from and --to must be finite, "
+                              f"got {args.start} and {args.stop}")
     values = np.linspace(args.start, args.stop, args.points).tolist()
     manifest, header, rows = run_sweep(doc, args.param, values,
                                        name=f"{name}_{args.param.replace('.', '_')}",

@@ -297,7 +297,7 @@ def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
         return scn.integrator
     if side == "exact":
         # multi-GHz phases: uniform small steps beat adaptivity
-        return IntegratorConfig(method="fixed_rk4")
+        return IntegratorConfig(method="fixed_dp5")
     return IntegratorConfig()
 
 

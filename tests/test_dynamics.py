@@ -6,9 +6,9 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from modrabi.dynamics import (DEFAULT_OBSERVABLES, Dissipator, IntegratorConfig,
-                              _csr_kernel, _Generator, _lindblad, _ObservableSet,
-                              dissipator_frame_defect, evolve_master,
+from modrabi.dynamics import (DEFAULT_OBSERVABLES, DP5, RK4, Dissipator,
+                              IntegratorConfig, _csr_kernel, _Generator, _lindblad,
+                              _ObservableSet, dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -241,7 +241,7 @@ def test_cutoff_margin_reports_largest_top_population():
 
 
 def test_every_run_records_the_fixed_observables_and_cutoff_margin():
-    # one run on each path: spectral, fixed RK4 and adaptive; psi and rho
+    # one run on each path: spectral, fixed RK4, fixed DP5 and adaptive; psi and rho
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     static = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
@@ -250,10 +250,13 @@ def test_every_run_records_the_fixed_observables_and_cutoff_margin():
     dt = H.descriptor["suggested_dt"]
     times = np.linspace(0.0, 20 * dt, 5)
     fixed = IntegratorConfig(method="fixed_rk4", dt=dt)
+    dp5 = IntegratorConfig(method="fixed_dp5")
     runs = [("spectral", evolve_schrodinger(static, psi0, times)),
             ("fixed_rk4", evolve_schrodinger(H, psi0, times, fixed)),
+            ("fixed_dp5", evolve_schrodinger(H, psi0, times, dp5)),
             ("adaptive", evolve_schrodinger(H, psi0, times)),
             ("fixed_rk4", evolve_master(H, loss_dissipators(SYS, space), rho0, times, fixed)),
+            ("fixed_dp5", evolve_master(H, loss_dissipators(SYS, space), rho0, times, dp5)),
             ("adaptive", evolve_master(H, loss_dissipators(SYS, space), rho0, times))]
     for method, traj in runs:
         diag = traj.diagnostics
@@ -612,7 +615,25 @@ def dense_rotated_frame(sys, drive, space):
     return h
 
 
-def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
+def dense_rk4(f, y, times, dt):
+    """Classical RK4 on dense arrays at steps <= dt; the state at each of
+    times[1:]."""
+    out = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n = math.ceil((t1 - t0) / dt)
+        step = (t1 - t0) / n
+        for k in range(n):
+            t = t0 + k * step
+            k1 = f(t, y)
+            k2 = f(t + step / 2, y + step / 2 * k1)
+            k3 = f(t + step / 2, y + step / 2 * k2)
+            k4 = f(t + step, y + step * k3)
+            y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return out
+
+
+def master_matches_dense_rk4_at_half_step(method):
     scn = load_scenario("fig2a")
     sys, drive = scn.system, scn.drive
     space = HilbertSpace(1, scn.fock_cutoff)
@@ -623,7 +644,7 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
     v[[1, space.fock_cutoff + 2]] = [0.6, 0.8j]       # |e,1> and |g,2>
     rho0 = PureState(space, v).density_matrix()
     traj = evolve_master(H, loss_dissipators(sys, space), rho0, times,
-                         IntegratorConfig(method="fixed_rk4"), store_states=True)
+                         IntegratorConfig(method=method), store_states=True)
     assert traj.diagnostics["blocks"] == [space.dim // 2] * 2
 
     h = dense_rotated_frame(sys, drive, space)
@@ -638,26 +659,14 @@ def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
             out += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
         return out
 
-    rho = rho0.matrix.copy()
-    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
-        n = math.ceil((t1 - t0) / (dt / 2))
-        step = (t1 - t0) / n
-        for k in range(n):
-            t = t0 + k * step
-            k1 = f(t, rho)
-            k2 = f(t + step / 2, rho + step / 2 * k1)
-            k3 = f(t + step / 2, rho + step / 2 * k2)
-            k4 = f(t + step, rho + step * k3)
-            rho = rho + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    oracle = dense_rk4(f, rho0.matrix, times, dt / 2)
+    for i, rho in enumerate(oracle, start=1):
         assert np.max(np.abs(traj.states[i] - rho)) <= 1e-6
     # the slice is long enough for the state to move well past the tolerance
-    assert np.max(np.abs(rho - rho0.matrix)) > 1e-2
+    assert np.max(np.abs(oracle[-1] - rho0.matrix)) > 1e-2
 
 
-@pytest.mark.parametrize("initial", ["vac_g", "vac_e", "mixed"])
-def test_fixed_rk4_schrodinger_matches_dense_rk4_at_half_step(initial):
-    """A vacuum carries its parity sector alone, with the stored states exactly
-    0 outside it; a psi0 that mixes the sectors is the full-space run."""
+def schrodinger_matches_dense_rk4_at_half_step(method, initial):
     scn = load_scenario("fig2a")
     sys, drive = scn.system, scn.drive
     space = HilbertSpace(1, scn.fock_cutoff)
@@ -667,7 +676,7 @@ def test_fixed_rk4_schrodinger_matches_dense_rk4_at_half_step(initial):
     g0, e0 = (basis_state(space, q, 0).amplitudes for q in "ge")
     v = {"vac_g": g0, "vac_e": e0, "mixed": 0.6 * g0 + 0.8j * e0}[initial]
     psi0 = PureState(space, v)
-    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="fixed_rk4"))
+    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method=method))
     if initial == "mixed":
         assert traj.diagnostics["blocks"] == [space.dim]
     else:
@@ -676,24 +685,136 @@ def test_fixed_rk4_schrodinger_matches_dense_rk4_at_half_step(initial):
         assert not np.any(np.delete(traj.states, sector, axis=1))
 
     h = dense_rotated_frame(sys, drive, space)
-
-    def f(t, psi):
-        return -1j * (h(t) @ psi)
-
-    psi = psi0.amplitudes.copy()
-    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
-        n = math.ceil((t1 - t0) / (dt / 2))
-        step = (t1 - t0) / n
-        for k in range(n):
-            t = t0 + k * step
-            k1 = f(t, psi)
-            k2 = f(t + step / 2, psi + step / 2 * k1)
-            k3 = f(t + step / 2, psi + step / 2 * k2)
-            k4 = f(t + step, psi + step * k3)
-            psi = psi + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    oracle = dense_rk4(lambda t, psi: -1j * (h(t) @ psi), psi0.amplitudes, times, dt / 2)
+    for i, psi in enumerate(oracle, start=1):
         assert np.max(np.abs(traj.states[i] - psi)) <= 1e-6
     # the slice is long enough for the state to move well past the tolerance
-    assert np.max(np.abs(psi - psi0.amplitudes)) > 1e-2
+    assert np.max(np.abs(oracle[-1] - psi0.amplitudes)) > 1e-2
+
+
+def test_fixed_rk4_master_matches_dense_rk4_at_half_step():
+    master_matches_dense_rk4_at_half_step("fixed_rk4")
+
+
+def test_fixed_dp5_master_matches_dense_rk4_at_half_step():
+    master_matches_dense_rk4_at_half_step("fixed_dp5")
+
+
+@pytest.mark.parametrize("initial", ["vac_g", "vac_e", "mixed"])
+def test_fixed_rk4_schrodinger_matches_dense_rk4_at_half_step(initial):
+    """A vacuum carries its parity sector alone, with the stored states exactly
+    0 outside it; a psi0 that mixes the sectors is the full-space run."""
+    schrodinger_matches_dense_rk4_at_half_step("fixed_rk4", initial)
+
+
+@pytest.mark.parametrize("initial", ["vac_g", "vac_e", "mixed"])
+def test_fixed_dp5_schrodinger_matches_dense_rk4_at_half_step(initial):
+    schrodinger_matches_dense_rk4_at_half_step("fixed_dp5", initial)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig3d"])
+def test_dp5_at_its_default_step_is_no_less_accurate_than_rk4(name):
+    """Over the first 2 ns of the grid, DP5 at 2.5 suggested_dt lies no
+    farther from RK4 at suggested_dt / 4 than RK4 at suggested_dt does, for
+    the state vector and for the Lindblad run."""
+    scn = load_scenario(name)
+    space = HilbertSpace(1, scn.fock_cutoff)
+    H = rotated_hamiltonian(scn.system, scn.drive, space)
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, scn.t_end, scn.samples)
+    times = times[times <= 2 * NS]
+    psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
+    channels = loss_dissipators(scn.system, space)
+    runs = [lambda cfg: evolve_schrodinger(H, psi0, times, cfg).states,
+            lambda cfg: evolve_master(H, channels, psi0.density_matrix(), times, cfg,
+                                      store_states=True).states]
+    for run in runs:
+        oracle = run(IntegratorConfig(method="fixed_rk4", dt=dt / 4))
+        rk4 = np.max(np.abs(run(IntegratorConfig(method="fixed_rk4", dt=dt)) - oracle))
+        dp5 = np.max(np.abs(run(IntegratorConfig(method="fixed_dp5")) - oracle))
+        assert dp5 <= rk4
+
+
+def test_tableaus_match_scipy_and_satisfy_the_order_conditions():
+    from scipy.integrate._ivp.rk import RK45
+    # DP5 is scipy's RK45 written out: six stages, the FSAL seventh at the new y
+    a = np.zeros((7, 7))
+    for i, row in enumerate(DP5.a):
+        a[i, :len(row)] = row
+    assert np.array_equal(a[:6, :5], RK45.A) and np.array_equal(DP5.b[:6], RK45.B)
+    assert np.array_equal(a[6, :6], RK45.B) and DP5.b[6] == 0.0
+    assert np.array_equal(DP5.c[:6], RK45.C) and DP5.c[6] == 1.0
+    assert np.array_equal(DP5.e, RK45.E)
+    assert RK4.e is None and DP5.step == 2.5 and RK4.step == 1.0
+    # Butcher's conditions: RK4 and DP5's embedded b - e to fourth order, DP5 to fifth
+    for tab, b, order in [(RK4, np.array(RK4.b), 4), (DP5, np.array(DP5.b), 5),
+                          (DP5, np.array(DP5.b) - np.array(DP5.e), 4)]:
+        s = len(tab.b)
+        a = np.zeros((s, s))
+        for i, row in enumerate(tab.a):
+            a[i, :len(row)] = row
+        c = np.array(tab.c)
+        assert np.allclose(a.sum(axis=1), c, rtol=0, atol=1e-14)
+        conditions = [(b.sum(), 1), (b @ c, 1 / 2), (b @ c**2, 1 / 3), (b @ a @ c, 1 / 6),
+                      (b @ c**3, 1 / 4), (b @ (c * (a @ c)), 1 / 8),
+                      (b @ a @ c**2, 1 / 12), (b @ a @ a @ c, 1 / 24)]
+        if order == 5:
+            conditions += [(b @ c**4, 1 / 5), (b @ (c**2 * (a @ c)), 1 / 10),
+                           (b @ (c * (a @ c**2)), 1 / 15), (b @ (c * (a @ a @ c)), 1 / 30),
+                           (b @ (a @ c) ** 2, 1 / 20), (b @ a @ c**3, 1 / 20),
+                           (b @ a @ (c * (a @ c)), 1 / 40), (b @ a @ a @ c**2, 1 / 60),
+                           (b @ a @ a @ a @ c, 1 / 120)]
+        for got, want in conditions:
+            assert got == pytest.approx(want, rel=1e-13)
+    # the embedded fourth-order solution is not fifth order
+    b4 = np.array(DP5.b) - np.array(DP5.e)
+    assert abs(b4 @ np.array(DP5.c) ** 4 - 1 / 5) > 1e-4
+
+
+def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
+    space = HilbertSpace(1, 4)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    channels = loss_dissipators(SYS, space)
+    psi0 = basis_state(space, "g", 0)
+    dt = H.descriptor["suggested_dt"]
+    # 4 intervals of 3.5 steps each: 4 steps per interval, 16 in all
+    for method, step in (("fixed_rk4", dt), ("fixed_dp5", 2.5 * dt)):
+        times = np.linspace(0.0, 4 * 3.5 * step, 5)
+        want = {"fixed_rk4": 4 * 16, "fixed_dp5": 6 * 16 + 4}[method]
+        for cfg in (IntegratorConfig(method=method), IntegratorConfig(method=method, dt=step)):
+            assert evolve_schrodinger(H, psi0, times, cfg).diagnostics["rhs_evals"] == want
+            assert evolve_master(H, channels, psi0.density_matrix(), times,
+                                 cfg).diagnostics["rhs_evals"] == want
+
+
+def test_only_dp5_runs_report_the_embedded_step_error():
+    space = HilbertSpace(1, 6)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    static = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
+    psi0 = basis_state(space, "g", 0)
+    dt = H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 0.2 * NS, 5)
+    rho0, channels = psi0.density_matrix(), loss_dissipators(SYS, space)
+    for method in ("fixed_rk4", "adaptive"):
+        cfg = IntegratorConfig(method=method)
+        for traj in (evolve_schrodinger(H, psi0, times, cfg),
+                     evolve_master(H, channels, rho0, times, cfg)):
+            assert traj.diagnostics["step_error_max"] is None
+            assert traj.diagnostics["step_error_sum"] is None
+    spectral = evolve_schrodinger(static, psi0, times).diagnostics
+    assert spectral["method"] == "spectral" and spectral["step_error_max"] is None
+
+    def estimates(step):
+        cfg = IntegratorConfig(method="fixed_dp5", dt=step)
+        return [(traj.diagnostics["step_error_max"], traj.diagnostics["step_error_sum"])
+                for traj in (evolve_schrodinger(H, psi0, times, cfg),
+                             evolve_master(H, channels, rho0, times, cfg))]
+    coarse, fine = estimates(2.5 * dt), estimates(1.25 * dt)
+    assert estimates(2.5 * dt) == coarse                 # deterministic
+    for (big, total), (small, _) in zip(coarse, fine):
+        assert type(big) is float and 0.0 < big <= total
+        # the embedded estimate is a local error of order h^5
+        assert 16 < big / small < 64
 
 
 # ---------------------------------------------------------------------------

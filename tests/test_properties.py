@@ -59,7 +59,8 @@ def _parity_jump(space, kind):
 @settings(max_examples=30)
 @given(n_qubits=st.integers(1, 2), fock=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(["sm", "a", "sz", "n", *MIXING_JUMPS]), max_size=3),
-       parity_start=st.booleans(), method=st.sampled_from(["fixed_rk4", "adaptive"]))
+       parity_start=st.booleans(),
+       method=st.sampled_from(["fixed_rk4", "fixed_dp5", "adaptive"]))
 def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, parity_start,
                                                 method):
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,8 +197,10 @@ def test_apply_sweep_value_replaces_amplitude_spec():
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_sweep_non_finite_value_exits_2(value, tmp_path, capsys):
     out = tmp_path / "swp"
-    assert main(["sweep", "fig5", "--param", "fock_cutoff", "--from", value, "--to", "10",
-                 "--points", "2", "--threads", "1", "-o", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)    # rejected before any arithmetic
+        assert main(["sweep", "fig5", "--param", "fock_cutoff", "--from", value, "--to", "10",
+                     "--points", "2", "--threads", "1", "-o", str(out)]) == 2
     assert "fock_cutoff" in capsys.readouterr().err
     assert not out.exists()
 
@@ -296,7 +299,7 @@ def test_cli_simulate_writes_outputs(tmp_path):
         pytest.approx(0.05, rel=1e-2)
     assert manifest["resolved"]["validity"]["ok"] is True
     # the static lossless reference is solved by one eigendecomposition
-    assert manifest["diagnostics"]["exact"]["method"] == "fixed_rk4"
+    assert manifest["diagnostics"]["exact"]["method"] == "fixed_dp5"
     assert manifest["diagnostics"]["effective"]["method"] == "spectral"
 
 
@@ -312,6 +315,20 @@ def test_cli_simulate_is_deterministic(tmp_path):
     man_a = (tmp_path / "a" / "manifest.json").read_bytes()
     man_b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert man_a == man_b
+
+
+def test_cli_simulate_manifest_carries_the_dp5_step_error(tmp_path):
+    scn_file = tmp_path / "small.json"
+    scn_file.write_text(json.dumps(small_doc()))
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "a")]) == 0
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "b")]) == 0
+    man_a = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert man_a == (tmp_path / "b" / "manifest.json").read_bytes()
+    diagnostics = json.loads(man_a)["diagnostics"]
+    exact, effective = diagnostics["exact"], diagnostics["effective"]
+    assert exact["method"] == "fixed_dp5"
+    assert 0.0 < exact["step_error_max"] <= exact["step_error_sum"] < 1e-3
+    assert effective["step_error_max"] is None and effective["step_error_sum"] is None
 
 
 def test_cli_simulate_validation_exit_code(tmp_path):

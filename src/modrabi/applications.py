@@ -150,6 +150,7 @@ CNOT_CONTROL_FIRST = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                                [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT_CONTROL_SECOND = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                                 [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
+CNOT_TOL = 1e-9     # largest residual cnot_equivalence_check calls equivalent
 
 # Single-qubit frame changes that carry the Jx^2 gate at theta = pi/4 onto a
 # controlled-not; found by direct construction in the sigma_x eigenbasis.
@@ -203,7 +204,7 @@ class CnotEquivalence:
     residuals: dict
 
 
-def cnot_equivalence_check(gate: np.ndarray, tol: float = 1e-9,
+def cnot_equivalence_check(gate: np.ndarray,
                            locals_pre: tuple[np.ndarray, np.ndarray] | None = None,
                            locals_post: tuple[np.ndarray, np.ndarray] | None = None,
                            ) -> CnotEquivalence:
@@ -213,7 +214,7 @@ def cnot_equivalence_check(gate: np.ndarray, tol: float = 1e-9,
     controlled-not.  Both control assignments are tried, since the local set
     does not fix which qubit is the control.  The residual is the max
     entrywise modulus after removing one global phase (anchored at the
-    largest entry).
+    largest entry); the gate is equivalent when it is below CNOT_TOL.
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
@@ -230,6 +231,6 @@ def cnot_equivalence_check(gate: np.ndarray, tol: float = 1e-9,
         fixed = _strip_global_phase(dressed, target)
         residuals[name] = float(np.max(np.abs(fixed - target)))
     best = min(residuals, key=residuals.get)
-    ok = residuals[best] < tol
+    ok = residuals[best] < CNOT_TOL
     return CnotEquivalence(equivalent=ok, residual=residuals[best],
                            ordering=best if ok else None, residuals=residuals)

@@ -230,6 +230,8 @@ def cmd_applications_cat(args) -> int:
                               f"got {args.omega_mhz}")
     if args.samples < 1:
         raise ValidationError(f"--samples: must be >= 1, got {args.samples}")
+    if args.fock_cutoff < 2:
+        raise ValidationError(f"--fock-cutoff: must be >= 2, got {args.fock_cutoff}")
     omega_eff = args.omega_mhz * MHZ
     g_eff = args.g_ratio * omega_eff
     t_end = args.time_ns * NS if args.time_ns is not None else math.pi / omega_eff

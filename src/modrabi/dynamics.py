@@ -2,15 +2,15 @@
 
 Both equations run through one propagation loop over arrays; a state vector
 is the (n,) case and a density matrix a stack of diagonal blocks.  A
-Schrodinger run keeps its stored states, one (T, d) array; a Lindblad run
-keeps its (T, d, d) stack only when asked (`store_states`).  The loop takes
+Schrodinger run keeps its states, one (T, d) array; a Lindblad run keeps
+its (T, d, d) stack only when asked (`store_states`).  The loop takes
 fixed steps of one Runge-Kutta stepper driven by a Butcher tableau, either
 Dormand-Prince 5(4) (`fixed_dp5`, the exact-frame default) or classical RK4
 (`fixed_rk4`, the oracle), or hands the flow to scipy's `solve_ivp` with
 DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive`
 with a static Hamiltonian skips the loop: one eigendecomposition
 H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at
-every stored sample, and the run reports method "spectral".  The Lindblad
+every time of the grid, and the run reports method "spectral".  The Lindblad
 right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
@@ -54,11 +54,11 @@ the sizes of the blocks it carried (`blocks`).
 
 Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
 reports `cutoff_ok`: whether the top-Fock population stayed below
-`CUTOFF_POP_LIMIT`.  A run handed `reference` vectors, one per stored
-sample, also records `fidelity`: |<ref|psi>|^2, or <ref|rho|ref> taken
-block by block as each sample is stored, so comparing a Lindblad run with
+`CUTOFF_POP_LIMIT`.  A run handed `reference` vectors, one per time of
+the grid, also records `fidelity`: |<ref|psi>|^2, or <ref|rho|ref> taken
+block by block as each sample is recorded, so comparing a Lindblad run with
 a reference keeps no density matrices.  Hermiticity is restored by
-rho <- (rho + rho+)/2 at stored steps only, never inside the stepper, so an
+rho <- (rho + rho+)/2 at the samples only, never inside the stepper, so an
 integrator bug cannot hide behind symmetrization; the largest
 max |rho - rho+| removed there is reported as `herm_defect`.  Positivity
 is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
@@ -105,7 +105,7 @@ DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_foc
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """How a run is propagated and which samples it stores.
+    """How a run is propagated.
 
     `adaptive` (the default) integrates with DOP853 at `rtol`/`atol`; a
     Schrodinger run under a static Hamiltonian (no coupling terms) is
@@ -121,7 +121,6 @@ class IntegratorConfig:
     dt: float | None = None          # fixed-step target; default from the Hamiltonian
     rtol: float = 1e-10
     atol: float = 1e-12
-    store_every: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -130,8 +129,6 @@ class IntegratorConfig:
             raise ValidationError("dt must be finite and > 0")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValidationError("rtol and atol must be finite and > 0")
-        if self.store_every < 1:
-            raise ValidationError("store_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,8 @@ def loss_dissipators(sys: SystemParams, space: HilbertSpace) -> list[Dissipator]
 
 @dataclass
 class Trajectory:
-    """Stored grid, named real observable series, and the stored states: None,
-    (T, d) normalized vectors or (T, d, d) symmetrized density matrices."""
+    """Time grid, named real observable series, and the states at its times:
+    None, (T, d) normalized vectors or (T, d, d) symmetrized density matrices."""
 
     times: np.ndarray
     observables: dict[str, np.ndarray]
@@ -180,7 +177,7 @@ _DIAGONAL_WEIGHTS = {    # series -> its operator's diagonal in the product basi
 
 
 class _ObservableSet:
-    """The DEFAULT_OBSERVABLES series over the stored samples of one run.
+    """The DEFAULT_OBSERVABLES series over the samples of one run.
 
     Every series but the purity is <M> for an M diagonal in the product
     basis, so they are one (K, d) weight matrix applied to |psi|^2 or
@@ -459,29 +456,26 @@ def _pick_dt(cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> float:
     return TABLEAUS[cfg.method].step * dt
 
 
-def _check_reference(reference: np.ndarray | None, shape: tuple):
-    if reference is not None and np.shape(reference) != shape:
-        raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
-                              f"one vector per stored sample, {shape}")
-
-
-def _check_grid(times: np.ndarray) -> np.ndarray:
+def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("time grid must contain at least two points")
     if np.any(np.diff(times) <= 0):
         raise ValidationError("time grid must be strictly increasing")
+    if reference is not None and np.shape(reference) != (times.size, dim):
+        raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
+                              f"one vector per time of the grid, {(times.size, dim)}")
     return times
 
 
 def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
                times: np.ndarray, cfg: IntegratorConfig, record) -> dict:
-    """Carry y0 over the grid, handing each stored sample i to record(i, y);
+    """Carry y0 over the grid, handing the state at each time i to record(i, y);
     returns the diagnostics `rhs_evals`, `step_error_max` and
     `step_error_sum` (None but for a tableau with an embedded pair).
 
     The fixed-step stepper continues from what record returns, so a state
-    symmetrized at a stored step is the one propagated further.
+    symmetrized at a sample is the one propagated further.
     """
     if cfg.method in TABLEAUS:
         dt = _pick_dt(cfg, H)
@@ -490,8 +484,7 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
         evals = 0
         for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
             evals += stepper.advance(t0, y, t1, dt)
-            if k % cfg.store_every == 0:
-                y = record(k // cfg.store_every, y)
+            y = record(k, y)
         return {"rhs_evals": evals, "step_error_max": stepper.error_max,
                 "step_error_sum": stepper.error_sum}
 
@@ -500,9 +493,8 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
         flow.rhs(t, flat.reshape(y0.shape), out)
         return out.reshape(-1)
 
-    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1),
-                    method="DOP853",
-                    t_eval=times[::cfg.store_every], rtol=cfg.rtol, atol=cfg.atol)
+    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="DOP853",
+                    t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         raise NumericsError(f"adaptive integration failed: {sol.message}")
     for i in range(sol.y.shape[1]):
@@ -536,20 +528,18 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
 
     The run keeps its normalized states, one (T, d) array.  When H keeps the
     parity sector that holds psi0, the run carries that sector alone and the
-    stored states are exactly 0 outside it.  Under `adaptive`, a static H
+    states are exactly 0 outside it.  Under `adaptive`, a static H
     (no coupling terms) is propagated exactly by one eigendecomposition and
-    must be Hermitian.  Given `reference`, one vector per stored sample, the
-    run also records `fidelity`, |<ref|psi>|^2.
+    must be Hermitian.  Given `reference`, one vector per time of the grid,
+    the run also records `fidelity`, |<ref|psi>|^2.
     """
     if psi0.space != H.space:
         raise ValidationError("initial state and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
-    times = _check_grid(times)
-    stored_t = times[::cfg.store_every]
-    _check_reference(reference, (len(stored_t), H.space.dim))
+    times = _check_grid(times, reference, H.space.dim)
     [order] = _parity_blocks(_Generator(H), (), psi0.amplitudes, H.space)
-    obs = _ObservableSet(H.space, len(stored_t), order)
-    states = np.zeros((len(stored_t), H.space.dim), complex)
+    obs = _ObservableSet(H.space, len(times), order)
+    states = np.zeros((len(times), H.space.dim), complex)
     norm_drift = 0.0
 
     def record(i, psi):
@@ -563,7 +553,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     psi0_sector = psi0.amplitudes[order]
     spectral = cfg.method == "adaptive" and not H.terms
     if spectral:
-        _spectral(H.static, order, psi0_sector, stored_t, record)
+        _spectral(H.static, order, psi0_sector, times, record)
         stats = {"rhs_evals": 0, "step_error_max": None, "step_error_sum": None}
     else:
         generator = _Generator(H, order=order)
@@ -571,8 +561,8 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         stats = _propagate(H, flow, psi0_sector, times, cfg, record)
     if reference is not None:
         obs.series["fidelity"] = fidelity(reference, states)
-    return Trajectory(times=stored_t, observables=obs.series, states=states,
-                      diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(stored_t),
+    return Trajectory(times=times, observables=obs.series, states=states,
+                      diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(times),
                                    "method": "spectral" if spectral else cfg.method,
                                    **stats, "blocks": [order.size]})
 
@@ -659,8 +649,8 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     eigenvalue of rho falls below POSITIVITY_FLOOR or its trace leaves 1 by
     more than TRACE_TOL.
 
-    The (T, d, d) stack of stored rho is kept only with `store_states`.
-    Given `reference`, one vector per stored sample, the run records
+    The (T, d, d) stack of rho at the times of the grid is kept only with
+    `store_states`.  Given `reference`, one vector per time, the run records
     `fidelity`, <ref|rho|ref>, as it goes: the sum over the blocks it
     carries of <ref_s|rho_s|ref_s>.
     """
@@ -670,16 +660,14 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         if d.jump.space != H.space:
             raise ValidationError("dissipator and Hamiltonian spaces differ")
     cfg = cfg or IntegratorConfig()
-    times = _check_grid(times)
-    stored_t = times[::cfg.store_every]
-    _check_reference(reference, (len(stored_t), H.space.dim))
+    times = _check_grid(times, reference, H.space.dim)
     active = [d for d in dissipators if d.rate != 0.0]
     flow, layout = _lindblad(H, active, rho0.matrix)
     rows = layout[:, :, 0] // H.space.dim       # basis state of each row, (S, N)
-    obs = _ObservableSet(H.space, len(stored_t), rows.reshape(-1))
+    obs = _ObservableSet(H.space, len(times), rows.reshape(-1))
     if reference is not None:
-        obs.series["fidelity"] = np.empty(len(stored_t))
-    states = np.zeros((len(stored_t), *rho0.matrix.shape), complex) if store_states else None
+        obs.series["fidelity"] = np.empty(len(times))
+    states = np.zeros((len(times), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
     min_eig, min_eig_time = math.inf, None
     herm_defect = 0.0
@@ -691,17 +679,17 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         rho = 0.5 * (rho + rho_h)
         lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
         if lo < min_eig:
-            min_eig, min_eig_time = lo, float(stored_t[i])
+            min_eig, min_eig_time = lo, float(times[i])
         if lo < POSITIVITY_FLOOR:
             raise NumericsError(
-                f"density matrix lost positivity at t = {stored_t[i]:.6g}",
-                diagnostics={"time": float(stored_t[i]), "min_eigenvalue": lo,
+                f"density matrix lost positivity at t = {times[i]:.6g}",
+                diagnostics={"time": float(times[i]), "min_eigenvalue": lo,
                              "positivity_floor": POSITIVITY_FLOOR})
         trace = float(np.real(np.trace(rho, axis1=1, axis2=2).sum()))
         if abs(trace - 1.0) > TRACE_TOL:
             raise NumericsError(
-                f"density matrix trace drifted to {trace:.9g} at t = {stored_t[i]:.6g}",
-                diagnostics={"time": float(stored_t[i]), "trace": trace,
+                f"density matrix trace drifted to {trace:.9g} at t = {times[i]:.6g}",
+                diagnostics={"time": float(times[i]), "trace": trace,
                              "trace_tol": TRACE_TOL})
         trace_drift = max(trace_drift, abs(trace - 1.0))
         obs.from_blocks(i, rho)
@@ -712,11 +700,11 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         return rho
 
     stats = _propagate(H, flow, rho0.matrix.reshape(-1)[layout], times, cfg, record)
-    return Trajectory(times=stored_t, observables=obs.series, states=states,
+    return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "min_eigenvalue_time": min_eig_time,
                                    "herm_defect": herm_defect,
-                                   **obs.cutoff_report(stored_t), "method": cfg.method,
+                                   **obs.cutoff_report(times), "method": cfg.method,
                                    **stats,
                                    "blocks": [layout.shape[1]] * layout.shape[0]})
 

@@ -295,20 +295,16 @@ def model(kind: str, eff: EffectiveParams,
     return replace(H, descriptor={**H.descriptor, "kind": kind})
 
 
-def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
-                      interaction_picture: bool = True) -> TimeDependentHamiltonian:
-    """Collective-qubit generalization with J+- in place of sigma+-.
+def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace) -> TimeDependentHamiltonian:
+    """Interaction-picture collective-qubit model: J+- in place of sigma+-.
 
     All qubits share the transition frequency and see the same two-tone
-    drive.  With interaction_picture=True the effective frequencies appear as
-    explicit phase factors exp(-i(delta1 t + phi1)) on a J+ and
-    exp(-i(delta2 t - phi2)) on a J-; otherwise they stay as static
-    omega_eff a+a + epsilon_eff Jz terms, which is `effective_hamiltonian`.
+    drive.  The effective frequencies appear as phase factors
+    exp(-i(delta1 t + phi1)) on a J+ and exp(-i(delta2 t - phi2)) on a J-,
+    not as the static omega_eff a+a + epsilon_eff Jz of `effective_hamiltonian`.
     """
     if space.n_qubits < 1:
         raise ValidationError("Dicke Hamiltonian needs at least one qubit")
-    if not interaction_picture:
-        return effective_hamiltonian(eff, space)
     jp_a, jm_a = _coupling_matrices(space)
     d1, d2 = eff.delta1, eff.delta2
     g_r, g_cr = eff.g_r, eff.g_cr
@@ -322,7 +318,7 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace,
     scale = max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300)
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"kind": "dicke", "effective": eff, "interaction_picture": True,
+        descriptor={"kind": "dicke", "effective": eff,
                     "suggested_dt": 2.0 * math.pi / scale / 40.0},
         static=np.zeros((space.dim, space.dim), dtype=complex),
         terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),

@@ -11,9 +11,9 @@ usually quoted.
 the master equation (or Schrodinger equation when dissipation is off),
 and/or the constant effective model.  When both are requested, the lossless
 effective run goes first and its states are the reference whose overlap
-fidelity the exact run records as it goes, so no run keeps a stack of
-density matrices.  ``run_sweep`` repeats it over one scalar
-parameter, optionally on a worker pool bounded by MODRABI_THREADS.
+fidelity the exact run records as it goes, so no run keeps a density-matrix
+stack.  ``run_sweep`` repeats it over one scalar parameter, optionally on a
+forked pool bounded by MODRABI_THREADS whose workers run one BLAS thread each.
 
 Output files are written atomically (temp + rename).  CSV is RFC 4180 with
 a header row and shortest round-trip decimals, so identical scenarios with
@@ -23,6 +23,7 @@ fixed-step integration reproduce byte-identical files.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -68,9 +69,8 @@ class Scenario:
     initial_state: str
     t_end: float          # seconds
     samples: int
-    integrator: IntegratorConfig | None
+    integrator: dict      # IntegratorConfig overrides, laid over each side's default
     fock_cutoff: int
-    outputs: tuple
     highlight: dict | None
     raw: dict
 
@@ -222,24 +222,20 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     integ_doc = doc.get("integrator", {})
     if not isinstance(integ_doc, dict):
         raise ValidationError("integrator: must be an object")
-    integrator = None
-    if integ_doc:
-        kwargs = {}
-        if "method" in integ_doc:
-            kwargs["method"] = integ_doc["method"]
-        if "dt_ns" in integ_doc:
-            kwargs["dt"] = _number(integ_doc, "dt_ns", "integrator") * NS
-        for key in ("rtol", "atol", "store_every"):
-            if key in integ_doc:
-                kwargs[key] = _number(integ_doc, key, "integrator",
-                                      integer=(key == "store_every"))
-        try:
-            integrator = IntegratorConfig(**kwargs)
-        except ValidationError as err:
-            raise ValidationError(f"integrator: {err}") from err
+    integrator = {}
+    for key in integ_doc:
+        if key not in ("method", "dt_ns", "rtol", "atol"):
+            raise ValidationError(f"integrator.{key}: not one of method/dt_ns/rtol/atol")
+        integrator[key] = (integ_doc[key] if key == "method"
+                           else _number(integ_doc, key, "integrator"))
+    if "dt_ns" in integrator:
+        integrator["dt"] = integrator.pop("dt_ns") * NS
+    try:    # check the values now, before any compute
+        IntegratorConfig(**integrator)
+    except ValidationError as err:
+        raise ValidationError(f"integrator: {err}") from err
 
-    outputs = doc.get("outputs", [n for n in OUTPUT_NAMES
-                                  if n != "fidelity" or model == "both"])
+    outputs = doc.get("outputs", [])
     if not isinstance(outputs, (list, tuple)):
         raise ValidationError("outputs: must be a list of observable names")
     for out in outputs:
@@ -258,8 +254,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     return Scenario(name=doc.get("name", name), system=system, drive=drive,
                     model=model, dissipation=dissipation, initial_state=initial,
                     t_end=t_end_ns * NS, samples=samples,
-                    integrator=integrator, fock_cutoff=cutoff, outputs=tuple(outputs),
-                    highlight=highlight, raw=doc)
+                    integrator=integrator, fock_cutoff=cutoff, highlight=highlight, raw=doc)
 
 
 def load_scenario_document(ref: str) -> tuple[dict, str]:
@@ -293,17 +288,14 @@ def packaged_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
-    if scn.integrator is not None:
-        return scn.integrator
-    if side == "exact":
-        # multi-GHz phases: uniform small steps beat adaptivity
-        return IntegratorConfig(method="fixed_dp5")
-    return IntegratorConfig()
+    """The side's default integrator with the scenario's overrides laid over it."""
+    # multi-GHz phases on the exact side: uniform small steps beat adaptivity
+    method = "fixed_dp5" if side == "exact" else "adaptive"
+    return IntegratorConfig(**{"method": method, **scn.integrator})
 
 
 @dataclass
 class SimulationResult:
-    scenario: Scenario
     manifest: dict
     header: list
     rows: list
@@ -380,8 +372,8 @@ def run_simulation(scn: Scenario) -> SimulationResult:
         },
         "csv_columns": header,
     }
-    return SimulationResult(scenario=scn, manifest=manifest, header=header,
-                            rows=rows, exact=exact_traj, effective=eff_traj)
+    return SimulationResult(manifest=manifest, header=header, rows=rows,
+                            exact=exact_traj, effective=eff_traj)
 
 
 def effective_summary(eff) -> dict:
@@ -449,6 +441,26 @@ def _sweep_point(args):
                 "error": f"{type(err).__name__}: {err}"}
 
 
+def _one_blas_thread():
+    """Pool initializer: each OpenBLAS the worker loaded runs one thread, so
+    forked workers do not contend for the parent's BLAS threads.  Without
+    OpenBLAS, or /proc/self/maps to find it in, the worker keeps its threads."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+        libs = [ctypes.CDLL(path)
+                for path in {line.split()[-1] for line in maps if "openblas" in line.lower()}]
+    except OSError:
+        return
+    for lib in libs:
+        # plain OpenBLAS and the builds numpy and scipy ship; "64_" if ILP64
+        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads"):
+            for symbol in (name, name + "64_"):
+                if hasattr(lib, symbol):
+                    setter = getattr(lib, symbol)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+
+
 def _worker_count(threads: int | None) -> int:
     """`threads`, else MODRABI_THREADS, else the CPU count; a count that is
     set must be an integer >= 1."""
@@ -477,7 +489,7 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
         points = [_sweep_point(j) for j in jobs]
     else:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(threads) as pool:
+        with mp.get_context("fork").Pool(threads, initializer=_one_blas_thread) as pool:
             points = pool.map(_sweep_point, jobs)
 
     header = ["sweep_value", "time_s", "sigma_pop", "photon_number"]

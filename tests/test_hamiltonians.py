@@ -276,7 +276,7 @@ def test_excitation_number_conservation():
 def test_dicke_single_qubit_reduces_to_interaction_aqrm():
     space = HilbertSpace(1, 4)
     eff = effective_params(SYS, DRIVE_A)
-    H = dicke_hamiltonian(eff, space, interaction_picture=True)
+    H = dicke_hamiltonian(eff, space)
     a = annihilation(space).matrix
     sp = qubit_operator(space, 0, "sp").matrix
     sm = qubit_operator(space, 0, "sm").matrix
@@ -292,7 +292,7 @@ def test_dicke_two_qubit_balanced_at_t0():
     space = HilbertSpace(2, 3)
     eff = EffectiveParams(g_r=-1.0, g_cr=-1.0, omega_eff=0.0, epsilon_eff=0.0,
                           theta=0.0, anisotropy=1.0)
-    H = dicke_hamiltonian(eff, space, interaction_picture=True)
+    H = dicke_hamiltonian(eff, space)
     a = annihilation(space).matrix
     jx = collective_qubit_operator(space, "jx").matrix
     expected = -((a + a.conj().T) @ jx)
@@ -303,8 +303,8 @@ def test_dicke_pictures_consistent():
     space = HilbertSpace(2, 3)
     eff = EffectiveParams(g_r=0.8, g_cr=0.3, omega_eff=0.9, epsilon_eff=0.4,
                           theta=0.0, anisotropy=0.375, phi1=0.3, phi2=-0.2)
-    H_int = dicke_hamiltonian(eff, space, interaction_picture=True)
-    H_sta = dicke_hamiltonian(eff, space, interaction_picture=False)
+    H_int = dicke_hamiltonian(eff, space)
+    H_sta = effective_hamiltonian(eff, space)
     num = number_operator(space).matrix
     jz = collective_qubit_operator(space, "jz").matrix
     h0 = eff.omega_eff * num + eff.epsilon_eff * jz
@@ -329,7 +329,7 @@ def test_jx_field_matches_balanced_degenerate_dicke():
     g_eff, delta = -0.6, 0.9
     eff = EffectiveParams(g_r=g_eff, g_cr=g_eff, omega_eff=delta, epsilon_eff=0.0,
                           theta=0.0, anisotropy=1.0)
-    H_dicke = dicke_hamiltonian(eff, space, interaction_picture=True)
+    H_dicke = dicke_hamiltonian(eff, space)
     H_jx = jx_field_hamiltonian(g_eff, delta, space)
     for t in (0.0, 0.3, 1.1):
         assert np.max(np.abs(H_dicke.evaluate(t) - H_jx.evaluate(t))) < 1e-13

@@ -173,7 +173,7 @@ def _documents():
 DOCUMENTS = _documents()
 # optional fields the packaged documents leave out, beside every field they hold
 EXTRA_PATHS = {("integrator", "method"), ("integrator", "dt_ns"), ("integrator", "rtol"),
-               ("integrator", "store_every"), ("drive", "phi1"), ("drive", "amp2_khz"),
+               ("integrator", "atol"), ("drive", "phi1"), ("drive", "amp2_khz"),
                ("drive", "design"), ("highlight",), ("outputs",), ("fock_cutoff",)}
 
 

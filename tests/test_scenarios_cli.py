@@ -99,14 +99,19 @@ def test_run_simulation_shapes_and_fidelity():
 
 
 @pytest.mark.parametrize("model", ["both", "rotated_exact"])
-def test_run_simulation_writes_only_stored_samples(model):
-    scn = parse_scenario(small_doc(model=model, dissipation=True,
-                                   integrator={"method": "fixed_rk4", "store_every": 2}))
+def test_integrator_block_overrides_only_its_keys(model):
+    # a block holding only dt_ns keeps the exact frame on fixed_dp5, at that step
+    dt_ns = 0.003
+    scn = parse_scenario(small_doc(model=model, integrator={"dt_ns": dt_ns}))
     res = run_simulation(scn)
-    assert len(res.rows) == 11
-    assert [row[0] for row in res.rows] == pytest.approx(np.linspace(0.0, 2e-9, 11).tolist(),
-                                                        abs=1e-24)
+    exact = res.manifest["diagnostics"]["exact"]
+    assert exact["method"] == "fixed_dp5"
+    times = np.linspace(0.0, 2e-9, 21)
+    steps = [math.ceil((t1 - t0) / (dt_ns * 1e-9)) for t0, t1 in zip(times[:-1], times[1:])]
+    assert steps == [34] * 20
+    assert exact["rhs_evals"] == sum(6 * n + 1 for n in steps)    # FSAL: one restart a sample
     if model == "both":
+        assert res.manifest["diagnostics"]["effective"]["method"] == "spectral"
         assert res.rows[0][3] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -144,6 +149,44 @@ def test_sweep_worker_pool_matches_serial():
     _, _, serial = run_sweep(doc, "drive.eta2", [0.0, 0.4, 0.8], threads=1)
     _, _, pooled = run_sweep(doc, "drive.eta2", [0.0, 0.4, 0.8], threads=2)
     assert serial == pooled
+
+
+def _blas_threads():
+    """The thread count of every OpenBLAS this process has loaded."""
+    import ctypes
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+    return counts
+
+
+def _report_blas_threads(job):
+    """A sweep point whose sigma_pop is the largest BLAS thread count of the
+    worker that ran it."""
+    return {"value": job[0], "ok": True, "times": [0.0], "sigma_pop": [max(_blas_threads())],
+            "photon_number": [0.0], "effective": None, "diagnostics": None,
+            "reference_diagnostics": None}
+
+
+def test_sweep_pool_workers_run_one_blas_thread(monkeypatch):
+    import modrabi.scenarios as scenarios
+    try:
+        if not _blas_threads():
+            pytest.skip("no OpenBLAS loaded")
+    except OSError:
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    monkeypatch.setattr(scenarios, "_sweep_point", _report_blas_threads)
+    _, _, rows = run_sweep(small_doc(model="effective"), "drive.eta2", [0.0, 0.4, 0.8],
+                           threads=2)
+    assert [row[2] for row in rows] == [1, 1, 1]
 
 
 def test_sweep_rejects_unknown_param_and_single_point():
@@ -358,6 +401,8 @@ def _with_drive(**fields):
     (_with_drive(amp2_ghz=-4.849), "drive.amp2_ghz"),
     ({"drive": {"omega1_ghz": 0, "eta1": 0.7, "omega2_ghz": 6.759, "eta2": 0.7}},
      "drive.omega1"),
+    ({"integrator": {"metod": "fixed_rk4"}}, "integrator.metod"),
+    ({"integrator": {"store_every": 2}}, "integrator.store_every"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
@@ -552,7 +597,8 @@ def test_cli_applications_cat(tmp_path):
                                          ("--samples", "-1"), ("--g-ratio", "nan"),
                                          ("--g-ratio", "inf"),
                                          ("--time-ns", "nan"), ("--time-ns", "inf"),
-                                         ("--time-ns", "0"), ("--time-ns", "-1")])
+                                         ("--time-ns", "0"), ("--time-ns", "-1"),
+                                         ("--fock-cutoff", "1"), ("--fock-cutoff", "0")])
 def test_cli_applications_cat_bad_flag_exits_2(flag, value, tmp_path, capsys):
     out = tmp_path / "cat"
     assert main(["applications", "cat", "--g-ratio", "1.2", flag, value,

@@ -13,7 +13,10 @@ and/or the constant effective model.  When both are requested, the lossless
 effective run goes first and its states are the reference whose overlap
 fidelity the exact run records as it goes, so no run keeps a density-matrix
 stack.  ``run_sweep`` repeats it over one scalar parameter, optionally on a
-forked pool bounded by MODRABI_THREADS whose workers run one BLAS thread each.
+forked pool bounded by MODRABI_THREADS.  Both hold every loaded OpenBLAS at
+one thread while they run, which the pool's workers inherit: on these small
+matrices a second BLAS thread doubled the CPU time and saved no wall time
+(``_one_blas_thread``).
 
 Output files are written atomically (temp + rename).  CSV is RFC 4180 with
 a header row and shortest round-trip decimals, so identical scenarios with
@@ -22,12 +25,14 @@ fixed-step integration reproduce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -294,6 +299,70 @@ def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
     return IntegratorConfig(**{"method": method, **scn.integrator})
 
 
+_blas_lock = threading.Lock()
+_blas_controls = None    # (get, set) of each loaded OpenBLAS, found on first entry
+_blas_depth = 0          # runs inside _one_blas_thread, over all threads
+_blas_saved = []         # the caller's counts, restored when the last run leaves
+
+
+def _find_openblas() -> list:
+    """The (get, set) thread-count functions of every OpenBLAS this process
+    has loaded; none without /proc/self/maps to find them in."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return []
+    controls = []
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # plain OpenBLAS and the builds numpy and scipy ship; "64_" if ILP64
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS runs one thread inside; the caller's counts come
+    back when the outermost entry in the process leaves, also on an error.
+
+    Every matrix of a scenario run is small (d <= 80 for the packaged ones),
+    and there a second BLAS thread saves no wall time but spins beside the
+    run.  On 2 vCPUs one thread cut the CPU time of the benchmark's
+    effective_sweep operation from 0.213 s to 0.119 s at the same rate, and
+    fig3d at cutoff 40 and at cutoff 100 ran no slower.  Forked sweep
+    workers inherit the count.  Setting OPENBLAS_NUM_THREADS would do
+    nothing here, as OpenBLAS reads it when numpy loads it.  The libraries
+    are found once, on the first entry; without OpenBLAS, or /proc/self/maps
+    to find it in, nothing changes."""
+    global _blas_controls, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_controls is None:
+            _blas_controls = _find_openblas()
+        if _blas_depth == 0:
+            _blas_saved = [get() for get, _ in _blas_controls]
+            for _, put in _blas_controls:
+                put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, put), count in zip(_blas_controls, _blas_saved):
+                    put(count)
+
+
 @dataclass
 class SimulationResult:
     manifest: dict
@@ -303,6 +372,7 @@ class SimulationResult:
     effective: Trajectory | None
 
 
+@_one_blas_thread()
 def run_simulation(scn: Scenario) -> SimulationResult:
     space = HilbertSpace(1, scn.fock_cutoff)
     eff = effective_params(scn.system, scn.drive)
@@ -441,26 +511,6 @@ def _sweep_point(args):
                 "error": f"{type(err).__name__}: {err}"}
 
 
-def _one_blas_thread():
-    """Pool initializer: each OpenBLAS the worker loaded runs one thread, so
-    forked workers do not contend for the parent's BLAS threads.  Without
-    OpenBLAS, or /proc/self/maps to find it in, the worker keeps its threads."""
-    try:
-        maps = Path("/proc/self/maps").read_text().splitlines()
-        libs = [ctypes.CDLL(path)
-                for path in {line.split()[-1] for line in maps if "openblas" in line.lower()}]
-    except OSError:
-        return
-    for lib in libs:
-        # plain OpenBLAS and the builds numpy and scipy ship; "64_" if ILP64
-        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads"):
-            for symbol in (name, name + "64_"):
-                if hasattr(lib, symbol):
-                    setter = getattr(lib, symbol)
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
-
-
 def _worker_count(threads: int | None) -> int:
     """`threads`, else MODRABI_THREADS, else the CPU count; a count that is
     set must be an integer >= 1."""
@@ -476,6 +526,7 @@ def _worker_count(threads: int | None) -> int:
     return count
 
 
+@_one_blas_thread()
 def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
               threads: int | None = None) -> tuple[dict, list, list]:
     """Run one scenario per value; returns (manifest, header, rows)."""
@@ -489,7 +540,7 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
         points = [_sweep_point(j) for j in jobs]
     else:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(threads, initializer=_one_blas_thread) as pool:
+        with mp.get_context("fork").Pool(threads) as pool:
             points = pool.map(_sweep_point, jobs)
 
     header = ["sweep_value", "time_s", "sigma_pop", "photon_number"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from modrabi.cli import build_parser, main
-from modrabi.errors import ValidationError
+from modrabi.errors import NumericsError, ValidationError
 from modrabi.scenarios import (apply_sweep_value, load_scenario,
                                load_scenario_document, packaged_scenarios,
                                parse_scenario, run_simulation, run_sweep)
@@ -151,21 +151,33 @@ def test_sweep_worker_pool_matches_serial():
     assert serial == pooled
 
 
-def _blas_threads():
-    """The thread count of every OpenBLAS this process has loaded."""
+def _openblas_functions(verb):
+    """The `*_{verb}_num_threads` function of every OpenBLAS this process has
+    loaded, `verb` being "get" or "set"."""
     import ctypes
     with open("/proc/self/maps") as fh:
         paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    counts = []
+    functions = []
     for path in paths:
         lib = ctypes.CDLL(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(getter())
-    return counts
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format(verb)):
+                function = getattr(lib, name.format(verb))
+                function.argtypes, function.restype = \
+                    ([], ctypes.c_int) if verb == "get" else ([ctypes.c_int], None)
+                functions.append(function)
+    return functions
+
+
+def _blas_threads():
+    """The thread count of every OpenBLAS this process has loaded."""
+    return [get() for get in _openblas_functions("get")]
+
+
+def _set_blas_threads(counts):
+    for put, count in zip(_openblas_functions("set"), counts):
+        put(count)
 
 
 def _report_blas_threads(job):
@@ -187,6 +199,103 @@ def test_sweep_pool_workers_run_one_blas_thread(monkeypatch):
     _, _, rows = run_sweep(small_doc(model="effective"), "drive.eta2", [0.0, 0.4, 0.8],
                            threads=2)
     assert [row[2] for row in rows] == [1, 1, 1]
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """Every loaded OpenBLAS set to two threads, the caller's counts that a run
+    must give back; the counts found are put back after the test."""
+    try:
+        before = _blas_threads()
+    except OSError:
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    _set_blas_threads([2] * len(before))
+    yield [2] * len(before)
+    _set_blas_threads(before)
+
+
+@pytest.fixture
+def blas_spy(monkeypatch):
+    """The BLAS thread counts read as each integration of a run starts."""
+    import modrabi.scenarios as scenarios
+    seen = []
+    for name in ("evolve_master", "evolve_schrodinger"):
+        def spy(*args, _evolve=getattr(scenarios, name), **kwargs):
+            seen.append(_blas_threads())
+            return _evolve(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, spy)
+    return seen
+
+
+def test_run_simulation_runs_one_blas_thread_and_restores_the_callers(
+        caller_blas_threads, blas_spy):
+    run_simulation(parse_scenario(small_doc(dissipation=True)))
+    ones = [1] * len(caller_blas_threads)
+    assert blas_spy == [ones, ones]    # the effective reference, then the exact run
+    assert _blas_threads() == caller_blas_threads
+
+
+@pytest.mark.parametrize("error", [NumericsError, ValidationError])
+def test_run_simulation_restores_blas_threads_after_an_error(
+        caller_blas_threads, blas_spy, monkeypatch, error):
+    import modrabi.scenarios as scenarios
+
+    def fail(*args, **kwargs):
+        blas_spy.append(_blas_threads())
+        raise error("injected")
+    monkeypatch.setattr(scenarios, "evolve_master", fail)
+    with pytest.raises(error, match="injected"):
+        run_simulation(parse_scenario(small_doc(dissipation=True)))
+    assert blas_spy[-1] == [1] * len(caller_blas_threads)
+    assert _blas_threads() == caller_blas_threads
+
+
+def test_serial_sweep_keeps_one_blas_thread_across_points_and_restores_the_callers(
+        caller_blas_threads, blas_spy):
+    run_sweep(small_doc(model="effective"), "drive.eta2", [0.0, 0.4, 0.8], threads=1)
+    assert blas_spy == [[1] * len(caller_blas_threads)] * 3
+    assert _blas_threads() == caller_blas_threads
+
+
+def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns(
+        caller_blas_threads, monkeypatch):
+    """The second run reads its counts after the first has returned."""
+    import threading
+    import modrabi.scenarios as scenarios
+    both_inside, first_done = threading.Barrier(2, timeout=60), threading.Event()
+    seen, errors = {}, []
+    evolve = scenarios.evolve_schrodinger
+
+    def spy(*args, **kwargs):
+        both_inside.wait()
+        name = threading.current_thread().name
+        if name == "second":
+            assert first_done.wait(60)
+        seen[name] = _blas_threads()
+        return evolve(*args, **kwargs)
+
+    def run(done=None):
+        try:
+            run_simulation(parse_scenario(small_doc(model="effective")))
+        except BaseException as err:
+            errors.append(err)
+        if done is not None:
+            done.set()
+
+    monkeypatch.setattr(scenarios, "evolve_schrodinger", spy)
+    workers = [threading.Thread(target=run, args=(first_done,), name="first"),
+               threading.Thread(target=run, name="second")]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(120)
+        assert not worker.is_alive()
+    assert errors == []
+    ones = [1] * len(caller_blas_threads)
+    assert seen == {"first": ones, "second": ones}
+    assert _blas_threads() == caller_blas_threads
 
 
 def test_sweep_rejects_unknown_param_and_single_point():

@@ -4,7 +4,8 @@ Rabi models from a dispersively coupled qubit-resonator system.
 The package is organized bottom-up:
 
 * :mod:`modrabi.hilbert` - truncated qubit(s) x resonator linear algebra;
-* :mod:`modrabi.bessel` - first-kind Bessel functions (series + recurrence);
+* :mod:`modrabi.bessel` - first-kind Bessel functions (``scipy.special.jv``
+  on a checked domain);
 * :mod:`modrabi.modulation` - drive settings <-> effective model constants,
   sideband series, approximation audit, inverse design (amplitudes, and the
   one drive solve behind the CLI and scenario design targets);

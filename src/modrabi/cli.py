@@ -234,7 +234,7 @@ def cmd_applications_cat(args) -> int:
         raise ValidationError(f"--fock-cutoff: must be >= 2, got {args.fock_cutoff}")
     omega_eff = args.omega_mhz * MHZ
     g_eff = args.g_ratio * omega_eff
-    t_end = args.time_ns * NS if args.time_ns is not None else math.pi / omega_eff
+    t_end = args.time_ns * NS if args.time_ns is not None else math.pi / abs(omega_eff)
     space = HilbertSpace(1, args.fock_cutoff)
     times = np.linspace(0.0, t_end, args.samples)
     rows = []

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from scipy.special import jv
+
 from .bessel import J0_FIRST_ZERO, bessel_j
 from .errors import UnreachableTargetError, ValidationError
 
@@ -153,13 +155,6 @@ class SidebandTerm:
     frequency: float
 
 
-def _signed_j(n: int, x: float) -> float:
-    if n >= 0:
-        return bessel_j(n, x)
-    val = bessel_j(-n, x)
-    return -val if (-n) % 2 else val
-
-
 def sideband_amplitudes(drive: DriveParams, det: Detunings,
                         n_max: int) -> tuple[list[SidebandTerm], list[SidebandTerm]]:
     """Double Jacobi-Anger series of the two modulated coupling amplitudes.
@@ -175,9 +170,9 @@ def sideband_amplitudes(drive: DriveParams, det: Detunings,
     alpha: list[SidebandTerm] = []
     beta: list[SidebandTerm] = []
     orders = range(-n_max, n_max + 1)
-    j2s = [_signed_j(n2, 2 * drive.eta2) for n2 in orders]
-    for n1 in orders:
-        j1 = _signed_j(n1, 2 * drive.eta1)
+    j1s = jv(orders, 2 * drive.eta1).tolist()
+    j2s = jv(orders, 2 * drive.eta2).tolist()
+    for n1, j1 in zip(orders, j1s):
         for n2, j2 in zip(orders, j2s):
             j = j1 * j2
             phase = n1 * drive.phi1 + n2 * drive.phi2

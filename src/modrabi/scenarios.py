@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bessel import X_LIMIT
 from .dynamics import (IntegratorConfig, Trajectory, evolve_master,
                        evolve_schrodinger, loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
@@ -124,6 +125,8 @@ def _angular(section: dict, field: str, path: str, required: bool = True,
 
 
 def _amplitude(drive: dict, tone: int, omega: float) -> float:
+    """eta<tone>, given as is or as amp<tone>_<unit> / omega; 2 eta must lie
+    in the Bessel factors' range X_LIMIT."""
     eta_key = f"eta{tone}"
     amp = _angular(drive, f"amp{tone}", "drive", required=False, default=None)
     if omega <= 0:
@@ -131,12 +134,18 @@ def _amplitude(drive: dict, tone: int, omega: float) -> float:
     if eta_key not in drive:
         if amp is None:
             raise ValidationError(f"drive.eta{tone}: eta{tone} or amp{tone}_ghz required")
-        return amp / omega
-    if amp is not None:
-        raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")
-    val = _number(drive, eta_key, "drive")
-    if val < 0:
-        raise ValidationError(f"drive.{eta_key}: must be a number >= 0")
+        key = next(f"amp{tone}_{unit}" for unit in _UNIT_SCALE if f"amp{tone}_{unit}" in drive)
+        val = amp / omega
+    else:
+        if amp is not None:
+            raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")
+        key = eta_key
+        val = _number(drive, eta_key, "drive")
+        if val < 0:
+            raise ValidationError(f"drive.{eta_key}: must be a number >= 0")
+    if 2 * val > X_LIMIT:
+        raise ValidationError(f"drive.{key}: eta{tone} = {val} puts 2 eta{tone} "
+                              f"above the Bessel range {X_LIMIT}")
     return val
 
 
@@ -483,9 +492,14 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
         out["fock_cutoff"] = int(round(value))
         return out
     target = out.setdefault(section, {})
-    if field.startswith(("eta", "amp")):    # the swept spelling replaces the tone's others
-        tone = field[3]
-        for key in (f"eta{tone}", *(f"amp{tone}_{unit}" for unit in _UNIT_SCALE)):
+    if field.startswith(("eta", "amp", "omega")):
+        # the swept spelling replaces the tone's others
+        tone = field.split("_")[0][-1]
+        if field.startswith("omega"):
+            others = [f"omega{tone}_{unit}" for unit in _UNIT_SCALE]
+        else:
+            others = [f"eta{tone}", *(f"amp{tone}_{unit}" for unit in _UNIT_SCALE)]
+        for key in others:
             target.pop(key, None)
     target[field] = value
     return out

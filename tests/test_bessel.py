@@ -46,14 +46,14 @@ def test_balanced_amplitude_point():
 @pytest.mark.parametrize("n", range(0, 12))
 def test_against_series_oracle_small_x(n):
     for x in np.linspace(0.05, 12.0, 40):
-        assert abs(bessel_j(n, float(x)) - series_oracle(n, float(x))) < 1e-12
+        assert abs(bessel_j(n, float(x)) - series_oracle(n, float(x))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 17])
 def test_against_high_precision_large_x(n):
     for x in np.linspace(12.01, 50.0, 40):
         ref = float(mpmath.besselj(n, x))
-        assert abs(bessel_j(n, float(x)) - ref) < 1e-12
+        assert abs(bessel_j(n, float(x)) - ref) < 1e-14
 
 
 def test_three_term_recurrence():

@@ -171,6 +171,25 @@ def test_series_dominant_rotating_term():
     assert term.frequency == pytest.approx(-det.delta1)
 
 
+def test_series_negative_orders_reflect_exactly():
+    # each tone's factors come from one call over orders -n_max..n_max; the
+    # negative orders must equal (-1)^n J_|n| bit for bit
+    drive = DriveParams(omega1=3.2 * GHZ, omega2=6.759 * GHZ, eta1=1.3, eta2=0.9,
+                        phi1=0.4, phi2=-0.7)
+    det = detunings(SYS, drive)
+    alpha, beta = sideband_amplitudes(drive, det, n_max=6)
+
+    def signed_j(n, x):
+        val = bessel_j(abs(n), x)
+        return -val if n < 0 and n % 2 else val
+
+    for a, b in zip(alpha, beta):
+        j = signed_j(a.n1, 2 * drive.eta1) * signed_j(a.n2, 2 * drive.eta2)
+        phase = a.n1 * drive.phi1 + a.n2 * drive.phi2
+        assert a.coefficient == j * complex(math.cos(phase), math.sin(phase))
+        assert b.coefficient == j * complex(math.cos(phase), -math.sin(phase))
+
+
 def test_series_completeness():
     drive = DriveParams(omega1=3.2 * GHZ, omega2=6.759 * GHZ, eta1=1.3, eta2=0.9)
     det = detunings(SYS, drive)

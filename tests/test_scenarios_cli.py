@@ -344,6 +344,12 @@ def test_apply_sweep_value_replaces_amplitude_spec():
     assert "amp2_ghz" not in out["drive"]
     out2 = apply_sweep_value(doc, "fock_cutoff", 12.2)
     assert out2["fock_cutoff"] == 12
+    # a tone frequency in another unit is replaced the same way
+    doc["drive"]["omega1_mhz"] = doc["drive"].pop("omega1_ghz") * 1e3
+    out3 = apply_sweep_value(doc, "drive.omega1_ghz", 3.3)
+    assert out3["drive"]["omega1_ghz"] == 3.3
+    assert "omega1_mhz" not in out3["drive"]
+    assert parse_scenario(out3).drive.omega1 == pytest.approx(TWO_PI * 3.3e9, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -355,6 +361,20 @@ def test_cli_sweep_non_finite_value_exits_2(value, tmp_path, capsys):
                      "--points", "2", "--threads", "1", "-o", str(out)]) == 2
     assert "fock_cutoff" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_amplitude_beyond_the_bessel_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "swp"
+    assert main(["sweep", "fig5", "--param", "drive.eta1", "--from", "0.5", "--to", "30",
+                 "--points", "2", "--threads", "1", "-o", str(out)]) == 2
+    assert "drive.eta1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_amplitude_at_the_bessel_range_edge_parses():
+    doc = small_doc()
+    doc["drive"]["amp1_ghz"] = 3.2 * 25.0       # 2 eta1 = X_LIMIT exactly
+    assert parse_scenario(doc).drive.eta1 == pytest.approx(25.0, rel=1e-12)
 
 
 def test_cli_sweep_of_a_field_the_base_document_lacks(tmp_path):
@@ -512,6 +532,12 @@ def _with_drive(**fields):
      "drive.omega1"),
     ({"integrator": {"metod": "fixed_rk4"}}, "integrator.metod"),
     ({"integrator": {"store_every": 2}}, "integrator.store_every"),
+    # 2 eta beyond the Bessel range X_LIMIT = 50, named by the key as given
+    ({"drive": {"omega1_ghz": 3.2, "eta1": 30, "omega2_ghz": 6.759, "eta2": 0.7}},
+     "drive.eta1"),
+    (_with_drive(amp1_ghz=3.2 * 26), "drive.amp1_ghz"),
+    ({"drive": {"omega1_ghz": 3.2, "eta1": 0.7, "omega2_ghz": 6.759,
+                "amp2_mhz": 6759.0 * 25.5}}, "drive.amp2_mhz"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
@@ -699,6 +725,18 @@ def test_cli_applications_cat(tmp_path):
     assert header == ["time_s", "xi_re", "xi_im", "xi_abs", "phase"]
     header, rows = read_csv(tmp_path / "cat_fock.csv")
     assert len(rows) == 40
+
+
+def test_cli_applications_cat_negative_omega_default_time(tmp_path):
+    # the default preparation time is half a period, pi / |omega_eff|, for either sign
+    assert main(["applications", "cat", "--g-ratio", "1.2", "--omega-mhz", "-35",
+                 "--samples", "21", "-o", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["params"]["t_end_s"] == pytest.approx(1.0 / (2 * 35e6), rel=1e-12)
+    assert manifest["displacement"]["xi_abs"] == pytest.approx(2.4, rel=1e-9)
+    _, rows = read_csv(tmp_path / "cat_path.csv")
+    times = [float(r[0]) for r in rows]
+    assert times[0] == 0.0 and all(b > a for a, b in zip(times, times[1:]))
 
 
 @pytest.mark.parametrize("flag, value", [("--omega-mhz", "0"), ("--omega-mhz", "inf"),

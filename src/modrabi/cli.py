@@ -26,12 +26,12 @@ from .dynamics import CUTOFF_POP_LIMIT
 from .errors import NumericsError, UnreachableTargetError, ValidationError
 from .hilbert import HilbertSpace
 from .modulation import (SystemParams, amplitudes_for_coupling, detunings,
-                         drive_for_targets, effective_params,
+                         drive_for_targets, effective_params, json_float,
                          solve_amplitudes, validity_report)
-from .scenarios import (SCHEMA_VERSION, effective_summary, json_float,
-                        load_scenario, load_scenario_document,
-                        packaged_scenarios, parse_scenario, run_simulation,
-                        run_sweep, write_csv, write_json)
+from .scenarios import (SCHEMA_VERSION, effective_summary, load_scenario,
+                        load_scenario_document, packaged_scenarios,
+                        parse_scenario, run_simulation, run_sweep, write_csv,
+                        write_json)
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9

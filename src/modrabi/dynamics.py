@@ -35,9 +35,8 @@ Each stage input y + sum_j a_ij h k_j, and the new y, is one real dot of a
 tableau row with the float view of that stack.  DP5's last stage is taken
 at the new y (first same as last), so a step costs six evaluations; its
 default step is 2.5 times the Hamiltonian's `suggested_dt`, where its error
-is below RK4's at `suggested_dt` on every packaged figure, and its embedded
-fourth-order solution gives each step's local error estimate at no extra
-evaluation.  The adaptive path calls the same stage with h = 1.
+is below RK4's at `suggested_dt` on every packaged figure.  The adaptive
+path calls the same stage with h = 1.
 
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
@@ -66,9 +65,8 @@ because it is evidence of a cutoff or step-size misconfiguration, and so
 does a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how
 many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step, 6 per DP5
 step plus 1 per sample interval, the solver's count under `adaptive`, 0 for
-`spectral`), the largest and the summed DP5 step-error estimate
-(`step_error_max`, `step_error_sum`; None for every other method) and, for
-rho, when its least eigenvalue occurred (`min_eigenvalue_time`).
+`spectral`) and, for rho, when its least eigenvalue occurred
+(`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
 """
@@ -112,9 +110,8 @@ class IntegratorConfig:
     instead solved exactly by one eigendecomposition and reports method
     "spectral".  `fixed_dp5`, the exact-frame default, is Dormand-Prince
     5(4) at steps <= `dt` (default: 2.5 times the Hamiltonian's
-    `suggested_dt`) and reports its embedded step-error estimate.
-    `fixed_rk4`, the oracle, is classical RK4 at steps <= `dt` (default:
-    `suggested_dt`).  An explicit `dt` is used as given.
+    `suggested_dt`).  `fixed_rk4`, the oracle, is classical RK4 at steps
+    <= `dt` (default: `suggested_dt`).  An explicit `dt` is used as given.
     """
 
     method: str = "adaptive"
@@ -332,23 +329,21 @@ def _block_stage(generator: _Generator, jumps, shape: tuple):
 @dataclass(frozen=True)
 class Tableau:
     """An explicit Runge-Kutta method: stage i evaluates k_i = f(t + c_i h, x_i)
-    at x_i = y + h sum_j a_ij k_j (row i of `a` lists a_i1 .. a_i,i-1), the
-    step is y <- y + h sum_j b_j k_j, and `e`, when the method has an
-    embedded pair, weighs the local error estimate h sum_j e_j k_j.  `step`
-    is the default step as a multiple of the Hamiltonian's `suggested_dt`."""
+    at x_i = y + h sum_j a_ij k_j (row i of `a` lists a_i1 .. a_i,i-1) and
+    the step is y <- y + h sum_j b_j k_j.  `step` is the default step as a
+    multiple of the Hamiltonian's `suggested_dt`."""
 
     a: tuple
     b: tuple
     c: tuple
-    e: tuple | None
     step: float
 
 
 RK4 = Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
-              b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 1 / 2, 1 / 2, 1.0), e=None, step=1.0)
+              b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 1 / 2, 1 / 2, 1.0), step=1.0)
 
 # Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980): fifth order, with
-# the seventh stage at the new y (first same as last) and e = b - b_4th.
+# the seventh stage at the new y (first same as last).
 # At 2.5 suggested_dt it beats RK4 at suggested_dt on every packaged figure.
 DP5 = Tableau(
     a=((),
@@ -360,7 +355,6 @@ DP5 = Tableau(
        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
     b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
     c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
-    e=(-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40),
     step=2.5)
 
 TABLEAUS = {"fixed_rk4": RK4, "fixed_dp5": DP5}
@@ -377,9 +371,7 @@ class _RungeKutta:
     one call.  The new y is the dot with [1, b].  A tableau whose last stage
     is taken at the new y (FSAL: c_s = 1, a_s = b) reads the new y from that
     stage's input and keeps its slope as the next step's first, so a step
-    costs s - 1 evaluations and each `advance` one more.  With an embedded
-    pair, every step's estimate max |sum_j e_j h k_j| is tallied in
-    `error_max` and `error_sum`; without one they stay None.
+    costs s - 1 evaluations and each `advance` one more.
     """
 
     def __init__(self, flow: _Flow, tableau: Tableau):
@@ -387,11 +379,9 @@ class _RungeKutta:
         self.flow = flow
         self.z = np.zeros((s + 1, *flow.shape), dtype=complex)
         self.x = np.empty(flow.shape, dtype=complex)
-        self.err = np.empty(self.x.size, dtype=complex)
-        self.err_abs = np.empty(self.x.size)
         # float views: the weights are real, so each combination is one real dot
         zf = self.z.reshape(s + 1, -1).view(float)
-        self.xf, self.ef = self.x.reshape(-1).view(float), self.err.view(float)
+        self.xf = self.x.reshape(-1).view(float)
         self.fsal = (tableau.c[-1] == 1.0 and tableau.b[-1] == 0.0
                      and tableau.a[-1] == tableau.b[:-1])
         # the times of the stages taken every step: FSAL takes stage 1 once
@@ -402,8 +392,6 @@ class _RungeKutta:
         self.stages = [(i - self.fsal, np.array([1.0, *tableau.a[i]]), zf[:i + 1], self.z[i + 1])
                        for i in range(1, s)]
         self.b = np.array([1.0, *tableau.b]), zf
-        self.e = None if tableau.e is None else (np.array(tableau.e), zf[1:])
-        self.error_max = self.error_sum = None if tableau.e is None else 0.0
 
     def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float) -> int:
         """Step y from t0 to t1 in place with steps <= dt_target; returns the
@@ -413,19 +401,16 @@ class _RungeKutta:
         gen, stage, stages, c, fsal = (self.flow.generator, self.flow.stage, self.stages,
                                        self.c, self.fsal)
         jump_data = h * self.flow.jump_data
-        x, xf, err, ef, err_abs = self.x, self.xf, self.err, self.ef, self.err_abs
-        b, e = self.b, self.e
+        x, xf, b = self.x, self.xf, self.b
         y0, k1, ks = self.z[0], self.z[1], self.z[-1]
         np.copyto(y0, y)
         if fsal:
             stage(gen.data(np.array([t0]), h)[0], jump_data, y0, k1)
-        step_errors = np.empty(min(nsub, _MAX_BLOCK))
         for first in range(0, nsub, _MAX_BLOCK):
             starts = t0 + np.arange(first, min(first + _MAX_BLOCK, nsub)) * h
             n = starts.size
             data = gen.data((starts[:, None] + h * c).ravel(), h).reshape(n, c.size, -1)
-            for s in range(n):
-                d = data[s]
+            for d in data:
                 if not fsal:
                     stage(d[0], jump_data, y0, k1)
                 for i, w, rows, out in stages:
@@ -433,16 +418,9 @@ class _RungeKutta:
                     stage(d[i], jump_data, x, out)
                 if not fsal:                # else the last stage's input is the new y
                     np.dot(*b, out=xf)
-                if e is not None:
-                    np.dot(*e, out=ef)
-                    # argmax: a third of the call cost of max at these sizes
-                    step_errors[s] = err_abs[np.abs(err, out=err_abs).argmax()]
                 np.copyto(y0, x)
                 if fsal:
                     np.copyto(k1, ks)
-            if e is not None:
-                self.error_max = max(self.error_max, float(step_errors[:n].max()))
-                self.error_sum += float(step_errors[:n].sum())
         np.copyto(y, y0)
         return nsub * c.size + fsal
 
@@ -471,8 +449,7 @@ def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np
 def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
                times: np.ndarray, cfg: IntegratorConfig, record) -> dict:
     """Carry y0 over the grid, handing the state at each time i to record(i, y);
-    returns the diagnostics `rhs_evals`, `step_error_max` and
-    `step_error_sum` (None but for a tableau with an embedded pair).
+    returns the diagnostics {"rhs_evals": n}.
 
     The fixed-step stepper continues from what record returns, so a state
     symmetrized at a sample is the one propagated further.
@@ -485,8 +462,7 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
         for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
             evals += stepper.advance(t0, y, t1, dt)
             y = record(k, y)
-        return {"rhs_evals": evals, "step_error_max": stepper.error_max,
-                "step_error_sum": stepper.error_sum}
+        return {"rhs_evals": evals}
 
     def fun(t, flat):
         out = np.empty(y0.shape, dtype=complex)
@@ -499,7 +475,7 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
         raise NumericsError(f"adaptive integration failed: {sol.message}")
     for i in range(sol.y.shape[1]):
         record(i, sol.y[:, i].reshape(y0.shape))
-    return {"rhs_evals": int(sol.nfev), "step_error_max": None, "step_error_sum": None}
+    return {"rhs_evals": int(sol.nfev)}
 
 
 def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
@@ -554,7 +530,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     spectral = cfg.method == "adaptive" and not H.terms
     if spectral:
         _spectral(H.static, order, psi0_sector, times, record)
-        stats = {"rhs_evals": 0, "step_error_max": None, "step_error_sum": None}
+        stats = {"rhs_evals": 0}
     else:
         generator = _Generator(H, order=order)
         flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)

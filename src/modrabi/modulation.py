@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from scipy.special import jv
 
-from .bessel import J0_FIRST_ZERO, bessel_j
+from .bessel import J0_FIRST_ZERO, X_LIMIT, bessel_j
 from .errors import UnreachableTargetError, ValidationError
 
 ETA_BALANCED = 0.7173          # amplitude with J1(2 eta)/J0(2 eta) = 1 to ~4 digits
@@ -42,6 +42,15 @@ DISPERSIVE_MAX = 0.1
 DETUNING_MAX = 0.2
 RWA_MIN = 10.0
 SIDEBAND_ORDERS = 5
+
+
+def json_float(x: float):
+    """x, or its JSON-safe spelling "nan", "inf" or "-inf"."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,9 @@ class DriveParams:
             raise ValidationError("drive frequencies must be finite and > 0")
         if not (0 <= self.eta1 < math.inf and 0 <= self.eta2 < math.inf):
             raise ValidationError("normalized amplitudes must be finite and >= 0")
+        if 2 * max(self.eta1, self.eta2) > X_LIMIT:
+            raise ValidationError(f"normalized amplitudes must keep 2 eta within "
+                                  f"the Bessel range {X_LIMIT}")
         if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
             raise ValidationError("drive phases must be finite")
 
@@ -207,10 +219,11 @@ class ValidityReport:
         return self.dispersive_ok and self.detuning_ok and self.rwa_ok
 
     def as_dict(self) -> dict:
+        """The report as JSON: rwa_margin, infinite at g = 0, is then "inf"."""
         return {
             "dispersive_ratio": self.dispersive_ratio,
             "detuning_ratio": self.detuning_ratio,
-            "rwa_margin": self.rwa_margin,
+            "rwa_margin": json_float(self.rwa_margin),
             "dispersive_ok": self.dispersive_ok,
             "detuning_ok": self.detuning_ok,
             "rwa_ok": self.rwa_ok,
@@ -301,19 +314,15 @@ def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
     r_fixed = coupling_ratio(eta_fixed)
     target = lam * r_fixed
     lo, hi = 0.0, ETA_NULL
-
-    def deviation(eta2: float) -> float:
-        # sign of r(eta2) - target, written without the J0 pole
-        return bessel_j(1, 2 * eta2) - target * bessel_j(0, 2 * eta2)
-
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        r_mid = coupling_ratio(mid)
-        ratio = r_mid / r_fixed
+        j0, j1 = bessel_j(0, 2 * mid), bessel_j(1, 2 * mid)
+        ratio = (j1 / j0 if j0 != 0.0 else math.inf) / r_fixed
         err = abs(ratio - lam) if lam <= 1.0 else abs(1.0 / ratio - 1.0 / lam)
         if err < tol:
             return eta_fixed, mid
-        if deviation(mid) < 0.0:
+        # sign of r(mid) - target, written without the J0 pole
+        if j1 - target * j0 < 0.0:
             lo = mid
         else:
             hi = mid

@@ -46,7 +46,7 @@ from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
 from .hilbert import HilbertSpace, basis_state
 from .modulation import (DriveParams, SystemParams, detunings,
-                         drive_for_targets, effective_params,
+                         drive_for_targets, effective_params, json_float,
                          solve_amplitudes, validity_report)
 
 SCHEMA_VERSION = 1
@@ -466,15 +466,6 @@ def effective_summary(eff) -> dict:
         "g_r_over_omega_eff": json_float(ratio_r),
         "g_cr_over_omega_eff": json_float(ratio_cr),
     }
-
-
-def json_float(x: float):
-    """x, or its JSON-safe spelling "nan", "inf" or "-inf"."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -762,11 +762,9 @@ def test_tableaus_match_scipy_and_satisfy_the_order_conditions():
     assert np.array_equal(a[:6, :5], RK45.A) and np.array_equal(DP5.b[:6], RK45.B)
     assert np.array_equal(a[6, :6], RK45.B) and DP5.b[6] == 0.0
     assert np.array_equal(DP5.c[:6], RK45.C) and DP5.c[6] == 1.0
-    assert np.array_equal(DP5.e, RK45.E)
-    assert RK4.e is None and DP5.step == 2.5 and RK4.step == 1.0
-    # Butcher's conditions: RK4 and DP5's embedded b - e to fourth order, DP5 to fifth
-    for tab, b, order in [(RK4, np.array(RK4.b), 4), (DP5, np.array(DP5.b), 5),
-                          (DP5, np.array(DP5.b) - np.array(DP5.e), 4)]:
+    assert DP5.step == 2.5 and RK4.step == 1.0
+    # Butcher's conditions: RK4 to fourth order, DP5 to fifth
+    for tab, b, order in [(RK4, np.array(RK4.b), 4), (DP5, np.array(DP5.b), 5)]:
         s = len(tab.b)
         a = np.zeros((s, s))
         for i, row in enumerate(tab.a):
@@ -784,9 +782,6 @@ def test_tableaus_match_scipy_and_satisfy_the_order_conditions():
                            (b @ a @ a @ a @ c, 1 / 120)]
         for got, want in conditions:
             assert got == pytest.approx(want, rel=1e-13)
-    # the embedded fourth-order solution is not fifth order
-    b4 = np.array(DP5.b) - np.array(DP5.e)
-    assert abs(b4 @ np.array(DP5.c) ** 4 - 1 / 5) > 1e-4
 
 
 def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
@@ -805,34 +800,28 @@ def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
                                  cfg).diagnostics["rhs_evals"] == want
 
 
-def test_only_dp5_runs_report_the_embedded_step_error():
+def test_every_path_reports_the_same_diagnostics_keys():
     space = HilbertSpace(1, 6)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     static = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
     psi0 = basis_state(space, "g", 0)
-    dt = H.descriptor["suggested_dt"]
     times = np.linspace(0.0, 0.2 * NS, 5)
     rho0, channels = psi0.density_matrix(), loss_dissipators(SYS, space)
-    for method in ("fixed_rk4", "adaptive"):
+    common = {"method", "rhs_evals", "blocks", "cutoff_ok", "max_top_fock_pop",
+              "max_top_fock_pop_time"}
+    vector_keys = common | {"norm_drift"}
+    rho_keys = common | {"trace_drift", "herm_defect", "min_eigenvalue",
+                         "min_eigenvalue_time"}
+    runs = [("spectral", evolve_schrodinger(static, psi0, times), vector_keys),
+            ("adaptive", evolve_master(static, channels, rho0, times), rho_keys)]
+    for method in ("fixed_rk4", "fixed_dp5", "adaptive"):
         cfg = IntegratorConfig(method=method)
-        for traj in (evolve_schrodinger(H, psi0, times, cfg),
-                     evolve_master(H, channels, rho0, times, cfg)):
-            assert traj.diagnostics["step_error_max"] is None
-            assert traj.diagnostics["step_error_sum"] is None
-    spectral = evolve_schrodinger(static, psi0, times).diagnostics
-    assert spectral["method"] == "spectral" and spectral["step_error_max"] is None
-
-    def estimates(step):
-        cfg = IntegratorConfig(method="fixed_dp5", dt=step)
-        return [(traj.diagnostics["step_error_max"], traj.diagnostics["step_error_sum"])
-                for traj in (evolve_schrodinger(H, psi0, times, cfg),
-                             evolve_master(H, channels, rho0, times, cfg))]
-    coarse, fine = estimates(2.5 * dt), estimates(1.25 * dt)
-    assert estimates(2.5 * dt) == coarse                 # deterministic
-    for (big, total), (small, _) in zip(coarse, fine):
-        assert type(big) is float and 0.0 < big <= total
-        # the embedded estimate is a local error of order h^5
-        assert 16 < big / small < 64
+        runs += [(method, evolve_schrodinger(H, psi0, times, cfg), vector_keys),
+                 (method, evolve_master(H, channels, rho0, times, cfg), rho_keys)]
+    for method, traj, keys in runs:
+        assert traj.diagnostics["method"] == method
+        assert set(traj.diagnostics) == keys
+        assert not any(key.startswith("step_error") for key in traj.diagnostics)
 
 
 # ---------------------------------------------------------------------------

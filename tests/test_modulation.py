@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modrabi.bessel import bessel_j
+from modrabi.bessel import X_LIMIT, bessel_j
 from modrabi.errors import UnreachableTargetError, ValidationError
 from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 SystemParams, amplitudes_for_coupling,
@@ -43,6 +43,14 @@ FIG_SETS = {
 def test_parameters_must_be_finite(params, field, value):
     with pytest.raises(ValidationError, match="must be finite"):
         replace(params, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["eta1", "eta2"])
+def test_amplitudes_beyond_the_bessel_range_are_rejected(field):
+    drive = FIG_SETS["ratio_0p05"][0]
+    replace(drive, **{field: X_LIMIT / 2})          # 2 eta at the edge is in range
+    with pytest.raises(ValidationError, match="Bessel range"):
+        replace(drive, **{field: 30.0})
 
 
 def test_red_sideband_resonance_is_exact():

@@ -489,18 +489,14 @@ def test_cli_simulate_is_deterministic(tmp_path):
     assert man_a == man_b
 
 
-def test_cli_simulate_manifest_carries_the_dp5_step_error(tmp_path):
+def test_cli_simulate_exact_run_is_fixed_dp5_and_reproducible(tmp_path):
     scn_file = tmp_path / "small.json"
     scn_file.write_text(json.dumps(small_doc()))
     assert main(["simulate", str(scn_file), "-o", str(tmp_path / "a")]) == 0
     assert main(["simulate", str(scn_file), "-o", str(tmp_path / "b")]) == 0
     man_a = (tmp_path / "a" / "manifest.json").read_bytes()
     assert man_a == (tmp_path / "b" / "manifest.json").read_bytes()
-    diagnostics = json.loads(man_a)["diagnostics"]
-    exact, effective = diagnostics["exact"], diagnostics["effective"]
-    assert exact["method"] == "fixed_dp5"
-    assert 0.0 < exact["step_error_max"] <= exact["step_error_sum"] < 1e-3
-    assert effective["step_error_max"] is None and effective["step_error_sum"] is None
+    assert json.loads(man_a)["diagnostics"]["exact"]["method"] == "fixed_dp5"
 
 
 def test_cli_simulate_validation_exit_code(tmp_path):
@@ -582,6 +578,24 @@ def test_cli_design_round_trip(tmp_path, capsys):
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
     assert manifest["resolved"]["effective"]["g_r_over_omega_eff"] == \
         pytest.approx(1.2, abs=1e-6)
+
+
+def test_cli_output_is_strict_json_at_zero_coupling(tmp_path, capsys):
+    def strict(text):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        return json.loads(text, parse_constant=refuse)
+
+    scn_file = tmp_path / "g0.json"
+    scn_file.write_text(json.dumps(small_doc(system={"epsilon_ghz": 5.4, "omega_ghz": 2.2,
+                                                     "g_mhz": 0})))
+    assert main(["validate", str(scn_file)]) == 0
+    assert strict(capsys.readouterr().out)["validity"]["rwa_margin"] == "inf"
+    assert main(["design", "--lambda", "0.5", "--g-mhz", "0"]) == 0
+    assert strict(capsys.readouterr().out)["validity"]["rwa_margin"] == "inf"
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "out")]) == 0
+    manifest = strict((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["resolved"]["validity"]["rwa_margin"] == "inf"
 
 
 def test_cli_design_pure_jc_path(capsys):

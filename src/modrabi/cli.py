@@ -130,6 +130,14 @@ def _warn_failed(where: str, side: str, diagnostics: dict | None):
               f"limit {CUTOFF_POP_LIMIT:g})", file=sys.stderr)
 
 
+def _check_finite(args, *dests: str):
+    """Refuse a non-finite value of any given option, naming its flag."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"--{dest.replace('_', '-')}: must be finite, got {value}")
+
+
 def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
     res = run_simulation(scn)
@@ -145,6 +153,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if math.isnan(args.anisotropy):
+        raise ValidationError("--lambda: must be a number in [0, inf], got nan")
+    _check_finite(args, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
     sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ,
                               omega=args.omega_ghz * GHZ,
                               g=args.g_mhz * MHZ,
@@ -216,13 +227,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _check_g_ratio(args):
-    if not math.isfinite(args.g_ratio):
-        raise ValidationError(f"--g-ratio: must be finite, got {args.g_ratio}")
-
-
 def cmd_applications_cat(args) -> int:
-    _check_g_ratio(args)
+    _check_finite(args, "g_ratio")
     if args.time_ns is not None and not 0.0 < args.time_ns < math.inf:
         raise ValidationError(f"--time-ns: must be finite and > 0, got {args.time_ns}")
     if not (math.isfinite(args.omega_mhz) and args.omega_mhz != 0.0):
@@ -276,7 +282,7 @@ def cmd_applications_cat(args) -> int:
 
 
 def cmd_applications_gate(args) -> int:
-    _check_g_ratio(args)
+    _check_finite(args, "g_ratio")
     gate = gate_at_period(args.g_ratio, 1.0)
     theta = theta_from_coupling_ratio(args.g_ratio)
     power = entangling_power(theta)

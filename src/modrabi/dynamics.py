@@ -7,11 +7,14 @@ its (T, d, d) stack only when asked (`store_states`).  The loop takes
 fixed steps of one Runge-Kutta stepper driven by a Butcher tableau, either
 Dormand-Prince 5(4) (`fixed_dp5`, the exact-frame default) or classical RK4
 (`fixed_rk4`, the oracle), or hands the flow to scipy's `solve_ivp` with
-DOP853 (`adaptive`, the default).  A Schrodinger run under `adaptive`
-with a static Hamiltonian skips the loop: one eigendecomposition
-H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at
-every time of the grid, and the run reports method "spectral".  The Lindblad
-right-hand side is
+DOP853 (`adaptive`, the default).  `scipy.integrate` is imported on the
+first such run, not with this module: `solve_ivp` is a module attribute
+resolved on first access (PEP 562), so only that path pays for the import
+and a replaced `dynamics.solve_ivp` is what the run calls.  A Schrodinger
+run under `adaptive` with a static Hamiltonian skips the loop: one
+eigendecomposition H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0))
+V+ psi0 exactly at every time of the grid, and the run reports method
+"spectral".  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
@@ -75,12 +78,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse import _sparsetools     # private: the CSR kernels behind `@`
 
 from .errors import NumericsError, ValidationError
@@ -101,6 +104,14 @@ MIN_PROMINENCE = 0.05       # least peak prominence extract_period counts, of th
 DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
 
 
+def __getattr__(name: str):
+    """`solve_ivp`, imported on first access (PEP 562)."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """How a run is propagated.
@@ -108,7 +119,8 @@ class IntegratorConfig:
     `adaptive` (the default) integrates with DOP853 at `rtol`/`atol`; a
     Schrodinger run under a static Hamiltonian (no coupling terms) is
     instead solved exactly by one eigendecomposition and reports method
-    "spectral".  `fixed_dp5`, the exact-frame default, is Dormand-Prince
+    "spectral".  `scipy.integrate` loads on the first `adaptive` run that
+    is not spectral.  `fixed_dp5`, the exact-frame default, is Dormand-Prince
     5(4) at steps <= `dt` (default: 2.5 times the Hamiltonian's
     `suggested_dt`).  `fixed_rk4`, the oracle, is classical RK4 at steps
     <= `dt` (default: `suggested_dt`).  An explicit `dt` is used as given.
@@ -469,6 +481,7 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
         flow.rhs(t, flat.reshape(y0.shape), out)
         return out.reshape(-1)
 
+    solve_ivp = sys.modules[__name__].solve_ivp     # a replaced attribute is what runs
     sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, annihilation,
@@ -151,7 +152,6 @@ def _coupling_matrices(space: HilbertSpace):
 
 def _sparse(*mats: np.ndarray) -> tuple:
     """Fixed coupling matrices in CSR form, for `TimeDependentHamiltonian.terms`."""
-    from scipy import sparse   # already loaded with scipy.integrate by dynamics
     return tuple(sparse.csr_array(m) for m in mats)
 
 

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationWarning, ValidationError
 
@@ -255,7 +254,11 @@ def coherent_tail_mass(space: HilbertSpace, xi: complex) -> float:
 
 
 def displacement(space: HilbertSpace, xi: complex) -> Operator:
-    """exp(xi a+ - conj(xi) a) on the truncated ladder."""
+    """exp(xi a+ - conj(xi) a) on the truncated ladder.
+
+    `scipy.linalg` loads on the first call, not with this module.
+    """
+    from scipy.linalg import expm
     _require_resonator(space)
     n = space.fock_cutoff
     if abs(xi) ** 2 > n / 4.0:

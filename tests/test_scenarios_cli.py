@@ -635,7 +635,6 @@ def test_cli_negative_values_in_exponent_notation(capsys):
 
 def test_cli_design_unreachable_exit_code(capsys):
     assert main(["design", "--lambda", "1", "--gr-mhz", "100"]) == 4
-    assert main(["design", "--lambda", "1", "--gr-mhz", "nan"]) == 4
 
 
 @pytest.mark.parametrize("flag, value", [("--epsilon-ghz", "nan"), ("--g-mhz", "nan"),
@@ -644,6 +643,20 @@ def test_cli_design_non_finite_value_exits_2(flag, value, capsys):
     assert main(["design", "--lambda", "1", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "1", "--delta1-mhz", "inf"], ["--lambda", "1", "--delta1-hz", "inf"],
+    ["--lambda", "1", "--delta1-mhz=-inf"], ["--lambda", "nan"],
+    ["--lambda", "1", "--gratio", "nan"], ["--lambda", "1", "--gratio=-inf"],
+    ["--lambda", "1", "--gratio", "inf"], ["--lambda", "1", "--gr-mhz", "nan"],
+    ["--lambda", "1", "--gr-mhz", "inf"]], ids=" ".join)
+def test_cli_design_non_finite_target_exits_2_naming_the_flag(argv, capsys):
+    # checked before any solve; --lambda inf stays a valid target
+    assert main(["design", *argv]) == 2
+    captured = capsys.readouterr()
+    flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert captured.out == "" and captured.err.startswith(f"validation error: {flag}: ")
 
 
 def test_design_at_coupling_null_is_unreachable(tmp_path, capsys):

@@ -153,9 +153,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if math.isnan(args.anisotropy):
-        raise ValidationError("--lambda: must be a number in [0, inf], got nan")
+    if not args.anisotropy >= 0:      # NaN included
+        raise ValidationError(f"--lambda: must be a number in [0, inf], got {args.anisotropy}")
     _check_finite(args, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
+    for dest in ("gratio", "gr_mhz"):
+        value = getattr(args, dest)
+        if value is not None and not value > 0:
+            raise ValidationError(f"--{dest.replace('_', '-')}: must be > 0, got {value}")
     sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ,
                               omega=args.omega_ghz * GHZ,
                               g=args.g_mhz * MHZ,

@@ -5,16 +5,17 @@ is the (n,) case and a density matrix a stack of diagonal blocks.  A
 Schrodinger run keeps its states, one (T, d) array; a Lindblad run keeps
 its (T, d, d) stack only when asked (`store_states`).  The loop takes
 fixed steps of one Runge-Kutta stepper driven by a Butcher tableau, either
-Dormand-Prince 5(4) (`fixed_dp5`, the exact-frame default) or classical RK4
-(`fixed_rk4`, the oracle), or hands the flow to scipy's `solve_ivp` with
-DOP853 (`adaptive`, the default).  `scipy.integrate` is imported on the
-first such run, not with this module: `solve_ivp` is a module attribute
-resolved on first access (PEP 562), so only that path pays for the import
-and a replaced `dynamics.solve_ivp` is what the run calls.  A Schrodinger
-run under `adaptive` with a static Hamiltonian skips the loop: one
-eigendecomposition H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0))
-V+ psi0 exactly at every time of the grid, and the run reports method
-"spectral".  The Lindblad right-hand side is
+Dormand-Prince 5(4) (`fixed_dp5`, the default of every scenario run that
+is stepped) or classical RK4 (`fixed_rk4`, the oracle), or hands the flow
+to scipy's `solve_ivp` with DOP853 (`adaptive`, the library default, which
+a scenario run takes only when its integrator block asks for it).
+`scipy.integrate` is imported on the first such run, not with this module:
+`solve_ivp` is a module attribute resolved on first access (PEP 562), so
+only that path pays for the import and a replaced `dynamics.solve_ivp` is
+what the run calls.  A Schrodinger run under `adaptive` with a static
+Hamiltonian skips the loop: one eigendecomposition H = V diag(lam) V+ gives
+psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every time of the grid,
+and the run reports method "spectral".  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
@@ -38,8 +39,14 @@ Each stage input y + sum_j a_ij h k_j, and the new y, is one real dot of a
 tableau row with the float view of that stack.  DP5's last stage is taken
 at the new y (first same as last), so a step costs six evaluations; its
 default step is 2.5 times the Hamiltonian's `suggested_dt`, where its error
-is below RK4's at `suggested_dt` on every packaged figure.  The adaptive
-path calls the same stage with h = 1.
+is below RK4's at `suggested_dt` on every packaged figure.  When that step
+is longer than every sample interval (a lossy effective run, whose
+Hamiltonian is static and slow next to the exact frame's), the run steps
+once across the whole grid and reads each sample off DP5's fourth-order
+continuous extension, one more dot of the stack with the weights
+[1, b(theta)], before the step moves y on.  Any other fixed-step run
+(every exact-frame one) restarts at each sample, exactly on it.  The
+adaptive path calls the same stage with h = 1.
 
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
@@ -66,10 +73,11 @@ max |rho - rho+| removed there is reported as `herm_defect`.  Positivity
 is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
 because it is evidence of a cutoff or step-size misconfiguration, and so
 does a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how
-many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step, 6 per DP5
-step plus 1 per sample interval, the solver's count under `adaptive`, 0 for
-`spectral`) and, for rho, when its least eigenvalue occurred
-(`min_eigenvalue_time`).
+many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step; 6 per DP5
+step plus 1 per sample interval when it restarts at each sample, plus 1 per
+run when it reads the samples off the continuous extension; the solver's
+count under `adaptive`, 0 for `spectral`) and, for rho, when its least
+eigenvalue occurred (`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
 """
@@ -120,10 +128,13 @@ class IntegratorConfig:
     Schrodinger run under a static Hamiltonian (no coupling terms) is
     instead solved exactly by one eigendecomposition and reports method
     "spectral".  `scipy.integrate` loads on the first `adaptive` run that
-    is not spectral.  `fixed_dp5`, the exact-frame default, is Dormand-Prince
-    5(4) at steps <= `dt` (default: 2.5 times the Hamiltonian's
-    `suggested_dt`).  `fixed_rk4`, the oracle, is classical RK4 at steps
-    <= `dt` (default: `suggested_dt`).  An explicit `dt` is used as given.
+    is not spectral.  `fixed_dp5`, the default of every stepped scenario
+    run (the exact frame, and the effective model under loss), is
+    Dormand-Prince 5(4) at steps <= `dt` (default: 2.5 times the
+    Hamiltonian's `suggested_dt`); a step longer than every sample interval
+    reads the samples off its continuous extension.  `fixed_rk4`, the
+    oracle, is classical RK4 at steps <= `dt` (default: `suggested_dt`).
+    An explicit `dt` is used as given.
     """
 
     method: str = "adaptive"
@@ -343,12 +354,15 @@ class Tableau:
     """An explicit Runge-Kutta method: stage i evaluates k_i = f(t + c_i h, x_i)
     at x_i = y + h sum_j a_ij k_j (row i of `a` lists a_i1 .. a_i,i-1) and
     the step is y <- y + h sum_j b_j k_j.  `step` is the default step as a
-    multiple of the Hamiltonian's `suggested_dt`."""
+    multiple of the Hamiltonian's `suggested_dt`.  A method with a continuous
+    extension gives it as `p`: y(t + theta h) = y + h sum_i b_i(theta) k_i
+    with b_i(theta) = sum_j p_ij theta^(j+1), so b_i(1) = b_i."""
 
     a: tuple
     b: tuple
     c: tuple
     step: float
+    p: tuple | None = None
 
 
 RK4 = Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
@@ -367,7 +381,20 @@ DP5 = Tableau(
        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
     b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
     c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
-    step=2.5)
+    step=2.5,
+    # the fourth-order continuous extension of Hairer, Norsett & Wanner,
+    # Solving ODEs I, sec. II.6 (Shampine, Math. Comp. 46, 135 (1986))
+    p=((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+        -12715105075 / 11282082432),
+       (0.0, 0.0, 0.0, 0.0),
+       (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+        87487479700 / 32700410799),
+       (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+        -10690763975 / 1880347072),
+       (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+        701980252875 / 199316789632),
+       (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+       (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)))
 
 TABLEAUS = {"fixed_rk4": RK4, "fixed_dp5": DP5}
 
@@ -380,10 +407,11 @@ class _RungeKutta:
     is one dot of the real weights [1, a_i1, .., a_i,i-1] with the float
     view of rows 0 .. i-1 of z, and stage i writes h k_i into its row with
     the nonzeros of h K, those of every stage of up to _MAX_BLOCK steps from
-    one call.  The new y is the dot with [1, b].  A tableau whose last stage
-    is taken at the new y (FSAL: c_s = 1, a_s = b) reads the new y from that
-    stage's input and keeps its slope as the next step's first, so a step
-    costs s - 1 evaluations and each `advance` one more.
+    one call.  The new y is the dot with [1, b], and a state inside the step
+    the dot of the whole stack with [1, b(theta)].  A tableau whose last
+    stage is taken at the new y (FSAL: c_s = 1, a_s = b) reads the new y
+    from that stage's input and keeps its slope as the next step's first, so
+    a step costs s - 1 evaluations and each `advance` one more.
     """
 
     def __init__(self, flow: _Flow, tableau: Tableau):
@@ -391,9 +419,12 @@ class _RungeKutta:
         self.flow = flow
         self.z = np.zeros((s + 1, *flow.shape), dtype=complex)
         self.x = np.empty(flow.shape, dtype=complex)
+        self.sample = np.empty(flow.shape, dtype=complex)
         # float views: the weights are real, so each combination is one real dot
-        zf = self.z.reshape(s + 1, -1).view(float)
+        self.zf = zf = self.z.reshape(s + 1, -1).view(float)
         self.xf = self.x.reshape(-1).view(float)
+        self.sf = self.sample.reshape(-1).view(float)
+        self.p = None if tableau.p is None else np.array(tableau.p)
         self.fsal = (tableau.c[-1] == 1.0 and tableau.b[-1] == 0.0
                      and tableau.a[-1] == tableau.b[:-1])
         # the times of the stages taken every step: FSAL takes stage 1 once
@@ -405,9 +436,16 @@ class _RungeKutta:
                        for i in range(1, s)]
         self.b = np.array([1.0, *tableau.b]), zf
 
-    def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float) -> int:
+    def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float,
+                dense=None) -> int:
         """Step y from t0 to t1 in place with steps <= dt_target; returns the
-        number of right-hand sides evaluated."""
+        number of right-hand sides evaluated.
+
+        With `dense` = (times, record), times increasing in [t0, t1], each
+        step also hands record(k, state at times[k]) for the times it covers,
+        read off the continuous extension before y moves on; the state handed
+        over is a buffer the next sample overwrites.
+        """
         nsub = max(1, int(math.ceil((t1 - t0) / dt_target)))
         h = (t1 - t0) / nsub
         gen, stage, stages, c, fsal = (self.flow.generator, self.flow.stage, self.stages,
@@ -415,6 +453,14 @@ class _RungeKutta:
         jump_data = h * self.flow.jump_data
         x, xf, b = self.x, self.xf, self.b
         y0, k1, ks = self.z[0], self.z[1], self.z[-1]
+        reads = np.zeros(nsub + 1, dtype=int)  # step n reads samples reads[n] .. reads[n+1] - 1
+        if dense is not None:
+            times, record = dense
+            u = (np.asarray(times) - t0) / h
+            in_step = np.clip(np.ceil(u).astype(int) - 1, 0, nsub - 1)
+            theta = (u - in_step)[:, None] ** np.arange(1, self.p.shape[1] + 1)
+            weights = np.hstack([np.ones((u.size, 1)), theta @ self.p.T])
+            reads = np.searchsorted(in_step, np.arange(nsub + 1))
         np.copyto(y0, y)
         if fsal:
             stage(gen.data(np.array([t0]), h)[0], jump_data, y0, k1)
@@ -422,7 +468,7 @@ class _RungeKutta:
             starts = t0 + np.arange(first, min(first + _MAX_BLOCK, nsub)) * h
             n = starts.size
             data = gen.data((starts[:, None] + h * c).ravel(), h).reshape(n, c.size, -1)
-            for d in data:
+            for step_n, d in enumerate(data, start=first):
                 if not fsal:
                     stage(d[0], jump_data, y0, k1)
                 for i, w, rows, out in stages:
@@ -430,6 +476,9 @@ class _RungeKutta:
                     stage(d[i], jump_data, x, out)
                 if not fsal:                # else the last stage's input is the new y
                     np.dot(*b, out=xf)
+                for k in range(reads[step_n], reads[step_n + 1]):
+                    np.dot(weights[k], self.zf, out=self.sf)
+                    record(k, self.sample)
                 np.copyto(y0, x)
                 if fsal:
                     np.copyto(k1, ks)
@@ -463,12 +512,20 @@ def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
     """Carry y0 over the grid, handing the state at each time i to record(i, y);
     returns the diagnostics {"rhs_evals": n}.
 
-    The fixed-step stepper continues from what record returns, so a state
-    symmetrized at a sample is the one propagated further.
+    A fixed-step run whose step is longer than every sample interval, and
+    whose tableau has a continuous extension, steps once across the whole
+    grid and reads each sample off that extension; what record returns is
+    not used.  Any other fixed-step run restarts at each sample, exactly
+    on it, and continues from what record returns, so a state symmetrized
+    at a sample is the one propagated further.
     """
     if cfg.method in TABLEAUS:
         dt = _pick_dt(cfg, H)
-        stepper = _RungeKutta(flow, TABLEAUS[cfg.method])
+        tableau = TABLEAUS[cfg.method]
+        stepper = _RungeKutta(flow, tableau)
+        if tableau.p is not None and dt > np.max(np.diff(times)):
+            return {"rhs_evals": stepper.advance(times[0], y0.copy(), times[-1], dt,
+                                                 (times, record))}
         y = record(0, y0.copy())
         evals = 0
         for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):

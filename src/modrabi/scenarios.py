@@ -302,9 +302,14 @@ def packaged_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
-    """The side's default integrator with the scenario's overrides laid over it."""
-    # multi-GHz phases on the exact side: uniform small steps beat adaptivity
-    method = "fixed_dp5" if side == "exact" else "adaptive"
+    """The side's default integrator with the scenario's overrides laid over it.
+
+    Every stepped run defaults to fixed DP5.  A lossless effective run has a
+    static Hamiltonian, which `adaptive` solves by one eigendecomposition.
+    """
+    lossless_effective = side == "effective" and not (scn.model == "effective"
+                                                      and scn.dissipation)
+    method = "adaptive" if lossless_effective else "fixed_dp5"
     return IntegratorConfig(**{"method": method, **scn.integrator})
 
 

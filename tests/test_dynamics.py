@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from modrabi.hilbert import (HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
-from modrabi.scenarios import load_scenario
+from modrabi.scenarios import _integrator_for, load_scenario
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -763,6 +765,10 @@ def test_tableaus_match_scipy_and_satisfy_the_order_conditions():
     assert np.array_equal(a[6, :6], RK45.B) and DP5.b[6] == 0.0
     assert np.array_equal(DP5.c[:6], RK45.C) and DP5.c[6] == 1.0
     assert DP5.step == 2.5 and RK4.step == 1.0
+    # the continuous extension is scipy's RK45 dense output, and at theta = 1
+    # its weights are b: the last sample of a step is the new y
+    assert np.array_equal(np.array(DP5.p), RK45.P) and RK4.p is None
+    assert np.allclose(np.array(DP5.p).sum(axis=1), DP5.b, rtol=0, atol=1e-15)
     # Butcher's conditions: RK4 to fourth order, DP5 to fifth
     for tab, b, order in [(RK4, np.array(RK4.b), 4), (DP5, np.array(DP5.b), 5)]:
         s = len(tab.b)
@@ -798,6 +804,29 @@ def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
             assert evolve_schrodinger(H, psi0, times, cfg).diagnostics["rhs_evals"] == want
             assert evolve_master(H, channels, psi0.density_matrix(), times,
                                  cfg).diagnostics["rhs_evals"] == want
+
+
+def test_dense_samples_at_step_ends_are_the_new_ys():
+    # 12 samples one step apart.  At a target of the largest sample interval
+    # the run restarts at each sample; at a 1.01-step target every interval
+    # is shorter than a step, so the run makes one pass over the grid, takes
+    # the same 11 steps, and reads each sample off the continuous extension
+    # at theta = 1 (6 evaluations per step + 1 per run)
+    space = HilbertSpace(1, 4)
+    H = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
+    channels = loss_dissipators(SYS, space)
+    rho0 = basis_state(space, "e", 1).density_matrix()
+    step = DP5.step * H.descriptor["suggested_dt"]
+    times = np.linspace(0.0, 11 * step, 12)
+    restart, dense = (evolve_master(H, channels, rho0, times,
+                                    IntegratorConfig(method="fixed_dp5", dt=dt),
+                                    store_states=True)
+                      for dt in (np.max(np.diff(times)), 1.01 * step))
+    assert restart.diagnostics["rhs_evals"] == 11 * 7
+    assert dense.diagnostics["rhs_evals"] == 11 * 6 + 1
+    assert np.array_equal(dense.states[0], restart.states[0])
+    assert np.max(np.abs(dense.states - restart.states)) < 1e-15
+    assert np.array_equal(dense.states, dense.states.conj().transpose(0, 2, 1))
 
 
 def test_every_path_reports_the_same_diagnostics_keys():
@@ -895,32 +924,63 @@ def _liouvillian(H: TimeDependentHamiltonian, channels) -> sparse.csr_array:
     return sparse.csr_array(out)
 
 
-def test_adaptive_master_matches_converged_rk4_on_fig5():
+# fig5 itself, and two low-cutoff points from the excited state at small eta2,
+# where fixed DP5's continuous extension is farthest from the oracle
+FIG5_POINTS = {"fig5": (None, None, "g"), "n12": (12, 0.05, "e"), "n16": (16, 0.05, "e")}
+
+
+@functools.lru_cache(maxsize=None)
+def _fig5_point(point: str):
+    """(H, channels, rho0, times, the observables under fixed RK4 at
+    suggested_dt / 16) of one FIG5_POINTS entry."""
     scn = load_scenario("fig5")
-    space = HilbertSpace(1, scn.fock_cutoff)
-    H = effective_hamiltonian(effective_params(scn.system, scn.drive), space)
+    cutoff, eta2, state = FIG5_POINTS[point]
+    drive = scn.drive if eta2 is None else replace(scn.drive, eta2=eta2)
+    space = HilbertSpace(1, cutoff or scn.fock_cutoff)
+    H = effective_hamiltonian(effective_params(scn.system, drive), space)
     channels = loss_dissipators(scn.system, space)
-    rho0 = basis_state(space, "g", 0).density_matrix()
+    rho0 = basis_state(space, state, 0).density_matrix()
     times = np.linspace(0.0, scn.t_end, scn.samples)
     dt = H.descriptor["suggested_dt"]
-
-    def series(cfg):
-        traj = evolve_master(H, channels, rho0, times, cfg)
-        return np.array([traj.observables[name] for name in DEFAULT_OBSERVABLES])
-
-    oracle = series(IntegratorConfig(method="fixed_rk4", dt=dt / 16))
-    coarse = series(IntegratorConfig(method="fixed_rk4", dt=dt / 8))
+    oracle = _master_series(H, channels, rho0, times, IntegratorConfig(method="fixed_rk4",
+                                                                       dt=dt / 16))[0]
+    coarse = _master_series(H, channels, rho0, times, IntegratorConfig(method="fixed_rk4",
+                                                                       dt=dt / 8))[0]
     assert np.max(np.abs(coarse - oracle)) < 1e-10        # the oracle has converged
-    dev = np.max(np.abs(series(IntegratorConfig(method="adaptive")) - oracle))
+    return H, channels, rho0, times, oracle
+
+
+def _master_series(H, channels, rho0, times, cfg):
+    traj = evolve_master(H, channels, rho0, times, cfg)
+    return np.array([traj.observables[name] for name in DEFAULT_OBSERVABLES]), traj.diagnostics
+
+
+@pytest.mark.parametrize("point", FIG5_POINTS)
+@pytest.mark.parametrize("method", ["adaptive", "default"])
+def test_lossy_effective_run_matches_converged_rk4(method, point):
+    H, channels, rho0, times, oracle = _fig5_point(point)
+    if method == "default":
+        # what a lossy effective scenario runs: fixed DP5, one pass over the
+        # grid with the samples read off its continuous extension
+        cfg = _integrator_for(load_scenario("fig5"), "effective")
+        assert cfg == IntegratorConfig(method="fixed_dp5")
+        series, diag = _master_series(H, channels, rho0, times, cfg)
+        assert diag["rhs_evals"] == 6 * math.ceil(
+            (times[-1] - times[0]) / (DP5.step * H.descriptor["suggested_dt"])) + 1
+        assert np.max(np.abs(series - oracle)) <= 2e-7
+        assert diag["herm_defect"] == 0.0 and diag["min_eigenvalue"] > -1e-7
+        return
+    series, _ = _master_series(H, channels, rho0, times, IntegratorConfig(method="adaptive"))
+    dev = np.max(np.abs(series - oracle))
     assert dev < 1e-8
     # no farther from the oracle than RK45 at the same tolerances
     liouvillian = _liouvillian(H, channels)
     sol = solve_ivp(lambda t, y: liouvillian @ y, (times[0], times[-1]),
                     rho0.matrix.reshape(-1), method="RK45", t_eval=times,
                     rtol=1e-10, atol=1e-12)
-    obs = _ObservableSet(space, len(times))
+    obs = _ObservableSet(H.space, len(times))
     for i, y in enumerate(sol.y.T):
-        rho = y.reshape(space.dim, space.dim)
+        rho = y.reshape(H.space.dim, H.space.dim)
         obs.from_blocks(i, 0.5 * (rho + rho.conj().T)[None])
     rk45 = np.array([obs.series[name] for name in DEFAULT_OBSERVABLES])
     assert dev <= np.max(np.abs(rk45 - oracle))

@@ -34,14 +34,20 @@ doc.update(fock_cutoff=8, grid={"t_end_ns": 0.3, "samples": 4})
 with open("fig5_short.json", "w") as fh:
     json.dump(doc, fh)
 
+doc["integrator"] = {"method": "adaptive"}
+with open("fig5_adaptive.json", "w") as fh:
+    json.dump(doc, fh)
+
 for name, argv in [
         ("validate", ["validate", "fig3d"]),
         ("design", ["design", "--lambda", "1", "--gratio", "0.3"]),
         ("gate", ["applications", "gate", "-o", "gate"]),
-        ("simulate_exact", ["simulate", "fig2a_short.json", "-o", "fig2a"])]:
+        ("simulate_exact", ["simulate", "fig2a_short.json", "-o", "fig2a"]),
+        ("simulate_lossy_effective", ["simulate", "fig5_short.json", "-o", "fig5"])]:
     report[name] = [main(argv), loaded()]
 
-report["simulate_adaptive"] = main(["simulate", "fig5_short.json", "-o", "fig5"])
+report["simulate_adaptive"] = [main(["simulate", "fig5_adaptive.json", "-o", "fig5a"]),
+                               loaded()]
 import scipy.integrate
 report["solve_ivp_is_scipys"] = modrabi.dynamics.solve_ivp is scipy.integrate.solve_ivp
 print(json.dumps(report))
@@ -57,7 +63,9 @@ def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["import"] == []
-    for name in ("validate", "design", "gate", "simulate_exact"):
+    for name in ("validate", "design", "gate", "simulate_exact", "simulate_lossy_effective"):
         assert report[name] == [0, []], name
-    assert report["simulate_adaptive"] == 0
+    # an explicit `adaptive` run loads scipy.integrate (and what it imports)
+    rc, modules = report["simulate_adaptive"]
+    assert rc == 0 and "scipy.integrate" in modules
     assert report["solve_ivp_is_scipys"] is True

@@ -659,6 +659,18 @@ def test_cli_design_non_finite_target_exits_2_naming_the_flag(argv, capsys):
     assert captured.out == "" and captured.err.startswith(f"validation error: {flag}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "1", "--gratio", "-1"], ["--lambda", "1", "--gratio", "0"],
+    ["--lambda", "1", "--gr-mhz", "-5"], ["--lambda", "1", "--gr-mhz", "0"],
+    ["--lambda", "-1"]], ids=" ".join)
+def test_cli_design_out_of_range_target_exits_2_naming_the_flag(argv, capsys):
+    # invalid input, as in a scenario's drive.design; a target above the
+    # reachable coupling stays exit 4 (test_cli_design_unreachable_exit_code)
+    assert main(["design", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"validation error: {argv[-2]}: ")
+
+
 def test_design_at_coupling_null_is_unreachable(tmp_path, capsys):
     # lambda = inf nulls g_r; no detuning realizes |g_r|/omega_eff = 1 there
     assert main(["design", "--lambda", "inf", "--gratio", "1"]) == 4

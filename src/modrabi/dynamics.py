@@ -72,7 +72,14 @@ integrator bug cannot hide behind symmetrization; the largest
 max |rho - rho+| removed there is reported as `herm_defect`.  Positivity
 is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
 because it is evidence of a cutoff or step-size misconfiguration, and so
-does a trace that leaves 1 by more than `TRACE_TOL`.  Each run reports how
+does a trace that leaves 1 by more than `TRACE_TOL`.  The monitor needs
+only the least eigenvalue, and only when it is a new minimum: from the
+second sample on, a sample whose blocks rho_s - (m + `CHOLESKY_MARGIN`) I
+all factor by Cholesky has every eigenvalue above m, the least so far, so
+it cannot move the minimum, its time or the abort, and `eigvalsh` runs only
+at the samples where that factorization fails.  A sample holding NaN or
+inf, which a Cholesky factorization does not reject, aborts before that
+test, in both equations.  Each run reports how
 many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step; 6 per DP5
 step plus 1 per sample interval when it restarts at each sample, plus 1 per
 run when it reads the samples off the continuous extension; the solver's
@@ -104,6 +111,17 @@ METHODS = ("adaptive", "fixed_rk4", "fixed_dp5")
 
 TRACE_TOL = 1e-6            # largest |Tr rho - 1| a Lindblad run accepts
 POSITIVITY_FLOOR = -1e-6    # least eigenvalue of rho a Lindblad run accepts
+# Shift of the Cholesky test that skips `eigvalsh` at a sample.  If every
+# block A = rho_s - (m + margin) I factors, A + dA is positive definite with
+# ||dA||_2 <= N gamma_{N+1} ||A||_2, gamma_k = k u / (1 - k u) (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 10.1).  A
+# sample that is kept has unit trace within TRACE_TOL and no eigenvalue
+# below POSITIVITY_FLOOR, so ||A||_2 is about 1 and that bound is 1.8e-13 at
+# N = 40, the largest packaged block; it reaches the margin only near
+# N = 95.  The errors met in practice, of the factorization and of
+# `eigvalsh`, are below 1e-15 up to N = 95.  So every eigenvalue `eigvalsh`
+# would return for a sample that factors lies above m.
+CHOLESKY_MARGIN = 1e-12
 CUTOFF_POP_LIMIT = 1e-6     # largest top-Fock population of a run with cutoff_ok
 HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
 MIN_PROMINENCE = 0.05       # least peak prominence extract_period counts, of the range
@@ -499,12 +517,22 @@ def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("time grid must contain at least two points")
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("time grid must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValidationError("time grid must be strictly increasing")
     if reference is not None and np.shape(reference) != (times.size, dim):
         raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
                               f"one vector per time of the grid, {(times.size, dim)}")
     return times
+
+
+def _check_finite(value: float, t: float, what: str):
+    """Abort the run when `value`, a scalar that every entry of the state at
+    time t reaches, is NaN or inf."""
+    if not math.isfinite(value):
+        raise NumericsError(f"{what} is not finite at t = {t:.6g}",
+                            diagnostics={"time": float(t)})
 
 
 def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
@@ -570,7 +598,8 @@ def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
 def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
                        times: np.ndarray, cfg: IntegratorConfig | None = None,
                        reference: np.ndarray | None = None) -> Trajectory:
-    """Propagate |psi> under H; norm is a monitored quality metric, not enforced.
+    """Propagate |psi> under H; norm is a monitored quality metric, not
+    enforced, and a sample holding NaN or inf aborts.
 
     The run keeps its normalized states, one (T, d) array.  When H keeps the
     parity sector that holds psi0, the run carries that sector alone and the
@@ -592,6 +621,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         nonlocal norm_drift
         obs.from_vector(i, psi)
         norm = np.linalg.norm(psi)
+        _check_finite(norm, times[i], "state vector")
         norm_drift = max(norm_drift, abs(norm - 1.0))
         states[i, order] = psi / norm
         return psi
@@ -686,14 +716,28 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
     return [np.arange(space.dim)]
 
 
+def _above(blocks: np.ndarray, m: float) -> bool:
+    """True when Cholesky factors every block of blocks - (m + CHOLESKY_MARGIN) I,
+    which shows that each eigenvalue `eigvalsh` finds for them lies above m.
+    A non-finite entry need not make it fail."""
+    shifted = blocks.copy()
+    # every (N + 1)-th entry of a C-ordered N x N block is on its diagonal
+    shifted.reshape(len(blocks), -1)[:, ::blocks.shape[-1] + 1] -= m + CHOLESKY_MARGIN
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                   rho0: DensityMatrix, times: np.ndarray,
                   cfg: IntegratorConfig | None = None,
                   store_states: bool = False,
                   reference: np.ndarray | None = None) -> Trajectory:
     """Propagate rho under H plus Lindblad loss channels; abort when an
-    eigenvalue of rho falls below POSITIVITY_FLOOR or its trace leaves 1 by
-    more than TRACE_TOL.
+    eigenvalue of rho falls below POSITIVITY_FLOOR, its trace leaves 1 by
+    more than TRACE_TOL or a sample holds NaN or inf.
 
     The (T, d, d) stack of rho at the times of the grid is kept only with
     `store_states`.  Given `reference`, one vector per time, the run records
@@ -723,14 +767,18 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         rho_h = rho.conj().transpose(0, 2, 1)
         herm_defect = max(herm_defect, float(np.max(np.abs(rho - rho_h))))
         rho = 0.5 * (rho + rho_h)
-        lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
-        if lo < min_eig:
-            min_eig, min_eig_time = lo, float(times[i])
-        if lo < POSITIVITY_FLOOR:
-            raise NumericsError(
-                f"density matrix lost positivity at t = {times[i]:.6g}",
-                diagnostics={"time": float(times[i]), "min_eigenvalue": lo,
-                             "positivity_floor": POSITIVITY_FLOOR})
+        obs.from_blocks(i, rho)
+        # the purity sums |rho_ij|^2 over every entry, so a NaN or inf reaches it
+        _check_finite(obs.purity[i], times[i], "density matrix")
+        if min_eig == math.inf or not _above(rho, min_eig):
+            lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
+            if lo < min_eig:
+                min_eig, min_eig_time = lo, float(times[i])
+            if lo < POSITIVITY_FLOOR:
+                raise NumericsError(
+                    f"density matrix lost positivity at t = {times[i]:.6g}",
+                    diagnostics={"time": float(times[i]), "min_eigenvalue": lo,
+                                 "positivity_floor": POSITIVITY_FLOOR})
         trace = float(np.real(np.trace(rho, axis1=1, axis2=2).sum()))
         if abs(trace - 1.0) > TRACE_TOL:
             raise NumericsError(
@@ -738,7 +786,6 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
                 diagnostics={"time": float(times[i]), "trace": trace,
                              "trace_tol": TRACE_TOL})
         trace_drift = max(trace_drift, abs(trace - 1.0))
-        obs.from_blocks(i, rho)
         if reference is not None:
             obs.series["fidelity"][i] = fidelity(reference[i][rows], rho).sum()
         if states is not None:

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,8 @@ from modrabi.hilbert import (HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
-from modrabi.scenarios import _integrator_for, load_scenario
+from modrabi.scenarios import (_integrator_for, load_scenario, load_scenario_document,
+                               parse_scenario, run_simulation)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -231,6 +233,32 @@ def test_trace_guard_aborts_growing_trace():
         assert diag["time"] == pytest.approx(0.1)
         assert diag["trace"] == pytest.approx(math.exp(2 * gamma * 0.1), rel=1e-9)
         assert diag["trace_tol"] == 1e-6
+
+
+def nan_after(space, t_nan):
+    """H = diag(0, 1, ..) + c(t) (a + a+), with c = 1 up to t_nan and NaN after."""
+    a = annihilation(space).matrix
+    return TimeDependentHamiltonian(
+        space=space, static=np.diag(np.arange(space.dim, dtype=complex)),
+        terms=(sparse.csr_array(a + a.conj().T),),
+        coefficients=lambda t: np.where(t > t_nan, np.nan, 1.0)[:, None] + 0j)
+
+
+@pytest.mark.parametrize("method", ["fixed_dp5", "fixed_rk4"])
+def test_non_finite_sample_aborts_naming_its_time(method):
+    # a NaN in the state must stop both equations at the first sample that
+    # holds it: it reaches neither the eigenvalues nor the series
+    space = HilbertSpace(1, 4)
+    H = nan_after(space, 0.45)
+    psi0 = basis_state(space, "g", 0)
+    times = np.linspace(0.0, 1.0, 11)
+    cfg = IntegratorConfig(method=method, dt=0.01)
+    for run in (lambda: evolve_schrodinger(H, psi0, times, cfg),
+                lambda: evolve_master(H, [Dissipator(annihilation(space), 0.1)],
+                                      psi0.density_matrix(), times, cfg)):
+        with pytest.raises(NumericsError, match=r"not finite at t = 0\.5$") as err:
+            run()
+        assert err.value.diagnostics == {"time": 0.5}
 
 
 def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():
@@ -502,6 +530,26 @@ def test_grid_validation():
         evolve_schrodinger(zero_hamiltonian(space), psi0, np.array([0.0]))
     with pytest.raises(ValidationError):
         evolve_schrodinger(zero_hamiltonian(space), psi0, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [0.0, math.inf], [math.nan, 1.0],
+                                   [-math.inf, 0.0]])
+def test_grid_with_non_finite_times_is_rejected(times):
+    # the adaptive Lindblad run is left out, so that a regression cannot stall
+    # the suite: without the check it does not return on [0, inf]
+    space = HilbertSpace(1, 3)
+    psi0 = basis_state(space, "g", 0)
+    H = effective_hamiltonian(JC_EFF, space)
+    channels = loss_dissipators(SYS, space)
+    runs = [lambda: evolve_schrodinger(H, psi0, times)]         # spectral
+    for method in ("fixed_dp5", "fixed_rk4"):
+        cfg = IntegratorConfig(method=method, dt=1e-9)
+        runs += [lambda cfg=cfg: evolve_schrodinger(H, psi0, times, cfg),
+                 lambda cfg=cfg: evolve_master(H, channels, psi0.density_matrix(),
+                                               times, cfg)]
+    for run in runs:
+        with pytest.raises(ValidationError, match="finite"):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +899,70 @@ def test_every_path_reports_the_same_diagnostics_keys():
         assert traj.diagnostics["method"] == method
         assert set(traj.diagnostics) == keys
         assert not any(key.startswith("step_error") for key in traj.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# the positivity monitor
+# ---------------------------------------------------------------------------
+
+def _run_with_sectors(H, channels, rho0, times, cfg):
+    """A lossy run with its states, and the basis states of each block it
+    carried."""
+    traj = evolve_master(H, channels, rho0, times, cfg, store_states=True)
+    layout = _lindblad(H, channels, rho0.matrix)[1]
+    return traj, layout[:, :, 0] // H.space.dim
+
+
+def _least_eigenvalue_runs():
+    """A lossy effective run on fig5's dense fixed-DP5 path and a short lossy
+    exact-frame run at fig2a's settings, restarting at each sample."""
+    fig5 = load_scenario("fig5")
+    space = HilbertSpace(1, fig5.fock_cutoff)
+    H = effective_hamiltonian(effective_params(fig5.system, fig5.drive), space)
+    times = np.linspace(0.0, fig5.t_end, fig5.samples)
+    dense = _run_with_sectors(H, loss_dissipators(fig5.system, space),
+                              basis_state(space, "g", 0).density_matrix(), times,
+                              _integrator_for(fig5, "effective"))
+    assert dense[0].diagnostics["rhs_evals"] == 6 * math.ceil(
+        times[-1] / (DP5.step * H.descriptor["suggested_dt"])) + 1
+    fig2a = load_scenario("fig2a")
+    space = HilbertSpace(1, 12)
+    restart = _run_with_sectors(rotated_hamiltonian(fig2a.system, fig2a.drive, space),
+                                loss_dissipators(fig2a.system, space),
+                                basis_state(space, "g", 0).density_matrix(),
+                                np.linspace(0.0, 2 * NS, 21), _integrator_for(fig2a, "exact"))
+    # 20 (6 n + 1) evaluations when it restarts at each sample, not 6 n + 1
+    assert restart[0].diagnostics["rhs_evals"] % 20 == 0
+    return dense, restart
+
+
+def test_least_eigenvalue_is_that_of_the_stored_samples_exactly():
+    # the monitor may skip eigvalsh at a sample only where it cannot find a
+    # new minimum: the reported minimum and its time are those of eigvalsh
+    # over every stored sample, to the bit
+    for traj, sectors in _least_eigenvalue_runs():
+        assert traj.diagnostics["blocks"] == [len(s) for s in sectors] and len(sectors) == 2
+        least = np.array([np.linalg.eigvalsh(np.array([rho[np.ix_(s, s)] for s in sectors]))
+                          [:, 0].min() for rho in traj.states])
+        assert traj.diagnostics["min_eigenvalue"] == least.min()
+        assert traj.diagnostics["min_eigenvalue_time"] == traj.times[np.argmin(least)]
+
+
+def test_fig5_skips_eigvalsh_at_most_samples(monkeypatch):
+    # a guard against a change that quietly turns the Cholesky test off
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "modrabi.dynamics":
+            calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    doc, _ = load_scenario_document("fig5")
+    doc["grid"] = {"t_end_ns": 10.0, "samples": 101}
+    run_simulation(parse_scenario(doc))
+    assert 0 < len(calls) < 101 / 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property tests: the Lindblad right-hand side on random channels, the
-per-parity-block positivity check, and scenario parsing on mutated packaged
-documents."""
+per-parity-block positivity check and the Cholesky test that skips it, and
+scenario parsing on mutated packaged documents."""
 
 import copy
 import re
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from modrabi.dynamics import Dissipator, IntegratorConfig, _lindblad, evolve_master
+from modrabi.dynamics import (CHOLESKY_MARGIN, Dissipator, IntegratorConfig, _above,
+                              _lindblad, evolve_master)
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import TimeDependentHamiltonian, effective_hamiltonian
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, annihilation,
@@ -160,6 +161,39 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(out, out.conj().T)
     assert abs(np.trace(out)) <= 1e-12 * np.sum(np.abs(out))
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_random_complex(rng, (n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 16), ranks=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+       seed=st.integers(0, 2**32 - 1), m=st.floats(-1e-13, 0.0),
+       shift=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 10.0]),
+       spread=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12]))
+def test_cholesky_gate_never_hides_a_new_minimum(n, ranks, seed, m, shift, spread):
+    """Near-pure and rank-deficient (2, N, N) stacks whose small eigenvalues
+    cluster within `spread` of m + shift * CHOLESKY_MARGIN, m a roundoff-size
+    least eigenvalue so far: whenever the gate lets a stack through, its least
+    eigenvalue lies above m, and a stack clearly above m gets through."""
+    rng = np.random.default_rng(seed)
+    ranks = [min(rank, n) for rank in ranks]
+    large = rng.dirichlet(np.ones(sum(ranks)))
+    blocks, least = [], np.inf
+    for rank, weights in zip(ranks, np.split(large, [ranks[0]])):
+        small = m + shift * CHOLESKY_MARGIN + spread * rng.uniform(-1.0, 1.0, n - rank)
+        lam = np.concatenate([weights, small])
+        least = min(least, lam.min())
+        u = _unitary(rng, n)
+        rho = (u * lam) @ u.conj().T
+        blocks.append(0.5 * (rho + rho.conj().T))
+    blocks = np.array(blocks)
+    if _above(blocks, m):
+        assert np.linalg.eigvalsh(blocks).min() > m
+    if least >= m + 5 * CHOLESKY_MARGIN:
+        assert _above(blocks, m)
 
 
 def _documents():

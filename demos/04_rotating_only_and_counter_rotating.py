@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from modrabi import (ETA_NULL, HilbertSpace, IntegratorConfig, SystemParams,
-                     basis_state, drive_for_detunings, effective_hamiltonian,
-                     effective_params, evolve_schrodinger, extract_period)
+from modrabi import (ETA_NULL, HilbertSpace, SystemParams, basis_state,
+                     drive_for_detunings, effective_hamiltonian, effective_params,
+                     evolve_schrodinger, extract_period)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -22,7 +22,6 @@ NS = 1e-9
 
 system = SystemParams(epsilon=5.4 * GHZ, omega=2.2 * GHZ, g=70 * MHZ)
 space = HilbertSpace(1, 8)
-cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
 
 # rotating-only: red tone at the J0 null, resonant red sideband
 drive_jc = drive_for_detunings(0.0, 35.03 * MHZ, system,
@@ -33,7 +32,7 @@ print(f"rotating-only model: g_r/2pi = {eff.g_r / MHZ:.2f} MHz, "
 H = effective_hamiltonian(eff, space)
 period = math.pi / abs(eff.g_r)
 times = np.linspace(0, 2.5 * period, 1001)
-traj = evolve_schrodinger(H, basis_state(space, "e", 0), times, cfg)
+traj = evolve_schrodinger(H, basis_state(space, "e", 0), times)
 est = extract_period(traj.times, traj.observables["sigma_pop"])
 print(f"  excitation swap period: measured {est.period / NS:.2f} ns, "
       f"pi/|g_r| = {period / NS:.2f} ns")
@@ -47,7 +46,7 @@ print(f"\ncounter-rotating-only model: g_cr/2pi = {eff.g_cr / MHZ:.2f} MHz, "
 H = effective_hamiltonian(eff, space)
 expected = TWO_PI / math.hypot(2 * eff.g_cr, eff.delta2)
 times = np.linspace(0, 2.5 * expected, 1001)
-traj = evolve_schrodinger(H, basis_state(space, "g", 0), times, cfg)
+traj = evolve_schrodinger(H, basis_state(space, "g", 0), times)
 est = extract_period(traj.times, traj.observables["sigma_pop"])
 gap = np.max(np.abs(traj.observables["photon_number"]
                     - traj.observables["sigma_pop"]))

@@ -5,17 +5,12 @@ is the (n,) case and a density matrix a stack of diagonal blocks.  A
 Schrodinger run keeps its states, one (T, d) array; a Lindblad run keeps
 its (T, d, d) stack only when asked (`store_states`).  The loop takes
 fixed steps of one Runge-Kutta stepper driven by a Butcher tableau, either
-Dormand-Prince 5(4) (`fixed_dp5`, the default of every scenario run that
-is stepped) or classical RK4 (`fixed_rk4`, the oracle), or hands the flow
-to scipy's `solve_ivp` with DOP853 (`adaptive`, the library default, which
-a scenario run takes only when its integrator block asks for it).
-`scipy.integrate` is imported on the first such run, not with this module:
-`solve_ivp` is a module attribute resolved on first access (PEP 562), so
-only that path pays for the import and a replaced `dynamics.solve_ivp` is
-what the run calls.  A Schrodinger run under `adaptive` with a static
-Hamiltonian skips the loop: one eigendecomposition H = V diag(lam) V+ gives
-psi(t) = V exp(-i lam (t - t0)) V+ psi0 exactly at every time of the grid,
-and the run reports method "spectral".  The Lindblad right-hand side is
+Dormand-Prince 5(4) (`fixed_dp5`, the default of every run that is
+stepped) or classical RK4 (`fixed_rk4`, the oracle).  A Schrodinger run
+with a static Hamiltonian and no method named skips the loop: one
+eigendecomposition H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0))
+V+ psi0 exactly at every time of the grid, and the run reports method
+"spectral".  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
@@ -45,8 +40,7 @@ Hamiltonian is static and slow next to the exact frame's), the run steps
 once across the whole grid and reads each sample off DP5's fourth-order
 continuous extension, one more dot of the stack with the weights
 [1, b(theta)], before the step moves y on.  Any other fixed-step run
-(every exact-frame one) restarts at each sample, exactly on it.  The
-adaptive path calls the same stage with h = 1.
+(every exact-frame one) restarts at each sample, exactly on it.
 
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
@@ -66,10 +60,9 @@ reports `cutoff_ok`: whether the top-Fock population stayed below
 `CUTOFF_POP_LIMIT`.  A run handed `reference` vectors, one per time of
 the grid, also records `fidelity`: |<ref|psi>|^2, or <ref|rho|ref> taken
 block by block as each sample is recorded, so comparing a Lindblad run with
-a reference keeps no density matrices.  Hermiticity is restored by
-rho <- (rho + rho+)/2 at the samples only, never inside the stepper, so an
-integrator bug cannot hide behind symmetrization; the largest
-max |rho - rho+| removed there is reported as `herm_defect`.  Positivity
+a reference keeps no density matrices.  Every state a Lindblad run holds
+is exactly Hermitian with no repair: each stage writes M + M+ and every
+combination of the stack has real weights.  Positivity
 is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
 because it is evidence of a cutoff or step-size misconfiguration, and so
 does a trace that leaves 1 by more than `TRACE_TOL`.  The monitor needs
@@ -82,8 +75,8 @@ inf, which a Cholesky factorization does not reject, aborts before that
 test, in both equations.  Each run reports how
 many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step; 6 per DP5
 step plus 1 per sample interval when it restarts at each sample, plus 1 per
-run when it reads the samples off the continuous extension; the solver's
-count under `adaptive`, 0 for `spectral`) and, for rho, when its least
+run when it reads the samples off the continuous extension; 0 for
+`spectral`) and, for rho, when its least
 eigenvalue occurred (`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
@@ -93,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,7 +99,7 @@ from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
                       annihilation, number_operator, qubit_operator)
 from .modulation import SystemParams
 
-METHODS = ("adaptive", "fixed_rk4", "fixed_dp5")
+METHODS = ("fixed_rk4", "fixed_dp5")
 
 TRACE_TOL = 1e-6            # largest |Tr rho - 1| a Lindblad run accepts
 POSITIVITY_FLOOR = -1e-6    # least eigenvalue of rho a Lindblad run accepts
@@ -131,7 +123,13 @@ DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_foc
 
 
 def __getattr__(name: str):
-    """`solve_ivp`, imported on first access (PEP 562)."""
+    """scipy's `solve_ivp`, imported on first access (PEP 562).
+
+    No run calls it: every run is spectral or takes fixed steps.  It stays
+    only because the benchmark harness under `perfbench/` hooks
+    `dynamics.solve_ivp` and its tests check that the hook installs; it goes
+    with ROADMAP item 1, which rewrites that harness.
+    """
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp
@@ -142,31 +140,24 @@ def __getattr__(name: str):
 class IntegratorConfig:
     """How a run is propagated.
 
-    `adaptive` (the default) integrates with DOP853 at `rtol`/`atol`; a
-    Schrodinger run under a static Hamiltonian (no coupling terms) is
-    instead solved exactly by one eigendecomposition and reports method
-    "spectral".  `scipy.integrate` loads on the first `adaptive` run that
-    is not spectral.  `fixed_dp5`, the default of every stepped scenario
-    run (the exact frame, and the effective model under loss), is
-    Dormand-Prince 5(4) at steps <= `dt` (default: 2.5 times the
-    Hamiltonian's `suggested_dt`); a step longer than every sample interval
-    reads the samples off its continuous extension.  `fixed_rk4`, the
-    oracle, is classical RK4 at steps <= `dt` (default: `suggested_dt`).
-    An explicit `dt` is used as given.
+    `method` None (the default) is chosen from the run: a Schrodinger run
+    under a static Hamiltonian (no coupling terms) is solved exactly by one
+    eigendecomposition and reports method "spectral", and every other run
+    takes `fixed_dp5` steps.  `fixed_dp5` is Dormand-Prince 5(4) at steps
+    <= `dt` (default: 2.5 times the Hamiltonian's `suggested_dt`); a step
+    longer than every sample interval reads the samples off its continuous
+    extension.  `fixed_rk4`, the oracle, is classical RK4 at steps <= `dt`
+    (default: `suggested_dt`).  An explicit `dt` is used as given.
     """
 
-    method: str = "adaptive"
+    method: str | None = None
     dt: float | None = None          # fixed-step target; default from the Hamiltonian
-    rtol: float = 1e-10
-    atol: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method is not None and self.method not in METHODS:
             raise ValidationError(f"integrator method must be one of {METHODS}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValidationError("dt must be finite and > 0")
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
-            raise ValidationError("rtol and atol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,7 @@ def loss_dissipators(sys: SystemParams, space: HilbertSpace) -> list[Dissipator]
 @dataclass
 class Trajectory:
     """Time grid, named real observable series, and the states at its times:
-    None, (T, d) normalized vectors or (T, d, d) symmetrized density matrices."""
+    None, (T, d) normalized vectors or (T, d, d) density matrices."""
 
     times: np.ndarray
     observables: dict[str, np.ndarray]
@@ -325,10 +316,6 @@ class _Flow:
                  jump_data: np.ndarray = np.zeros(0, dtype=complex)):
         self.generator, self.stage, self.shape = generator, stage, shape
         self.jump_data = jump_data
-
-    def rhs(self, t: float, y: np.ndarray, out: np.ndarray):
-        """out = f(t, y): the stage with c = 1."""
-        self.stage(self.generator.data(np.array([t]))[0], self.jump_data, y, out)
 
 
 def _vector_stage(generator: _Generator, shape: tuple):
@@ -471,13 +458,13 @@ class _RungeKutta:
         jump_data = h * self.flow.jump_data
         x, xf, b = self.x, self.xf, self.b
         y0, k1, ks = self.z[0], self.z[1], self.z[-1]
-        reads = np.zeros(nsub + 1, dtype=int)  # step n reads samples reads[n] .. reads[n+1] - 1
         if dense is not None:
             times, record = dense
             u = (np.asarray(times) - t0) / h
             in_step = np.clip(np.ceil(u).astype(int) - 1, 0, nsub - 1)
             theta = (u - in_step)[:, None] ** np.arange(1, self.p.shape[1] + 1)
             weights = np.hstack([np.ones((u.size, 1)), theta @ self.p.T])
+            # step n reads samples reads[n] .. reads[n + 1] - 1
             reads = np.searchsorted(in_step, np.arange(nsub + 1))
         np.copyto(y0, y)
         if fsal:
@@ -494,9 +481,10 @@ class _RungeKutta:
                     stage(d[i], jump_data, x, out)
                 if not fsal:                # else the last stage's input is the new y
                     np.dot(*b, out=xf)
-                for k in range(reads[step_n], reads[step_n + 1]):
-                    np.dot(weights[k], self.zf, out=self.sf)
-                    record(k, self.sample)
+                if dense is not None:
+                    for k in range(reads[step_n], reads[step_n + 1]):
+                        np.dot(weights[k], self.zf, out=self.sf)
+                        record(k, self.sample)
                 np.copyto(y0, x)
                 if fsal:
                     np.copyto(k1, ks)
@@ -504,13 +492,13 @@ class _RungeKutta:
         return nsub * c.size + fsal
 
 
-def _pick_dt(cfg: IntegratorConfig, H: TimeDependentHamiltonian) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
+def _pick_dt(method: str, dt: float | None, H: TimeDependentHamiltonian) -> float:
+    if dt is not None:
+        return dt
     dt = H.descriptor.get("suggested_dt")
     if dt is None or not math.isfinite(dt):
-        raise ValidationError(f"{cfg.method} needs an explicit dt for this Hamiltonian")
-    return TABLEAUS[cfg.method].step * dt
+        raise ValidationError(f"{method} needs an explicit dt for this Hamiltonian")
+    return TABLEAUS[method].step * dt
 
 
 def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np.ndarray:
@@ -519,7 +507,7 @@ def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np
         raise ValidationError("time grid must contain at least two points")
     if not np.all(np.isfinite(times)):
         raise ValidationError("time grid must be finite")
-    if np.any(np.diff(times) <= 0):
+    if np.any(times[1:] <= times[:-1]):
         raise ValidationError("time grid must be strictly increasing")
     if reference is not None and np.shape(reference) != (times.size, dim):
         raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
@@ -536,44 +524,33 @@ def _check_finite(value: float, t: float, what: str):
 
 
 def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
-               times: np.ndarray, cfg: IntegratorConfig, record) -> dict:
-    """Carry y0 over the grid, handing the state at each time i to record(i, y);
-    returns the diagnostics {"rhs_evals": n}.
+               times: np.ndarray, method: str, dt: float | None, record) -> dict:
+    """Carry y0 over the grid in fixed steps of `method`, handing the state
+    at each time i to record(i, y); returns the diagnostics {"rhs_evals": n}.
 
-    A fixed-step run whose step is longer than every sample interval, and
-    whose tableau has a continuous extension, steps once across the whole
-    grid and reads each sample off that extension; what record returns is
-    not used.  Any other fixed-step run restarts at each sample, exactly
-    on it, and continues from what record returns, so a state symmetrized
-    at a sample is the one propagated further.
+    A run whose step is longer than every sample interval, and whose tableau
+    has a continuous extension, steps once across the whole grid and reads
+    each sample off that extension.  Any other run restarts at each sample,
+    exactly on it.  A grid that needs more steps than an index can count is
+    refused before the first step.
     """
-    if cfg.method in TABLEAUS:
-        dt = _pick_dt(cfg, H)
-        tableau = TABLEAUS[cfg.method]
-        stepper = _RungeKutta(flow, tableau)
-        if tableau.p is not None and dt > np.max(np.diff(times)):
-            return {"rhs_evals": stepper.advance(times[0], y0.copy(), times[-1], dt,
-                                                 (times, record))}
-        y = record(0, y0.copy())
-        evals = 0
-        for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
-            evals += stepper.advance(t0, y, t1, dt)
-            y = record(k, y)
-        return {"rhs_evals": evals}
-
-    def fun(t, flat):
-        out = np.empty(y0.shape, dtype=complex)
-        flow.rhs(t, flat.reshape(y0.shape), out)
-        return out.reshape(-1)
-
-    solve_ivp = sys.modules[__name__].solve_ivp     # a replaced attribute is what runs
-    sol = solve_ivp(fun, (times[0], times[-1]), y0.reshape(-1), method="DOP853",
-                    t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
-    if not sol.success:
-        raise NumericsError(f"adaptive integration failed: {sol.message}")
-    for i in range(sol.y.shape[1]):
-        record(i, sol.y[:, i].reshape(y0.shape))
-    return {"rhs_evals": int(sol.nfev)}
+    dt = _pick_dt(method, dt, H)
+    span = float(times[-1]) - float(times[0])
+    if not span / dt <= np.iinfo(np.intp).max:     # also refuses inf
+        raise ValidationError(f"grid: a span of {span:.6g} in steps of {dt:.6g} "
+                              f"needs more steps than can be counted")
+    tableau = TABLEAUS[method]
+    stepper = _RungeKutta(flow, tableau)
+    if tableau.p is not None and dt > np.max(np.diff(times)):
+        return {"rhs_evals": stepper.advance(times[0], y0.copy(), times[-1], dt,
+                                             (times, record))}
+    y = y0.copy()
+    record(0, y)
+    evals = 0
+    for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
+        evals += stepper.advance(t0, y, t1, dt)
+        record(k, y)
+    return {"rhs_evals": evals}
 
 
 def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
@@ -603,7 +580,7 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
 
     The run keeps its normalized states, one (T, d) array.  When H keeps the
     parity sector that holds psi0, the run carries that sector alone and the
-    states are exactly 0 outside it.  Under `adaptive`, a static H
+    states are exactly 0 outside it.  With no method named, a static H
     (no coupling terms) is propagated exactly by one eigendecomposition and
     must be Hermitian.  Given `reference`, one vector per time of the grid,
     the run also records `fidelity`, |<ref|psi>|^2.
@@ -624,23 +601,21 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         _check_finite(norm, times[i], "state vector")
         norm_drift = max(norm_drift, abs(norm - 1.0))
         states[i, order] = psi / norm
-        return psi
 
     psi0_sector = psi0.amplitudes[order]
-    spectral = cfg.method == "adaptive" and not H.terms
-    if spectral:
+    method = cfg.method or ("fixed_dp5" if H.terms else "spectral")
+    if method == "spectral":
         _spectral(H.static, order, psi0_sector, times, record)
         stats = {"rhs_evals": 0}
     else:
         generator = _Generator(H, order=order)
         flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
-        stats = _propagate(H, flow, psi0_sector, times, cfg, record)
+        stats = _propagate(H, flow, psi0_sector, times, method, cfg.dt, record)
     if reference is not None:
         obs.series["fidelity"] = fidelity(reference, states)
     return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(times),
-                                   "method": "spectral" if spectral else cfg.method,
-                                   **stats, "blocks": [order.size]})
+                                   "method": method, **stats, "blocks": [order.size]})
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +735,9 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     states = np.zeros((len(times), *rho0.matrix.shape), complex) if store_states else None
     trace_drift = 0.0
     min_eig, min_eig_time = math.inf, None
-    herm_defect = 0.0
 
     def record(i, rho):
-        nonlocal trace_drift, min_eig, min_eig_time, herm_defect
-        rho_h = rho.conj().transpose(0, 2, 1)
-        herm_defect = max(herm_defect, float(np.max(np.abs(rho - rho_h))))
-        rho = 0.5 * (rho + rho_h)
+        nonlocal trace_drift, min_eig, min_eig_time
         obs.from_blocks(i, rho)
         # the purity sums |rho_ij|^2 over every entry, so a NaN or inf reaches it
         _check_finite(obs.purity[i], times[i], "density matrix")
@@ -790,14 +761,14 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
             obs.series["fidelity"][i] = fidelity(reference[i][rows], rho).sum()
         if states is not None:
             states[i].reshape(-1)[layout] = rho
-        return rho
 
-    stats = _propagate(H, flow, rho0.matrix.reshape(-1)[layout], times, cfg, record)
+    method = cfg.method or "fixed_dp5"
+    stats = _propagate(H, flow, rho0.matrix.reshape(-1)[layout], times, method, cfg.dt,
+                       record)
     return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "min_eigenvalue_time": min_eig_time,
-                                   "herm_defect": herm_defect,
-                                   **obs.cutoff_report(times), "method": cfg.method,
+                                   **obs.cutoff_report(times), "method": method,
                                    **stats,
                                    "blocks": [layout.shape[1]] * layout.shape[0]})
 

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import X_LIMIT
-from .dynamics import (IntegratorConfig, Trajectory, evolve_master,
+from .dynamics import (METHODS, IntegratorConfig, Trajectory, evolve_master,
                        evolve_schrodinger, loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
@@ -65,6 +65,26 @@ SWEEPABLE = ("drive.eta1", "drive.eta2", "drive.phi1", "drive.phi2",
              "fock_cutoff", "grid.t_end_ns")
 
 
+def _spellings(*fields: str) -> set:
+    return {f"{field}_{unit}" for field in fields for unit in _UNIT_SCALE}
+
+
+# every key the parser reads, per section ('' is the top level); any other
+# key is refused, so a misspelled one cannot pass unread
+_KEYS = {
+    "": {"schema_version", "name", "description", "system", "drive", "model",
+         "dissipation", "initial_state", "grid", "fock_cutoff", "integrator",
+         "outputs", "highlight"},
+    "system": _spellings("epsilon", "omega", "g", "kappa", "gamma"),
+    "drive": _spellings("omega1", "omega2", "amp1", "amp2")
+             | {"eta1", "eta2", "phi1", "phi2", "design"},
+    "drive.design": {"anisotropy", "g_r_over_omega_eff", "delta1_hz", "delta1_mhz"},
+    "grid": {"t_end_ns", "samples"},
+    "integrator": {"method", "dt_ns"},
+    "highlight": {"param", "value"},
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -75,7 +95,7 @@ class Scenario:
     initial_state: str
     t_end: float          # seconds
     samples: int
-    integrator: dict      # IntegratorConfig overrides, laid over each side's default
+    integrator: IntegratorConfig      # both sides'; each run resolves a method of None
     fock_cutoff: int
     highlight: dict | None
     raw: dict
@@ -86,6 +106,15 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
+
+
+def _known_keys(section: dict, path: str):
+    """Refuse a key of `section` that the parser does not read, naming it."""
+    for key in section:
+        if key not in _KEYS[path]:
+            where = f"{path}.{key}" if path else key
+            raise ValidationError(f"{where}: unknown key; {path or 'the top level'} takes "
+                                  + "/".join(sorted(_KEYS[path])))
 
 
 def _number(section: dict, key: str, path: str, default=_REQUIRED,
@@ -157,6 +186,7 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
     """
     if not isinstance(design, dict) or "anisotropy" not in design:
         raise ValidationError("drive.design: needs at least {anisotropy}")
+    _known_keys(design, "drive.design")
     if design["anisotropy"] == "inf":
         lam = math.inf
     else:
@@ -178,6 +208,7 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario: top level must be a JSON object")
+    _known_keys(doc, "")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
@@ -185,6 +216,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     sys_doc = doc.get("system")
     if not isinstance(sys_doc, dict):
         raise ValidationError("system: required object")
+    _known_keys(sys_doc, "system")
     system = SystemParams(
         epsilon=_angular(sys_doc, "epsilon", "system"),
         omega=_angular(sys_doc, "omega", "system"),
@@ -195,6 +227,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     drv_doc = doc.get("drive")
     if not isinstance(drv_doc, dict):
         raise ValidationError("drive: required object")
+    _known_keys(drv_doc, "drive")
     if "design" in drv_doc:
         if len(drv_doc) != 1:
             raise ValidationError("drive.design: replaces explicit tone settings")
@@ -222,6 +255,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     grid = doc.get("grid")
     if not isinstance(grid, dict):
         raise ValidationError("grid: required object")
+    _known_keys(grid, "grid")
     t_end_ns = _number(grid, "t_end_ns", "grid")
     if t_end_ns <= 0:
         raise ValidationError("grid.t_end_ns: must be a number > 0")
@@ -236,18 +270,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     integ_doc = doc.get("integrator", {})
     if not isinstance(integ_doc, dict):
         raise ValidationError("integrator: must be an object")
-    integrator = {}
-    for key in integ_doc:
-        if key not in ("method", "dt_ns", "rtol", "atol"):
-            raise ValidationError(f"integrator.{key}: not one of method/dt_ns/rtol/atol")
-        integrator[key] = (integ_doc[key] if key == "method"
-                           else _number(integ_doc, key, "integrator"))
-    if "dt_ns" in integrator:
-        integrator["dt"] = integrator.pop("dt_ns") * NS
-    try:    # check the values now, before any compute
-        IntegratorConfig(**integrator)
-    except ValidationError as err:
-        raise ValidationError(f"integrator: {err}") from err
+    _known_keys(integ_doc, "integrator")
+    method = integ_doc.get("method")
+    if "method" in integ_doc and method not in METHODS:
+        raise ValidationError(f"integrator.method: must be one of {METHODS}, got {method!r}")
+    dt_ns = _number(integ_doc, "dt_ns", "integrator", None)
+    dt = None if dt_ns is None else dt_ns * NS
+    if dt is not None and not dt > 0:
+        raise ValidationError("integrator.dt_ns: must be a number > 0")
+    integrator = IntegratorConfig(method=method, dt=dt)
 
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, (list, tuple)):
@@ -263,6 +294,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if not (isinstance(highlight, dict)
                 and isinstance(highlight.get("param"), str) and "value" in highlight):
             raise ValidationError("highlight: needs {param: str, value: number}")
+        _known_keys(highlight, "highlight")
         _number(highlight, "value", "highlight")
 
     return Scenario(name=doc.get("name", name), system=system, drive=drive,
@@ -300,18 +332,6 @@ def packaged_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-
-def _integrator_for(scn: Scenario, side: str) -> IntegratorConfig:
-    """The side's default integrator with the scenario's overrides laid over it.
-
-    Every stepped run defaults to fixed DP5.  A lossless effective run has a
-    static Hamiltonian, which `adaptive` solves by one eigendecomposition.
-    """
-    lossless_effective = side == "effective" and not (scn.model == "effective"
-                                                      and scn.dissipation)
-    method = "adaptive" if lossless_effective else "fixed_dp5"
-    return IntegratorConfig(**{"method": method, **scn.integrator})
-
 
 _blas_lock = threading.Lock()
 _blas_controls = None    # (get, set) of each loaded OpenBLAS, found on first entry
@@ -398,24 +418,23 @@ def run_simulation(scn: Scenario) -> SimulationResult:
     exact_traj = eff_traj = None
     if scn.model in ("effective", "both"):
         H_eff = effective_hamiltonian(eff, space)
-        cfg_eff = _integrator_for(scn, "effective")
         if scn.model == "effective" and scn.dissipation:
             eff_traj = evolve_master(H_eff, loss_dissipators(scn.system, space),
-                                     psi0.density_matrix(), times, cfg_eff)
+                                     psi0.density_matrix(), times, scn.integrator)
         else:
             # in 'both' mode the effective run is the ideal (lossless)
             # reference whose states the exact run records its fidelity to
-            eff_traj = evolve_schrodinger(H_eff, psi0, times, cfg_eff)
+            eff_traj = evolve_schrodinger(H_eff, psi0, times, scn.integrator)
     if scn.model in ("rotated_exact", "both"):
         H = rotated_hamiltonian(scn.system, scn.drive, space)
-        cfg = _integrator_for(scn, "exact")
         reference = eff_traj.states if scn.model == "both" else None
         if scn.dissipation:
             exact_traj = evolve_master(H, loss_dissipators(scn.system, space),
-                                       psi0.density_matrix(), times, cfg,
+                                       psi0.density_matrix(), times, scn.integrator,
                                        reference=reference)
         else:
-            exact_traj = evolve_schrodinger(H, psi0, times, cfg, reference=reference)
+            exact_traj = evolve_schrodinger(H, psi0, times, scn.integrator,
+                                            reference=reference)
 
     primary = exact_traj if exact_traj is not None else eff_traj
     # the CSV columns in file order: every recorded series of the primary run

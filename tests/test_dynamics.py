@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from modrabi.dynamics import (DEFAULT_OBSERVABLES, DP5, RK4, Dissipator,
                               IntegratorConfig, _csr_kernel, _Generator, _lindblad,
-                              _ObservableSet, dissipator_frame_defect, evolve_master,
+                              dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -23,8 +22,8 @@ from modrabi.hilbert import (HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
-from modrabi.scenarios import (_integrator_for, load_scenario, load_scenario_document,
-                               parse_scenario, run_simulation)
+from modrabi.scenarios import (load_scenario, load_scenario_document, parse_scenario,
+                               run_simulation)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -61,8 +60,7 @@ def test_resonant_jc_full_transfer_and_period():
     psi0 = basis_state(space, "e", 0)
     period = math.pi / abs(JC_EFF.g_r)
     times = np.linspace(0.0, 2.2 * period, 1201)
-    traj = evolve_schrodinger(H, psi0, times,
-                              IntegratorConfig(rtol=1e-11, atol=1e-13))
+    traj = evolve_schrodinger(H, psi0, times)
     pop = traj.observables["sigma_pop"]
     # full transfer to |1, g> halfway through the cycle
     half_idx = int(np.argmin(np.abs(traj.times - period / 2)))
@@ -82,7 +80,8 @@ def test_constant_hamiltonian_matches_expm_oracle():
     psi0 = PureState(space, v / np.linalg.norm(v))
     t_end = 2.0
     times = np.linspace(0.0, t_end, 5)
-    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(rtol=1e-12, atol=1e-14))
+    traj = evolve_schrodinger(H, psi0, times)
+    assert traj.diagnostics["method"] == "spectral"
     expected = expm(-1j * h * t_end) @ psi0.amplitudes
     assert np.max(np.abs(traj.states[-1] - expected)) < 1e-8
     traj_rk4 = evolve_schrodinger(H, psi0, times,
@@ -97,56 +96,10 @@ def test_pure_photon_decay_law():
     times = np.linspace(0.0, 3.0, 61)
     traj = evolve_master(zero_hamiltonian(space),
                          [Dissipator(annihilation(space), gamma)], rho0, times,
-                         IntegratorConfig(rtol=1e-11, atol=1e-13))
+                         IntegratorConfig(method="fixed_dp5", dt=0.01))
     expected = np.exp(-gamma * times)
     assert np.max(np.abs(traj.observables["photon_number"] - expected)) < 1e-6
     assert traj.diagnostics["trace_drift"] < 1e-8
-
-
-def test_master_reports_hermiticity_defect():
-    # the loss channels of a run, plus one that acts on both subsystems
-    space = HilbertSpace(1, 6)
-    H = rotated_hamiltonian(SYS, DRIVE_A, space)
-    a = annihilation(space)
-    sm = qubit_operator(space, 0, "sm")
-    channels = loss_dissipators(SYS, space) + [Dissipator(a + sm, 0.3 * SYS.g)]
-    rho0 = basis_state(space, "e", 1).density_matrix()
-    times = np.linspace(0.0, 0.3 * NS, 7)
-    runs = [evolve_master(H, channels, rho0, times, IntegratorConfig(method=m))
-            for m in ("fixed_rk4", "adaptive", "fixed_rk4")]
-    for traj in runs:
-        defect = traj.diagnostics["herm_defect"]
-        assert isinstance(defect, float) and 0.0 <= defect < 1e-12
-    assert runs[2].diagnostics["herm_defect"] == runs[0].diagnostics["herm_defect"]
-
-
-def test_herm_defect_measures_an_injected_fault_and_stores_hermitian_states(monkeypatch):
-    # the solver's samples gain i eps on every diagonal entry of each block,
-    # an anti-Hermitian part that the symmetrization must measure and remove
-    import modrabi.dynamics as dynamics
-    space = HilbertSpace(1, 4)
-    H = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
-    channels = loss_dissipators(SYS, space)
-    rho0 = basis_state(space, "e", 1).density_matrix()
-    times = np.linspace(0.0, 20 * NS, 11)
-    clean = evolve_master(H, channels, rho0, times, store_states=True)
-    assert clean.diagnostics["blocks"] == [4, 4]
-    eps = 3e-7
-
-    def skewed(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        y = sol.y.reshape(2, 4, 4, -1).copy()
-        y[:, np.arange(4), np.arange(4)] += 1j * eps
-        sol.y = y.reshape(sol.y.shape)
-        return sol
-
-    monkeypatch.setattr(dynamics, "solve_ivp", skewed)
-    faulty = evolve_master(H, channels, rho0, times, store_states=True)
-    assert clean.diagnostics["herm_defect"] < 1e-15
-    assert faulty.diagnostics["herm_defect"] == pytest.approx(2 * eps, rel=1e-9)
-    states = faulty.states
-    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
-    assert np.array_equal(states, clean.states)
 
 
 def test_pure_qubit_decay_law():
@@ -156,7 +109,7 @@ def test_pure_qubit_decay_law():
     times = np.linspace(0.0, 2.5, 51)
     traj = evolve_master(zero_hamiltonian(space),
                          [Dissipator(qubit_operator(space, 0, "sm"), kappa)],
-                         rho0, times, IntegratorConfig(rtol=1e-11, atol=1e-13))
+                         rho0, times, IntegratorConfig(method="fixed_dp5", dt=0.01))
     expected = np.exp(-kappa * times)
     assert np.max(np.abs(traj.observables["sigma_pop"] - expected)) < 1e-6
 
@@ -167,7 +120,8 @@ def test_master_with_zero_rates_preserves_purity():
     rho0 = basis_state(space, "e", 0).density_matrix()
     period = math.pi / abs(JC_EFF.g_r)
     times = np.linspace(0.0, period, 41)
-    traj = evolve_master(H, [], rho0, times, IntegratorConfig(rtol=1e-11, atol=1e-13))
+    traj = evolve_master(H, [], rho0, times,
+                         IntegratorConfig(method="fixed_dp5", dt=H.descriptor["suggested_dt"]))
     assert np.max(np.abs(traj.observables["purity"] - 1.0)) < 1e-8
     assert traj.observables["trace"] == pytest.approx(1.0, abs=1e-8)
 
@@ -178,9 +132,9 @@ def test_master_agrees_with_schrodinger_without_dissipation():
     H = effective_hamiltonian(eff, space)
     psi0 = basis_state(space, "g", 0)
     times = np.linspace(0.0, 20 * NS, 81)
-    cfg = IntegratorConfig(rtol=1e-11, atol=1e-13)
-    t_psi = evolve_schrodinger(H, psi0, times, cfg)
-    t_rho = evolve_master(H, [], psi0.density_matrix(), times, cfg)
+    t_psi = evolve_schrodinger(H, psi0, times)                  # spectral
+    t_rho = evolve_master(H, [], psi0.density_matrix(), times,
+                          IntegratorConfig(method="fixed_dp5", dt=H.descriptor["suggested_dt"]))
     for name in ("sigma_pop", "photon_number"):
         assert np.max(np.abs(t_psi.observables[name] - t_rho.observables[name])) < 1e-7
 
@@ -192,7 +146,8 @@ def test_lindblad_dissipative_run_integrity():
     rho0 = basis_state(space, "g", 0).density_matrix()
     times = np.linspace(0.0, 25 * NS, 101)
     traj = evolve_master(H, loss_dissipators(SYS, space), rho0, times,
-                         IntegratorConfig(rtol=1e-10, atol=1e-12), store_states=True)
+                         IntegratorConfig(method="fixed_dp5", dt=H.descriptor["suggested_dt"]),
+                         store_states=True)
     assert traj.diagnostics["trace_drift"] < 1e-8
     assert traj.diagnostics["min_eigenvalue"] > -1e-6
     rho = traj.states[-1]
@@ -225,7 +180,7 @@ def test_trace_guard_aborts_growing_trace():
     H = TimeDependentHamiltonian(space=space, static=h + 1j * gamma * np.eye(space.dim))
     rho0 = basis_state(space, "g", 0).density_matrix()
     times = np.linspace(0.0, 1.0, 11)
-    for method in ("fixed_rk4", "adaptive"):
+    for method in ("fixed_rk4", "fixed_dp5"):
         with pytest.raises(NumericsError, match="trace") as err:
             evolve_master(H, [], rho0, times, IntegratorConfig(method=method, dt=0.01),
                           store_states=False)
@@ -276,9 +231,8 @@ def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():
     i = list(traj.times).index(traj.diagnostics["min_eigenvalue_time"])
     assert abs(np.linalg.eigvalsh(traj.states[i])[0]
                - traj.diagnostics["min_eigenvalue"]) <= 1e-14
-    adaptive = evolve_master(H, channels, rho0, times).diagnostics["rhs_evals"]
-    assert adaptive > 0
-    assert evolve_master(H, channels, rho0, times).diagnostics["rhs_evals"] == adaptive
+    # the default, DP5 at 2.5 dt: 2 steps and a restart per interval
+    assert evolve_master(H, channels, rho0, times).diagnostics["rhs_evals"] == 4 * (6 * 2 + 1)
     static = TimeDependentHamiltonian(space=space, static=H.static)
     assert evolve_schrodinger(static, basis_state(space, "g", 0),
                               times).diagnostics["rhs_evals"] == 0
@@ -295,12 +249,14 @@ def test_cutoff_margin_reports_largest_top_population():
     assert diag["max_top_fock_pop"] == top.max()
     assert diag["max_top_fock_pop_time"] == times[np.argmax(top)]
     assert diag["cutoff_ok"] is False
-    rho_diag = evolve_master(H, [], psi0.density_matrix(), times).diagnostics
+    rho_diag = evolve_master(H, [], psi0.density_matrix(), times,
+                             IntegratorConfig(method="fixed_dp5",
+                                              dt=H.descriptor["suggested_dt"] / 2)).diagnostics
     assert rho_diag["max_top_fock_pop"] == pytest.approx(top.max(), abs=1e-9)
 
 
 def test_every_run_records_the_fixed_observables_and_cutoff_margin():
-    # one run on each path: spectral, fixed RK4, fixed DP5 and adaptive; psi and rho
+    # one run on each path: spectral, fixed RK4, fixed DP5 and the default; psi and rho
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     static = effective_hamiltonian(effective_params(SYS, DRIVE_A), space)
@@ -313,10 +269,10 @@ def test_every_run_records_the_fixed_observables_and_cutoff_margin():
     runs = [("spectral", evolve_schrodinger(static, psi0, times)),
             ("fixed_rk4", evolve_schrodinger(H, psi0, times, fixed)),
             ("fixed_dp5", evolve_schrodinger(H, psi0, times, dp5)),
-            ("adaptive", evolve_schrodinger(H, psi0, times)),
+            ("fixed_dp5", evolve_schrodinger(H, psi0, times)),
             ("fixed_rk4", evolve_master(H, loss_dissipators(SYS, space), rho0, times, fixed)),
             ("fixed_dp5", evolve_master(H, loss_dissipators(SYS, space), rho0, times, dp5)),
-            ("adaptive", evolve_master(H, loss_dissipators(SYS, space), rho0, times))]
+            ("fixed_dp5", evolve_master(H, loss_dissipators(SYS, space), rho0, times))]
     for method, traj in runs:
         diag = traj.diagnostics
         assert diag["method"] == method
@@ -469,7 +425,7 @@ def test_antijc_excitation_symmetry():
     H = model("ajc", eff, space)
     psi0 = basis_state(space, "g", 0)
     times = np.linspace(0.0, 60 * NS, 301)
-    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(rtol=1e-12, atol=1e-14))
+    traj = evolve_schrodinger(H, psi0, times)
     diff = np.abs(traj.observables["photon_number"] - traj.observables["sigma_pop"])
     assert np.max(diff) < 1e-8
 
@@ -509,18 +465,18 @@ def test_frame_consistency_lab_vs_rotated():
     assert np.linalg.norm(back - psi_rot) < 1e-6
 
 
-@pytest.mark.parametrize("setting", [{"dt": math.inf}, {"dt": math.nan}, {"dt": -math.inf},
-                                     {"rtol": math.nan}, {"rtol": math.inf},
-                                     {"atol": math.inf}, {"atol": math.nan}])
+@pytest.mark.parametrize("setting", [{"dt": math.inf}, {"dt": math.nan}, {"dt": -math.inf}])
 def test_integrator_config_rejects_non_finite_settings(setting):
     # dt = inf once ran fixed RK4 at one step per sample interval
     with pytest.raises(ValidationError, match="finite"):
         IntegratorConfig(method="fixed_rk4", **setting)
 
 
-def test_integrator_config_points_removed_rk45_to_adaptive():
-    with pytest.raises(ValidationError, match="'adaptive'"):
-        IntegratorConfig(method="adaptive_rk45")
+@pytest.mark.parametrize("method", ["adaptive", "spectral", "adaptive_rk45"])
+def test_integrator_config_names_only_the_fixed_step_methods(method):
+    # spectral is chosen from the run, never named
+    with pytest.raises(ValidationError, match="'fixed_rk4', 'fixed_dp5'"):
+        IntegratorConfig(method=method)
 
 
 def test_grid_validation():
@@ -535,8 +491,6 @@ def test_grid_validation():
 @pytest.mark.parametrize("times", [[0.0, math.nan], [0.0, math.inf], [math.nan, 1.0],
                                    [-math.inf, 0.0]])
 def test_grid_with_non_finite_times_is_rejected(times):
-    # the adaptive Lindblad run is left out, so that a regression cannot stall
-    # the suite: without the check it does not return on [0, inf]
     space = HilbertSpace(1, 3)
     psi0 = basis_state(space, "g", 0)
     H = effective_hamiltonian(JC_EFF, space)
@@ -649,7 +603,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
             LdL = L.conj().T @ L
             expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
         out = np.empty_like(rho)
-        flow.rhs(t, rho[None], out[None])
+        flow.stage(flow.generator.data(np.array([t]))[0], flow.jump_data, rho[None], out[None])
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -887,11 +841,10 @@ def test_every_path_reports_the_same_diagnostics_keys():
     common = {"method", "rhs_evals", "blocks", "cutoff_ok", "max_top_fock_pop",
               "max_top_fock_pop_time"}
     vector_keys = common | {"norm_drift"}
-    rho_keys = common | {"trace_drift", "herm_defect", "min_eigenvalue",
-                         "min_eigenvalue_time"}
+    rho_keys = common | {"trace_drift", "min_eigenvalue", "min_eigenvalue_time"}
     runs = [("spectral", evolve_schrodinger(static, psi0, times), vector_keys),
-            ("adaptive", evolve_master(static, channels, rho0, times), rho_keys)]
-    for method in ("fixed_rk4", "fixed_dp5", "adaptive"):
+            ("fixed_dp5", evolve_master(static, channels, rho0, times), rho_keys)]
+    for method in ("fixed_rk4", "fixed_dp5"):
         cfg = IntegratorConfig(method=method)
         runs += [(method, evolve_schrodinger(H, psi0, times, cfg), vector_keys),
                  (method, evolve_master(H, channels, rho0, times, cfg), rho_keys)]
@@ -899,6 +852,68 @@ def test_every_path_reports_the_same_diagnostics_keys():
         assert traj.diagnostics["method"] == method
         assert set(traj.diagnostics) == keys
         assert not any(key.startswith("step_error") for key in traj.diagnostics)
+
+
+@pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])
+@pytest.mark.parametrize("amplitudes, blocks", [
+    ({("e", 1): 1.0}, [6, 6]),                      # the two parity blocks
+    ({("e", 1): 0.6, ("e", 2): 0.8j}, [12])])       # mixes the sectors: one block
+def test_restart_path_stores_exactly_hermitian_states(method, amplitudes, blocks):
+    # nothing symmetrizes rho: each stage writes M + M+ and every combination
+    # of the stack has real weights, so each state equals its adjoint to the
+    # bit, also under a channel that acts on both subsystems
+    space = HilbertSpace(1, 6)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    channels = loss_dissipators(SYS, space) + [
+        Dissipator(annihilation(space) + qubit_operator(space, 0, "sm"), 0.3 * SYS.g)]
+    v = sum(c * basis_state(space, q, n).amplitudes for (q, n), c in amplitudes.items())
+    times = np.linspace(0.0, 0.3 * NS, 7)
+    traj = evolve_master(H, channels, PureState(space, v).density_matrix(), times,
+                         IntegratorConfig(method=method), store_states=True)
+    assert traj.diagnostics["blocks"] == blocks
+    # the longer default step, DP5's, is shorter than a sample interval, so
+    # the run restarts at each sample
+    assert DP5.step * H.descriptor["suggested_dt"] < np.min(np.diff(times))
+    states = traj.states
+    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+    assert np.max(np.abs(states[1:].imag)) > 1e-3
+
+
+def test_dense_path_stores_exactly_hermitian_states():
+    fig5 = load_scenario("fig5")
+    space = HilbertSpace(1, 12)
+    H = effective_hamiltonian(effective_params(fig5.system, fig5.drive), space)
+    times = np.linspace(0.0, fig5.t_end, fig5.samples)
+    traj = evolve_master(H, loss_dissipators(fig5.system, space),
+                         basis_state(space, "e", 0).density_matrix(), times, store_states=True)
+    # one pass over the grid, the samples read off the continuous extension
+    assert traj.diagnostics["rhs_evals"] == 6 * math.ceil(
+        times[-1] / (DP5.step * H.descriptor["suggested_dt"])) + 1
+    assert traj.diagnostics["blocks"] == [12, 12]
+    states = traj.states
+    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+    assert np.max(np.abs(states[1:].imag)) > 1e-3
+
+
+@pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])
+def test_grid_too_long_for_its_step_is_refused_before_stepping(method, monkeypatch):
+    # an infinite step count, and a finite one that fits no index, are both
+    # refused with the field path before the stepper is built
+    import modrabi.dynamics as dynamics
+
+    def no_compute(*args):
+        raise AssertionError("the run stepped")
+    monkeypatch.setattr(dynamics, "_RungeKutta", no_compute)
+    space = HilbertSpace(1, 4)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    psi0 = basis_state(space, "g", 0)
+    cfg = IntegratorConfig(method=method, dt=1e-9)
+    for times in ([0.0, 1e308], [-1e308, 1e308], [0.0, 5.0, 1e11]):
+        for run in (lambda: evolve_schrodinger(H, psi0, times, cfg),
+                    lambda: evolve_master(H, loss_dissipators(SYS, space),
+                                          psi0.density_matrix(), times, cfg)):
+            with pytest.raises(ValidationError, match="^grid: "):
+                run()
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +937,7 @@ def _least_eigenvalue_runs():
     times = np.linspace(0.0, fig5.t_end, fig5.samples)
     dense = _run_with_sectors(H, loss_dissipators(fig5.system, space),
                               basis_state(space, "g", 0).density_matrix(), times,
-                              _integrator_for(fig5, "effective"))
+                              fig5.integrator)
     assert dense[0].diagnostics["rhs_evals"] == 6 * math.ceil(
         times[-1] / (DP5.step * H.descriptor["suggested_dt"])) + 1
     fig2a = load_scenario("fig2a")
@@ -930,7 +945,7 @@ def _least_eigenvalue_runs():
     restart = _run_with_sectors(rotated_hamiltonian(fig2a.system, fig2a.drive, space),
                                 loss_dissipators(fig2a.system, space),
                                 basis_state(space, "g", 0).density_matrix(),
-                                np.linspace(0.0, 2 * NS, 21), _integrator_for(fig2a, "exact"))
+                                np.linspace(0.0, 2 * NS, 21), fig2a.integrator)
     # 20 (6 n + 1) evaluations when it restarts at each sample, not 6 n + 1
     assert restart[0].diagnostics["rhs_evals"] % 20 == 0
     return dense, restart
@@ -966,7 +981,7 @@ def test_fig5_skips_eigvalsh_at_most_samples(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# adaptive methods and the spectral path against independent oracles
+# the spectral path and the lossy effective run against independent oracles
 # ---------------------------------------------------------------------------
 
 STATIC_EFF = EffectiveParams(g_r=-20 * MHZ, g_cr=12 * MHZ, omega_eff=17.5 * MHZ,
@@ -997,43 +1012,6 @@ def test_spectral_run_rejects_non_hermitian_static_part():
     H = TimeDependentHamiltonian(space=space, static=h)
     with pytest.raises(ValidationError, match="Hermitian"):
         evolve_schrodinger(H, basis_state(space, "g", 0), np.linspace(0.0, 1.0, 3))
-
-
-def test_adaptive_method_is_scipy_dop853():
-    """The run carries psi0's parity sector alone, so scipy's DOP853 is run on
-    H and psi0 restricted to that sector."""
-    space = HilbertSpace(1, 4)
-    H = rotated_hamiltonian(SYS, DRIVE_A, space)
-    psi0 = basis_state(space, "e", 0)
-    times = np.linspace(0.0, 0.5 * NS, 6)
-    traj = evolve_schrodinger(H, psi0, times, IntegratorConfig(method="adaptive"))
-    assert traj.diagnostics["method"] == "adaptive"
-    sector = parity_sector(space, psi0.amplitudes)
-    assert traj.diagnostics["blocks"] == [sector.size] == [space.dim // 2]
-    assert not np.any(np.delete(traj.states, sector, axis=1))
-    run = traj.states[:, sector]
-    direct = {}
-    for scipy_method in ("DOP853", "RK45"):
-        sol = solve_ivp(lambda t, y: -1j * (H.evaluate(t)[np.ix_(sector, sector)] @ y),
-                        (0.0, times[-1]), psi0.amplitudes[sector], method=scipy_method,
-                        t_eval=times, rtol=1e-10, atol=1e-12)
-        direct[scipy_method] = (sol.y / np.linalg.norm(sol.y, axis=0)).T
-    assert np.max(np.abs(run - direct["DOP853"])) < 1e-14
-    # RK45 differs by more than that, so the match names the pair
-    assert np.max(np.abs(run - direct["RK45"])) > 1e-12
-
-
-def _liouvillian(H: TimeDependentHamiltonian, channels) -> sparse.csr_array:
-    """Dense-formula Lindblad generator on the row-major vec(rho), static H."""
-    eye = sparse.identity(H.space.dim, format="csr")
-    h = sparse.csr_array(H.static)
-    out = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
-    for d in channels:
-        L = sparse.csr_array(d.jump.matrix)
-        LdL = L.conj().T @ L
-        out = out + d.rate * (sparse.kron(L, L.conj())
-                              - 0.5 * (sparse.kron(LdL, eye) + sparse.kron(eye, LdL.T)))
-    return sparse.csr_array(out)
 
 
 # fig5 itself, and two low-cutoff points from the excited state at small eta2,
@@ -1068,31 +1046,15 @@ def _master_series(H, channels, rho0, times, cfg):
 
 
 @pytest.mark.parametrize("point", FIG5_POINTS)
-@pytest.mark.parametrize("method", ["adaptive", "default"])
-def test_lossy_effective_run_matches_converged_rk4(method, point):
+def test_lossy_effective_run_matches_converged_rk4(point):
+    # what a lossy effective scenario runs: fixed DP5, one pass over the grid
+    # with the samples read off its continuous extension
     H, channels, rho0, times, oracle = _fig5_point(point)
-    if method == "default":
-        # what a lossy effective scenario runs: fixed DP5, one pass over the
-        # grid with the samples read off its continuous extension
-        cfg = _integrator_for(load_scenario("fig5"), "effective")
-        assert cfg == IntegratorConfig(method="fixed_dp5")
-        series, diag = _master_series(H, channels, rho0, times, cfg)
-        assert diag["rhs_evals"] == 6 * math.ceil(
-            (times[-1] - times[0]) / (DP5.step * H.descriptor["suggested_dt"])) + 1
-        assert np.max(np.abs(series - oracle)) <= 2e-7
-        assert diag["herm_defect"] == 0.0 and diag["min_eigenvalue"] > -1e-7
-        return
-    series, _ = _master_series(H, channels, rho0, times, IntegratorConfig(method="adaptive"))
-    dev = np.max(np.abs(series - oracle))
-    assert dev < 1e-8
-    # no farther from the oracle than RK45 at the same tolerances
-    liouvillian = _liouvillian(H, channels)
-    sol = solve_ivp(lambda t, y: liouvillian @ y, (times[0], times[-1]),
-                    rho0.matrix.reshape(-1), method="RK45", t_eval=times,
-                    rtol=1e-10, atol=1e-12)
-    obs = _ObservableSet(H.space, len(times))
-    for i, y in enumerate(sol.y.T):
-        rho = y.reshape(H.space.dim, H.space.dim)
-        obs.from_blocks(i, 0.5 * (rho + rho.conj().T)[None])
-    rk45 = np.array([obs.series[name] for name in DEFAULT_OBSERVABLES])
-    assert dev <= np.max(np.abs(rk45 - oracle))
+    cfg = load_scenario("fig5").integrator
+    assert cfg == IntegratorConfig()
+    series, diag = _master_series(H, channels, rho0, times, cfg)
+    assert diag["method"] == "fixed_dp5"
+    assert diag["rhs_evals"] == 6 * math.ceil(
+        (times[-1] - times[0]) / (DP5.step * H.descriptor["suggested_dt"])) + 1
+    assert np.max(np.abs(series - oracle)) <= 2e-7
+    assert diag["min_eigenvalue"] > -1e-7

@@ -1,5 +1,5 @@
 """What a command loads: scipy's integrate and linalg stacks stay out of every
-process whose run does not call them."""
+process whose run does not call them, and no run calls scipy.integrate."""
 
 import json
 import os
@@ -34,8 +34,8 @@ doc.update(fock_cutoff=8, grid={"t_end_ns": 0.3, "samples": 4})
 with open("fig5_short.json", "w") as fh:
     json.dump(doc, fh)
 
-doc["integrator"] = {"method": "adaptive"}
-with open("fig5_adaptive.json", "w") as fh:
+doc["integrator"] = {"method": "fixed_rk4"}
+with open("fig5_rk4.json", "w") as fh:
     json.dump(doc, fh)
 
 for name, argv in [
@@ -43,11 +43,11 @@ for name, argv in [
         ("design", ["design", "--lambda", "1", "--gratio", "0.3"]),
         ("gate", ["applications", "gate", "-o", "gate"]),
         ("simulate_exact", ["simulate", "fig2a_short.json", "-o", "fig2a"]),
-        ("simulate_lossy_effective", ["simulate", "fig5_short.json", "-o", "fig5"])]:
+        ("simulate_lossy_effective", ["simulate", "fig5_short.json", "-o", "fig5"]),
+        ("simulate_rk4", ["simulate", "fig5_rk4.json", "-o", "fig5_rk4"])]:
     report[name] = [main(argv), loaded()]
 
-report["simulate_adaptive"] = [main(["simulate", "fig5_adaptive.json", "-o", "fig5a"]),
-                               loaded()]
+# the benchmark harness hooks dynamics.solve_ivp, which still resolves to scipy's
 import scipy.integrate
 report["solve_ivp_is_scipys"] = modrabi.dynamics.solve_ivp is scipy.integrate.solve_ivp
 print(json.dumps(report))
@@ -63,9 +63,7 @@ def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["import"] == []
-    for name in ("validate", "design", "gate", "simulate_exact", "simulate_lossy_effective"):
+    for name in ("validate", "design", "gate", "simulate_exact", "simulate_lossy_effective",
+                 "simulate_rk4"):
         assert report[name] == [0, []], name
-    # an explicit `adaptive` run loads scipy.integrate (and what it imports)
-    rc, modules = report["simulate_adaptive"]
-    assert rc == 0 and "scipy.integrate" in modules
     assert report["solve_ivp_is_scipys"] is True

@@ -64,7 +64,7 @@ def test_amplitude_products_resolve_to_normalized_values():
     ({"grid": {"t_end_ns": -1.0, "samples": 5}}, "grid.t_end_ns"),
     ({"fock_cutoff": 1}, "fock_cutoff"),
     ({"outputs": ["nope"]}, "outputs"),
-    ({"integrator": {"method": "leapfrog"}}, "integrator"),
+    ({"integrator": {"method": "leapfrog"}}, "integrator.method"),
 ])
 def test_validation_errors_carry_field_path(breaker, path):
     with pytest.raises(ValidationError) as err:
@@ -528,6 +528,20 @@ def _with_drive(**fields):
      "drive.omega1"),
     ({"integrator": {"metod": "fixed_rk4"}}, "integrator.metod"),
     ({"integrator": {"store_every": 2}}, "integrator.store_every"),
+    # no run reads a tolerance, and every method takes fixed steps
+    ({"integrator": {"rtol": 1e-10}}, "integrator.rtol"),
+    ({"integrator": {"atol": 1e-12}}, "integrator.atol"),
+    ({"integrator": {"method": "adaptive"}}, "integrator.method"),
+    # a misspelled key is refused in every section, not ignored
+    ({"fock_cuttoff": 30}, "fock_cuttoff"),
+    ({"dissipaton": True}, "dissipaton"),
+    ({"system": {"epsilon_ghz": 5.4, "omega_ghz": 2.2, "g_mhz": 70, "kapa_mhz": 0.05}},
+     "system.kapa_mhz"),
+    (_with_drive(phi_1=0.3), "drive.phi_1"),
+    ({"drive": {"design": {"anisotropy": 1.0, "gratio": 1.2}}}, "drive.design.gratio"),
+    ({"grid": {"t_end_ns": 2.0, "samples": 21, "sample": 5}}, "grid.sample"),
+    ({"highlight": {"param": "drive.eta2", "value": 0.7, "colour": "red"}},
+     "highlight.colour"),
     # 2 eta beyond the Bessel range X_LIMIT = 50, named by the key as given
     ({"drive": {"omega1_ghz": 3.2, "eta1": 30, "omega2_ghz": 6.759, "eta2": 0.7}},
      "drive.eta1"),
@@ -542,6 +556,17 @@ def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, ca
                  ["simulate", str(scn_file), "-o", str(tmp_path / "out")]):
         assert main(argv) == 2
         assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_grid_too_long_for_its_step_exits_2(tmp_path, capsys):
+    # 1e300 ns at fig4jc's step is far more steps than an index can count
+    doc, _ = load_scenario_document("fig4jc")
+    doc["grid"]["t_end_ns"] = 1e300
+    scn_file = tmp_path / "long.json"
+    scn_file.write_text(json.dumps(doc))
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "out")]) == 2
+    assert "grid: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

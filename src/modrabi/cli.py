@@ -25,12 +25,12 @@ from .applications import (cat_evolution, cnot_equivalence_check,
 from .dynamics import CUTOFF_POP_LIMIT
 from .errors import NumericsError, UnreachableTargetError, ValidationError
 from .hilbert import HilbertSpace
-from .modulation import (SystemParams, amplitudes_for_coupling, detunings,
-                         drive_for_targets, effective_params, json_float,
-                         solve_amplitudes, validity_report)
+from .modulation import (SystemParams, amplitudes_for_coupling, drive_for_targets,
+                         effective_params, json_float, solve_amplitudes,
+                         validity_report)
 from .scenarios import (SCHEMA_VERSION, effective_summary, load_scenario,
                         load_scenario_document, packaged_scenarios,
-                        parse_scenario, run_simulation, run_sweep, write_csv,
+                        run_simulation, run_sweep, validation_report, write_csv,
                         write_json)
 
 TWO_PI = 2.0 * math.pi
@@ -312,18 +312,9 @@ def cmd_applications_gate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc, name = load_scenario_document(args.scenario)
-    scn = parse_scenario(doc, name=name)
-    det = detunings(scn.system, scn.drive)
-    eff = effective_params(scn.system, scn.drive)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "name": scn.name,
-        "valid": True,
-        "detunings_rad_s": {"delta1": det.delta1, "delta2": det.delta2},
-        "effective": effective_summary(eff),
-        "validity": validity_report(scn.system, scn.drive).as_dict(),
-    }
+    scn = load_scenario(args.scenario)
+    report = {"schema_version": SCHEMA_VERSION, "name": scn.name, "valid": True,
+              **validation_report(scn)}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -42,6 +42,13 @@ continuous extension, one more dot of the stack with the weights
 [1, b(theta)], before the step moves y on.  Any other fixed-step run
 (every exact-frame one) restarts at each sample, exactly on it.
 
+`_plan` resolves all this before any compute into a run's `RunPlan`: the
+checked grid, the method, whether the samples come off the continuous
+extension (`dense`), the step count of each `advance`, the parity blocks
+and the right-hand sides those imply (`rhs_evals`: 4 per RK4 step, 6 per
+DP5 step plus 1 per `advance`, 0 for `spectral`).  It raises every
+ValidationError a run can raise; `evolve_*` carry its plan out.
+
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
 steps that sector alone.  When the generator, the jumps and rho0 respect
@@ -52,8 +59,7 @@ diagonal, so one product gives both K_s rho_s, J acts on the entries of the
 blocks alone, and the spectrum, the weights and the purity are taken per
 block.  That halves the state and the work per step.  Any other run is the
 one-block case of the same code, a (d,) vector or a (1, d, d) stack.
-`_parity_blocks` is the one rule for both equations, and each run reports
-the sizes of the blocks it carried (`blocks`).
+`_parity_blocks` is the one rule for both equations.
 
 Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
 reports `cutoff_ok`: whether the top-Fock population stayed below
@@ -72,12 +78,9 @@ all factor by Cholesky has every eigenvalue above m, the least so far, so
 it cannot move the minimum, its time or the abort, and `eigvalsh` runs only
 at the samples where that factorization fails.  A sample holding NaN or
 inf, which a Cholesky factorization does not reject, aborts before that
-test, in both equations.  Each run reports how
-many right-hand sides it evaluated (`rhs_evals`: 4 per RK4 step; 6 per DP5
-step plus 1 per sample interval when it restarts at each sample, plus 1 per
-run when it reads the samples off the continuous extension; 0 for
-`spectral`) and, for rho, when its least
-eigenvalue occurred (`min_eigenvalue_time`).
+test, in both equations.  Each run reports its plan's method, `rhs_evals`
+and `blocks`, and for rho when its least eigenvalue occurred
+(`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
 """
@@ -369,6 +372,11 @@ class Tableau:
     step: float
     p: tuple | None = None
 
+    @property
+    def fsal(self) -> bool:
+        """The last stage is taken at the new y: first same as last."""
+        return self.c[-1] == 1.0 and self.b[-1] == 0.0 and self.a[-1] == self.b[:-1]
+
 
 RK4 = Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
               b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 1 / 2, 1 / 2, 1.0), step=1.0)
@@ -430,8 +438,7 @@ class _RungeKutta:
         self.xf = self.x.reshape(-1).view(float)
         self.sf = self.sample.reshape(-1).view(float)
         self.p = None if tableau.p is None else np.array(tableau.p)
-        self.fsal = (tableau.c[-1] == 1.0 and tableau.b[-1] == 0.0
-                     and tableau.a[-1] == tableau.b[:-1])
+        self.fsal = tableau.fsal
         # the times of the stages taken every step: FSAL takes stage 1 once
         # per advance
         self.c = np.array(tableau.c[self.fsal:])
@@ -441,17 +448,14 @@ class _RungeKutta:
                        for i in range(1, s)]
         self.b = np.array([1.0, *tableau.b]), zf
 
-    def advance(self, t0: float, y: np.ndarray, t1: float, dt_target: float,
-                dense=None) -> int:
-        """Step y from t0 to t1 in place with steps <= dt_target; returns the
-        number of right-hand sides evaluated.
+    def advance(self, t0: float, y: np.ndarray, t1: float, nsub: int, dense=None):
+        """Step y from t0 to t1 in place, in `nsub` equal steps.
 
         With `dense` = (times, record), times increasing in [t0, t1], each
         step also hands record(k, state at times[k]) for the times it covers,
         read off the continuous extension before y moves on; the state handed
         over is a buffer the next sample overwrites.
         """
-        nsub = max(1, int(math.ceil((t1 - t0) / dt_target)))
         h = (t1 - t0) / nsub
         gen, stage, stages, c, fsal = (self.flow.generator, self.flow.stage, self.stages,
                                        self.c, self.fsal)
@@ -489,19 +493,42 @@ class _RungeKutta:
                 if fsal:
                     np.copyto(k1, ks)
         np.copyto(y, y0)
-        return nsub * c.size + fsal
 
 
-def _pick_dt(method: str, dt: float | None, H: TimeDependentHamiltonian) -> float:
-    if dt is not None:
-        return dt
-    dt = H.descriptor.get("suggested_dt")
-    if dt is None or not math.isfinite(dt):
-        raise ValidationError(f"{method} needs an explicit dt for this Hamiltonian")
-    return TABLEAUS[method].step * dt
+@dataclass(frozen=True)
+class RunPlan:
+    """How one run is carried out, resolved by `_plan` before any compute.
+
+    A stepped run makes one `advance` per entry of `steps`, of that many equal
+    steps: one per sample interval, or one across the grid when the samples
+    come from DP5's continuous extension (`dense`).  `blocks` holds the basis
+    states of each parity block the run carries."""
+
+    times: np.ndarray
+    method: str
+    dense: bool
+    steps: tuple
+    blocks: list
+    rhs_evals: int
+
+    def summary(self) -> dict:
+        """The plan's part of a run's diagnostics."""
+        return {"method": self.method, "rhs_evals": self.rhs_evals,
+                "blocks": [b.size for b in self.blocks]}
 
 
-def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np.ndarray:
+def _plan(H: TimeDependentHamiltonian, state: PureState | DensityMatrix,
+          times: np.ndarray, cfg: IntegratorConfig | None = None,
+          dissipators: Sequence[Dissipator] | None = None,
+          reference: np.ndarray | None = None) -> RunPlan:
+    """The plan of a Schrodinger run of a PureState, or with `dissipators` a
+    Lindblad run of a DensityMatrix, under `cfg` as `IntegratorConfig` says;
+    it raises every ValidationError a run can raise, before any generator,
+    stepper or eigendecomposition is built."""
+    if state.space != H.space:
+        raise ValidationError("initial state and Hamiltonian spaces differ")
+    if any(d.jump.space != H.space for d in dissipators or ()):
+        raise ValidationError("dissipator and Hamiltonian spaces differ")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("time grid must contain at least two points")
@@ -509,10 +536,31 @@ def _check_grid(times: np.ndarray, reference: np.ndarray | None, dim: int) -> np
         raise ValidationError("time grid must be finite")
     if np.any(times[1:] <= times[:-1]):
         raise ValidationError("time grid must be strictly increasing")
-    if reference is not None and np.shape(reference) != (times.size, dim):
+    if reference is not None and np.shape(reference) != (times.size, H.space.dim):
         raise ValidationError(f"reference: shape {np.shape(reference)}, expected "
-                              f"one vector per time of the grid, {(times.size, dim)}")
-    return times
+                              f"one vector per time of the grid, {(times.size, H.space.dim)}")
+    cfg = cfg or IntegratorConfig()
+    method = cfg.method or ("spectral" if dissipators is None and not H.terms else "fixed_dp5")
+    dense, steps, rhs_evals = False, (), 0
+    if method == "spectral":
+        static = np.asarray(H.static, dtype=complex)
+        if np.max(np.abs(static - static.conj().T)) > HERMITIAN_RTOL * np.max(np.abs(static)):
+            raise ValidationError("spectral propagation needs a Hermitian static Hamiltonian")
+    else:
+        tableau = TABLEAUS[method]
+        dt = cfg.dt or tableau.step * H.descriptor.get("suggested_dt", math.inf)
+        if not math.isfinite(dt):
+            raise ValidationError("integrator.dt_ns: required, as H suggests no step")
+        span = float(times[-1]) - float(times[0])
+        if not span / dt <= np.iinfo(np.intp).max:     # also refuses inf
+            raise ValidationError(f"grid: a span of {span:.6g} in steps of {dt:.6g} "
+                                  f"needs more steps than can be counted")
+        dense = tableau.p is not None and dt > np.max(np.diff(times))
+        steps = tuple(max(1, math.ceil(d / dt)) for d in ([span] if dense else np.diff(times)))
+        rhs_evals = sum(steps) * (len(tableau.b) - tableau.fsal) + len(steps) * tableau.fsal
+    blocks = _parity_blocks(H, [d for d in dissipators or () if d.rate != 0.0],
+                            state.amplitudes if dissipators is None else state.matrix)
+    return RunPlan(times, method, dense, steps, blocks, rhs_evals)
 
 
 def _check_finite(value: float, t: float, what: str):
@@ -523,49 +571,19 @@ def _check_finite(value: float, t: float, what: str):
                             diagnostics={"time": float(t)})
 
 
-def _propagate(H: TimeDependentHamiltonian, flow: _Flow, y0: np.ndarray,
-               times: np.ndarray, method: str, dt: float | None, record) -> dict:
-    """Carry y0 over the grid in fixed steps of `method`, handing the state
-    at each time i to record(i, y); returns the diagnostics {"rhs_evals": n}.
-
-    A run whose step is longer than every sample interval, and whose tableau
-    has a continuous extension, steps once across the whole grid and reads
-    each sample off that extension.  Any other run restarts at each sample,
-    exactly on it.  A grid that needs more steps than an index can count is
-    refused before the first step.
-    """
-    dt = _pick_dt(method, dt, H)
-    span = float(times[-1]) - float(times[0])
-    if not span / dt <= np.iinfo(np.intp).max:     # also refuses inf
-        raise ValidationError(f"grid: a span of {span:.6g} in steps of {dt:.6g} "
-                              f"needs more steps than can be counted")
-    tableau = TABLEAUS[method]
-    stepper = _RungeKutta(flow, tableau)
-    if tableau.p is not None and dt > np.max(np.diff(times)):
-        return {"rhs_evals": stepper.advance(times[0], y0.copy(), times[-1], dt,
-                                             (times, record))}
+def _propagate(flow: _Flow, y0: np.ndarray, plan: RunPlan, record):
+    """Carry y0 over the plan's grid in its steps, handing the state at each
+    time i to record(i, y)."""
+    times = plan.times
+    stepper = _RungeKutta(flow, TABLEAUS[plan.method])
+    if plan.dense:
+        stepper.advance(times[0], y0.copy(), times[-1], plan.steps[0], (times, record))
+        return
     y = y0.copy()
     record(0, y)
-    evals = 0
-    for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]), start=1):
-        evals += stepper.advance(t0, y, t1, dt)
+    for k, nsub in enumerate(plan.steps, start=1):
+        stepper.advance(times[k - 1], y, times[k], nsub)
         record(k, y)
-    return {"rhs_evals": evals}
-
-
-def _spectral(static: np.ndarray, order: np.ndarray, psi0: np.ndarray,
-              times: np.ndarray, record):
-    """psi(t) = V exp(-i lam (t - t0)) V+ psi0 at every time, for the static
-    H restricted to the basis states `order`, = V diag(lam) V+ there; hands
-    sample i to record(i, psi)."""
-    static = np.asarray(static, dtype=complex)
-    if (np.max(np.abs(static - static.conj().T))
-            > HERMITIAN_RTOL * np.max(np.abs(static))):
-        raise ValidationError("spectral propagation needs a Hermitian static Hamiltonian")
-    lam, V = np.linalg.eigh(static[np.ix_(order, order)])
-    c0 = V.conj().T @ psi0
-    for i, t in enumerate(times):
-        record(i, V @ (np.exp(-1j * lam * (t - times[0])) * c0))
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +603,8 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     must be Hermitian.  Given `reference`, one vector per time of the grid,
     the run also records `fidelity`, |<ref|psi>|^2.
     """
-    if psi0.space != H.space:
-        raise ValidationError("initial state and Hamiltonian spaces differ")
-    cfg = cfg or IntegratorConfig()
-    times = _check_grid(times, reference, H.space.dim)
-    [order] = _parity_blocks(_Generator(H), (), psi0.amplitudes, H.space)
+    plan = _plan(H, psi0, times, cfg, reference=reference)
+    times, [order] = plan.times, plan.blocks
     obs = _ObservableSet(H.space, len(times), order)
     states = np.zeros((len(times), H.space.dim), complex)
     norm_drift = 0.0
@@ -603,19 +618,21 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
         states[i, order] = psi / norm
 
     psi0_sector = psi0.amplitudes[order]
-    method = cfg.method or ("fixed_dp5" if H.terms else "spectral")
-    if method == "spectral":
-        _spectral(H.static, order, psi0_sector, times, record)
-        stats = {"rhs_evals": 0}
+    if plan.method == "spectral":
+        # psi(t) = V exp(-i lam (t - t0)) V+ psi0, H = V diag(lam) V+ in the sector
+        lam, V = np.linalg.eigh(np.asarray(H.static, dtype=complex)[np.ix_(order, order)])
+        c0 = V.conj().T @ psi0_sector
+        for i, t in enumerate(times):
+            record(i, V @ (np.exp(-1j * lam * (t - times[0])) * c0))
     else:
         generator = _Generator(H, order=order)
         flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
-        stats = _propagate(H, flow, psi0_sector, times, method, cfg.dt, record)
+        _propagate(flow, psi0_sector, plan, record)
     if reference is not None:
         obs.series["fidelity"] = fidelity(reference, states)
     return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(times),
-                                   "method": method, **stats, "blocks": [order.size]})
+                                   **plan.summary()})
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +640,15 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
 # ---------------------------------------------------------------------------
 
 def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
-              rho0: np.ndarray):
+              blocks: list[np.ndarray]):
     """Flow and sector layout of a Lindblad run, two sparse products per stage.
 
-    rho is carried as the (S, N, N) stack of its diagonal blocks in the
-    parity sectors (S = 2), or as the one (1, d, d) block when the run does
-    not keep rho block diagonal.  `layout[s, i, j]` is the index in the
-    row-major vec(rho) of entry (i, j) of block s.  K = -i H - sum_j (r_j/2)
-    L_j+ L_j is built in sector order, so K is block diagonal and one CSR
-    product on the (d, N) stack gives every K_s rho_s.  Every channel enters
+    rho is carried as the (S, N, N) stack of its diagonal `blocks`, the
+    parity sectors (S = 2) or the one (1, d, d) block when the run does not
+    keep rho block diagonal.  `layout[s, i, j]` is the index in the row-major
+    vec(rho) of entry (i, j) of block s.  K = -i H - sum_j (r_j/2) L_j+ L_j is
+    built in sector order, so K is block diagonal and one CSR product on the
+    (d, N) stack gives every K_s rho_s.  Every channel enters
     one CSR superoperator J = sum_j r_j L_j (x) conj(L_j) on vec(rho), built
     once and restricted to the entries in `layout`: a jump maps each sector
     into one sector, so a block-diagonal rho has a block-diagonal image.
@@ -639,7 +656,6 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
     dim = H.space.dim
     damping = sum((0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
                    for d in dissipators), np.zeros((dim, dim)))
-    blocks = _parity_blocks(_Generator(H, damping), dissipators, rho0, H.space)
     generator = _Generator(H, damping, np.concatenate(blocks))
     sectors = np.array(blocks)
     layout = sectors[:, :, None] * dim + sectors[:, None, :]
@@ -653,21 +669,23 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                  jumps.data), layout
 
 
-def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
-                   state: np.ndarray, space: HilbertSpace) -> list[np.ndarray]:
+def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
+                   state: np.ndarray) -> list[np.ndarray]:
     """Index sets of the parity sectors that hold the state, a vector psi0 or
     a matrix rho0, for the whole run.
 
     Each basis state is labelled by (n + number of excited qubits) mod 2.
-    The flow keeps the labels when K (static part, damping and every term)
-    has no entry between them and every jump maps each label into a single
-    label.  A psi0 within one label then stays in its sector, the one block
-    the run carries.  A rho0 with no entry between the labels stays block
-    diagonal in the two sectors, which `_lindblad` propagates as two N x N
-    blocks and whose spectrum is that of the blocks.  Any other run is one
-    block, the whole space, and so is a rho0 whose sectors differ in size (no
-    qubit and an odd cutoff), since the blocks of the stack share one shape.
+    The flow keeps the labels when K = -i H - sum_j (r_j/2) L_j+ L_j (static
+    part, every term and every L_j+ L_j) has no entry between them and every
+    jump maps each label into a single label.  A psi0 within one label then
+    stays in its sector, the one block the run carries.  A rho0 with no entry
+    between the labels stays block diagonal in the two sectors, which
+    `_lindblad` propagates as two N x N blocks and whose spectrum is that of
+    the blocks.  Any other run is one block, the whole space, and so is a rho0
+    whose sectors differ in size (no qubit and an odd cutoff), since the
+    blocks of the stack share one shape.
     """
+    space = H.space
     qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
     ground = sum((qubits >> k) & 1 for k in range(space.n_qubits))  # a set bit is a ground qubit
     label = (n + space.n_qubits - ground) % 2
@@ -679,8 +697,9 @@ def _parity_blocks(generator: _Generator, dissipators: Sequence[Dissipator],
         rows, cols = np.nonzero(jump)
         return all(np.unique(label[rows[label[cols] == s]]).size <= 1 for s in (0, 1))
 
-    k = generator.matrix
-    keeps = (within(np.repeat(np.arange(space.dim), np.diff(k.indptr)), k.indices)
+    entries = [np.nonzero(H.static), *(m.nonzero() for m in H.terms),
+               *(np.nonzero(d.jump.matrix.conj().T @ d.jump.matrix) for d in dissipators)]
+    keeps = (all(within(*e) for e in entries)
              and all(into_one(d.jump.matrix) for d in dissipators))
     if keeps and state.ndim == 1:
         held = np.unique(label[np.flatnonzero(state)])
@@ -719,15 +738,9 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     `fidelity`, <ref|rho|ref>, as it goes: the sum over the blocks it
     carries of <ref_s|rho_s|ref_s>.
     """
-    if rho0.space != H.space:
-        raise ValidationError("initial state and Hamiltonian spaces differ")
-    for d in dissipators:
-        if d.jump.space != H.space:
-            raise ValidationError("dissipator and Hamiltonian spaces differ")
-    cfg = cfg or IntegratorConfig()
-    times = _check_grid(times, reference, H.space.dim)
-    active = [d for d in dissipators if d.rate != 0.0]
-    flow, layout = _lindblad(H, active, rho0.matrix)
+    plan = _plan(H, rho0, times, cfg, dissipators, reference)
+    times = plan.times
+    flow, layout = _lindblad(H, dissipators, plan.blocks)
     rows = layout[:, :, 0] // H.space.dim       # basis state of each row, (S, N)
     obs = _ObservableSet(H.space, len(times), rows.reshape(-1))
     if reference is not None:
@@ -762,15 +775,11 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
         if states is not None:
             states[i].reshape(-1)[layout] = rho
 
-    method = cfg.method or "fixed_dp5"
-    stats = _propagate(H, flow, rho0.matrix.reshape(-1)[layout], times, method, cfg.dt,
-                       record)
+    _propagate(flow, rho0.matrix.reshape(-1)[layout], plan, record)
     return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "min_eigenvalue_time": min_eig_time,
-                                   **obs.cutoff_report(times), "method": method,
-                                   **stats,
-                                   "blocks": [layout.shape[1]] * layout.shape[0]})
+                                   **obs.cutoff_report(times), **plan.summary()})
 
 
 # ---------------------------------------------------------------------------

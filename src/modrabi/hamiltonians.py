@@ -53,12 +53,13 @@ _CONSTRAINT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """H(t) = static + sum_k c_k(t) M_k plus a record of its construction.
+    """H(t) = static + sum_k c_k(t) M_k and the step scale its builder suggests.
 
     `static` is the dense constant part, required; `terms` holds the sparse
     M_k and `coefficients` maps times (T,) to the (T, K) complex c_k, and a
-    static Hamiltonian has neither.  `evaluate(t)`, the dense assembly, is a
-    reference that propagators never call.
+    static Hamiltonian has neither.  `descriptor["suggested_dt"]` is fixed
+    RK4's default step (inf where H suggests none).  `evaluate(t)`, the
+    dense assembly, is a reference that propagators never call.
     """
 
     space: HilbertSpace
@@ -179,8 +180,7 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
 
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"kind": "lab", "system": sys, "drive": drive,
-                    "suggested_dt": _suggest_dt(sys, drive)},
+        descriptor={"suggested_dt": _suggest_dt(sys, drive)},
         static=_bare(sys.omega, sys.epsilon, space) + sys.g * (x @ sx),
         terms=_sparse(2.0 * collective_qubit_operator(space, "jz").matrix),
         coefficients=coefficients)
@@ -205,8 +205,7 @@ def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
 
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"kind": "rotated_exact", "system": sys, "drive": drive,
-                    "effective": eff, "suggested_dt": _suggest_dt(sys, drive)},
+        descriptor={"suggested_dt": _suggest_dt(sys, drive)},
         static=_bare(eff.omega_eff, eff.epsilon_eff, space),
         terms=_sparse(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
         coefficients=coefficients)
@@ -229,8 +228,7 @@ def effective_hamiltonian(eff: EffectiveParams,
 
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"kind": "effective", "effective": eff,
-                    "suggested_dt": _static_dt(h0)},
+        descriptor={"suggested_dt": _static_dt(h0)},
         static=h0)
 
 
@@ -299,8 +297,7 @@ def model(kind: str, eff: EffectiveParams,
              "drive phases must vanish (mod 2 pi)")
         eff = replace(eff, omega_eff=0.0, epsilon_eff=0.0, phi1=0.0, phi2=0.0)
 
-    H = effective_hamiltonian(eff, space)
-    return replace(H, descriptor={**H.descriptor, "kind": kind})
+    return effective_hamiltonian(eff, space)
 
 
 def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace) -> TimeDependentHamiltonian:
@@ -326,8 +323,7 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace) -> TimeDependen
     scale = max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300)
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"kind": "dicke", "effective": eff,
-                    "suggested_dt": 2.0 * math.pi / scale / 40.0},
+        descriptor={"suggested_dt": 2.0 * math.pi / scale / 40.0},
         static=np.zeros((space.dim, space.dim), dtype=complex),
         terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
         coefficients=coefficients)

@@ -9,14 +9,14 @@ usually quoted.
 
 ``run_simulation`` executes one scenario: the frame-exact generator under
 the master equation (or Schrodinger equation when dissipation is off),
-and/or the constant effective model.  When both are requested, the lossless
-effective run goes first and its states are the reference whose overlap
-fidelity the exact run records as it goes, so no run keeps a density-matrix
-stack.  ``run_sweep`` repeats it over one scalar parameter, optionally on a
-forked pool bounded by MODRABI_THREADS.  Both hold every loaded OpenBLAS at
-one thread while they run, which the pool's workers inherit: on these small
-matrices a second BLAS thread doubled the CPU time and saved no wall time
-(``_one_blas_thread``).
+and/or the constant effective model; with both, the lossless effective run
+goes first as the reference whose fidelity the exact run records as it
+goes, so no run keeps a density-matrix stack.  ``validation_report`` plans
+the same runs without running them.  ``run_sweep`` repeats a run over one
+scalar parameter, optionally on a forked pool bounded by MODRABI_THREADS.
+All three hold every loaded OpenBLAS at one thread while they run, which
+the pool's workers inherit: on these small matrices a second BLAS thread
+doubled the CPU time and saved no wall time (``_one_blas_thread``).
 
 Output files are written atomically (temp + rename).  CSV is RFC 4180 with
 a header row and shortest round-trip decimals, so identical scenarios with
@@ -33,14 +33,14 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .bessel import X_LIMIT
-from .dynamics import (METHODS, IntegratorConfig, Trajectory, evolve_master,
+from .dynamics import (METHODS, IntegratorConfig, Trajectory, _plan, evolve_master,
                        evolve_schrodinger, loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
@@ -406,35 +406,66 @@ class SimulationResult:
     effective: Trajectory | None
 
 
+def _runs(scn: Scenario, eff) -> dict:
+    """side -> (H, initial state, loss channels or None for a Schrodinger run)
+    of each run, the effective one first: in 'both' mode it is the lossless
+    reference whose states the exact run records its fidelity to."""
+    space = HilbertSpace(1, scn.fock_cutoff)
+    psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
+    sides = {}
+    if scn.model in ("effective", "both"):
+        sides["effective"] = effective_hamiltonian(eff, space), scn.model == "effective"
+    if scn.model in ("rotated_exact", "both"):
+        sides["exact"] = rotated_hamiltonian(scn.system, scn.drive, space), True
+    return {side: (H, psi0.density_matrix(), loss_dissipators(scn.system, space))
+            if scn.dissipation and takes_loss else (H, psi0, None)
+            for side, (H, takes_loss) in sides.items()}
+
+
+def _resolved(scn: Scenario, eff) -> dict:
+    """Every parameter the scenario resolves to, as its manifest and
+    `validate` report them."""
+    return {
+        "system_rad_s": asdict(scn.system),
+        "drive_rad_s": asdict(scn.drive),
+        "detunings_rad_s": asdict(detunings(scn.system, scn.drive)),
+        "effective": effective_summary(eff),
+        "validity": validity_report(scn.system, scn.drive).as_dict(),
+        "fock_cutoff": scn.fock_cutoff,
+        "initial_state": scn.initial_state,
+        "model": scn.model,
+        "dissipation": scn.dissipation,
+        "grid": {"t_end_s": scn.t_end, "samples": scn.samples},
+    }
+
+
+@_one_blas_thread()
+def validation_report(scn: Scenario) -> dict:
+    """The resolved parameters of `scn` and, under "plans", the method,
+    `rhs_evals` and `blocks` of each run, planned as `run_simulation` plans
+    them: it raises what a run would raise, before any run computes."""
+    eff = effective_params(scn.system, scn.drive)
+    times = np.linspace(0.0, scn.t_end, scn.samples)
+    plans = {side: _plan(H, state, times, scn.integrator, channels).summary()
+             for side, (H, state, channels) in _runs(scn, eff).items()}
+    return {**_resolved(scn, eff), "plans": plans}
+
+
 @_one_blas_thread()
 def run_simulation(scn: Scenario) -> SimulationResult:
-    space = HilbertSpace(1, scn.fock_cutoff)
     eff = effective_params(scn.system, scn.drive)
-    det = detunings(scn.system, scn.drive)
-    validity = validity_report(scn.system, scn.drive)
     times = np.linspace(0.0, scn.t_end, scn.samples)
-    psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
-
-    exact_traj = eff_traj = None
-    if scn.model in ("effective", "both"):
-        H_eff = effective_hamiltonian(eff, space)
-        if scn.model == "effective" and scn.dissipation:
-            eff_traj = evolve_master(H_eff, loss_dissipators(scn.system, space),
-                                     psi0.density_matrix(), times, scn.integrator)
-        else:
-            # in 'both' mode the effective run is the ideal (lossless)
-            # reference whose states the exact run records its fidelity to
-            eff_traj = evolve_schrodinger(H_eff, psi0, times, scn.integrator)
-    if scn.model in ("rotated_exact", "both"):
-        H = rotated_hamiltonian(scn.system, scn.drive, space)
-        reference = eff_traj.states if scn.model == "both" else None
-        if scn.dissipation:
-            exact_traj = evolve_master(H, loss_dissipators(scn.system, space),
-                                       psi0.density_matrix(), times, scn.integrator,
-                                       reference=reference)
-        else:
-            exact_traj = evolve_schrodinger(H, psi0, times, scn.integrator,
+    runs = {}
+    for side, (H, state, channels) in _runs(scn, eff).items():
+        # the effective run, when it went first, is the exact run's reference
+        reference = runs["effective"].states if "effective" in runs else None
+        if channels is None:
+            runs[side] = evolve_schrodinger(H, state, times, scn.integrator,
                                             reference=reference)
+        else:
+            runs[side] = evolve_master(H, channels, state, times, scn.integrator,
+                                       reference=reference)
+    exact_traj, eff_traj = runs.get("exact"), runs.get("effective")
 
     primary = exact_traj if exact_traj is not None else eff_traj
     # the CSV columns in file order: every recorded series of the primary run
@@ -451,24 +482,7 @@ def run_simulation(scn: Scenario) -> SimulationResult:
         "schema_version": SCHEMA_VERSION,
         "scenario": scn.raw,
         "name": scn.name,
-        "resolved": {
-            "system_rad_s": {"epsilon": scn.system.epsilon, "omega": scn.system.omega,
-                             "g": scn.system.g, "kappa": scn.system.kappa,
-                             "gamma": scn.system.gamma},
-            "drive_rad_s": {"omega1": scn.drive.omega1, "omega2": scn.drive.omega2,
-                            "eta1": scn.drive.eta1, "eta2": scn.drive.eta2,
-                            "phi1": scn.drive.phi1, "phi2": scn.drive.phi2},
-            "detunings_rad_s": {"delta1": det.delta1, "delta2": det.delta2,
-                                "delta_minus": det.delta_minus,
-                                "delta_plus": det.delta_plus},
-            "effective": effective_summary(eff),
-            "validity": validity.as_dict(),
-            "fock_cutoff": scn.fock_cutoff,
-            "initial_state": scn.initial_state,
-            "model": scn.model,
-            "dissipation": scn.dissipation,
-            "grid": {"t_end_s": scn.t_end, "samples": scn.samples},
-        },
+        "resolved": _resolved(scn, eff),
         "diagnostics": {
             "exact": None if exact_traj is None else exact_traj.diagnostics,
             "effective": None if eff_traj is None else eff_traj.diagnostics,

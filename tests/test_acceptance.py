@@ -24,8 +24,9 @@ from modrabi.hilbert import HilbertSpace, annihilation, basis_state, qubit_opera
 from modrabi.modulation import (ETA_NULL, DriveParams, SystemParams,
                                 detunings, drive_for_detunings,
                                 effective_params, swap_tones)
-from modrabi.scenarios import (load_scenario, packaged_scenarios,
-                               parse_scenario, run_simulation, run_sweep)
+from modrabi.scenarios import (apply_sweep_value, load_scenario, packaged_scenarios,
+                               parse_scenario, run_simulation, run_sweep,
+                               validation_report)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -46,6 +47,11 @@ JC_DRIVE = DriveParams(omega1=3.2 * GHZ, omega2=7.565 * GHZ,
                        eta1=3.848 / 3.2, eta2=5.427 / 7.565)
 AJC_DRIVE = DriveParams(omega1=3.2 * GHZ, omega2=7.565 * GHZ,
                         eta1=2.296 / 3.2, eta2=9.096 / 7.565)
+
+
+def planned(diagnostics: dict) -> dict:
+    """The part of a run's diagnostics that its plan fixes in advance."""
+    return {key: diagnostics[key] for key in ("method", "rhs_evals", "blocks")}
 
 
 def report(num: int, ok: bool, detail: str):
@@ -306,6 +312,13 @@ def test_criterion_10_open_system_integrity():
         if not scn.dissipation:
             continue
         res = run_simulation(scn)
+        # what `validate` prints: the manifest's resolved parameters, and a
+        # plan per run that the run carried out as planned
+        checked = validation_report(scn)
+        resolved = res.manifest["resolved"]
+        assert {key: checked[key] for key in resolved} == resolved, name
+        ran = {side: planned(d) for side, d in res.manifest["diagnostics"].items() if d}
+        assert checked["plans"] == ran, name
         diag = (res.exact or res.effective).diagnostics
         sides = [d for d in res.manifest["diagnostics"].values() if d is not None]
         top = max(d["max_top_fock_pop"] for d in sides)
@@ -321,6 +334,9 @@ def test_criterion_11_degenerate_sweep():
     values = np.linspace(0.0, 1.2024, 41).tolist()
     manifest, header, rows = run_sweep(doc, "drive.eta2", values, name="fig5_sweep")
     assert manifest["status"] == "complete"
+    for point in manifest["points"]:           # each point ran as planned
+        scn = parse_scenario(apply_sweep_value(doc, "drive.eta2", point["value"]))
+        assert validation_report(scn)["plans"] == {"effective": planned(point["diagnostics"])}
     peak_n = {}
     quiet = {}
     for value, _, sig, pho in rows:

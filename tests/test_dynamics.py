@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from modrabi.dynamics import (DEFAULT_OBSERVABLES, DP5, RK4, Dissipator,
                               IntegratorConfig, _csr_kernel, _Generator, _lindblad,
-                              dissipator_frame_defect, evolve_master,
+                              _parity_blocks, dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -593,8 +593,8 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
     rho = v @ v.conj().T
     rho /= np.trace(rho)
     # rho mixes the parity sectors, so the run is one block holding all of rho
-    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in channels],
-                             rho)
+    dissipators = [Dissipator(Operator(space, L), r) for L, r in channels]
+    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
     assert layout.shape == (1, space.dim, space.dim)
     for t in rng.uniform(0.0, 20 * NS, size=4):
         h = H.evaluate(float(t))
@@ -895,6 +895,63 @@ def test_dense_path_stores_exactly_hermitian_states():
     assert np.max(np.abs(states[1:].imag)) > 1e-3
 
 
+def _counted_run(case):
+    """(H, initial state, loss channels or None, times, cfg) of one case of
+    the stage-count test."""
+    space = HilbertSpace(1, 6)
+    psi0 = basis_state(space, "g", 0)
+    exact = rotated_hamiltonian(SYS, DRIVE_A, space)
+    uneven = np.array([0.0, 0.05, 0.12, 0.3]) * NS     # each interval its own count
+    if case == "restart_dp5_vector":
+        return exact, psi0, None, uneven, IntegratorConfig()
+    if case == "restart_dp5_blocks":
+        return exact, psi0.density_matrix(), loss_dissipators(SYS, space), uneven, None
+    if case == "rk4":
+        return exact, psi0, None, uneven, IntegratorConfig(method="fixed_rk4")
+    if case == "spectral":
+        return effective_hamiltonian(STATIC_EFF, space), psi0, None, uneven, None
+    fig5 = load_scenario("fig5")              # dense: fig5's lossy effective run
+    H = effective_hamiltonian(effective_params(fig5.system, fig5.drive), space)
+    return (H, psi0.density_matrix(), loss_dissipators(fig5.system, space),
+            np.linspace(0.0, 2 * NS, 21), None)
+
+
+@pytest.mark.parametrize("case, method, dense, blocks", [
+    ("restart_dp5_vector", "fixed_dp5", False, [6]),
+    ("restart_dp5_blocks", "fixed_dp5", False, [6, 6]),
+    ("dense_dp5", "fixed_dp5", True, [6, 6]),
+    ("rk4", "fixed_rk4", False, [6]),
+    ("spectral", "spectral", False, [6])])
+def test_rhs_evals_counts_the_stages_a_run_evaluates(case, method, dense, blocks,
+                                                     monkeypatch):
+    # rhs_evals is the plan's count; every right-hand side is one call of a
+    # stage function, and the run must make exactly that many
+    import modrabi.dynamics as dynamics
+    calls = []
+
+    def counted(make):
+        def make_counted(*args):
+            stage = make(*args)
+
+            def count(*stage_args):
+                calls.append(1)
+                stage(*stage_args)
+            return count
+        return make_counted
+
+    for name in ("_vector_stage", "_block_stage"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    H, state, channels, times, cfg = _counted_run(case)
+    plan = dynamics._plan(H, state, times, cfg, channels)
+    assert (plan.method, plan.dense, plan.summary()["blocks"]) == (method, dense, blocks)
+    if channels is None:
+        traj = evolve_schrodinger(H, state, times, cfg)
+    else:
+        traj = evolve_master(H, channels, state, times, cfg)
+    assert traj.diagnostics["rhs_evals"] == plan.rhs_evals == len(calls)
+    assert (len(calls) > 0) == (method != "spectral")
+
+
 @pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])
 def test_grid_too_long_for_its_step_is_refused_before_stepping(method, monkeypatch):
     # an infinite step count, and a finite one that fits no index, are both
@@ -924,8 +981,7 @@ def _run_with_sectors(H, channels, rho0, times, cfg):
     """A lossy run with its states, and the basis states of each block it
     carried."""
     traj = evolve_master(H, channels, rho0, times, cfg, store_states=True)
-    layout = _lindblad(H, channels, rho0.matrix)[1]
-    return traj, layout[:, :, 0] // H.space.dim
+    return traj, _parity_blocks(H, channels, rho0.matrix)
 
 
 def _least_eigenvalue_runs():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from modrabi.dynamics import (CHOLESKY_MARGIN, Dissipator, IntegratorConfig, _above,
-                              _lindblad, evolve_master)
+                              _lindblad, _parity_blocks, evolve_master)
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import TimeDependentHamiltonian, effective_hamiltonian
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, annihilation,
@@ -86,8 +86,8 @@ def test_block_positivity_matches_full_spectrum(n_qubits, fock, seed, kinds, par
         rho = rho * (label[:, None] == label[None, :])
     rho0 = DensityMatrix(space, rho / np.trace(rho).real)
 
-    _, layout = _lindblad(H, channels, rho0.matrix)
-    assert len(layout) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
+    blocks = _parity_blocks(H, channels, rho0.matrix)
+    assert len(blocks) == (2 if parity_start and not set(MIXING_JUMPS) & set(kinds) else 1)
     traj = evolve_master(H, channels, rho0, np.linspace(0.0, 1.0, 5),
                          IntegratorConfig(method=method, dt=0.02), store_states=True)
     full = min(float(np.linalg.eigvalsh(state)[0]) for state in traj.states)
@@ -120,8 +120,8 @@ def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
     rho = v @ v.conj().T * same
     rho /= np.trace(rho).real
 
-    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
-                             rho)
+    dissipators = [Dissipator(Operator(space, L), r) for L, r in jumps]
+    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
     mixing = set(MIXING_JUMPS) & set(kinds) or (n_qubits == 0 and fock % 2)
     assert len(layout) == (1 if mixing else 2)
     t = rng.uniform(0.0, 5.0)
@@ -152,8 +152,8 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     v = _random_complex(rng, (space.dim, space.dim))
     rho = v @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real      # exactly Hermitian
-    flow, layout = _lindblad(H, [Dissipator(Operator(space, L), r) for L, r in jumps],
-                             rho)
+    dissipators = [Dissipator(Operator(space, L), r) for L, r in jumps]
+    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
     assert layout.shape == (1, space.dim, space.dim)       # rho mixes the sectors
 
     hm = H.static

@@ -511,6 +511,14 @@ def _with_drive(**fields):
     return {"drive": drive}
 
 
+def _packaged(name, section, **fields):
+    """The packaged scenario `name` with `fields` set in `section`; it sets
+    every key small_doc sets, so it replaces the whole document."""
+    doc, _ = load_scenario_document(name)
+    doc[section] = {**doc[section], **fields}
+    return doc
+
+
 @pytest.mark.parametrize("breaker, path", [
     (_with_drive(phi1="x"), "drive.phi1"),
     (_with_drive(amp1_ghz="x"), "drive.amp1_ghz"),
@@ -548,6 +556,11 @@ def _with_drive(**fields):
     (_with_drive(amp1_ghz=3.2 * 26), "drive.amp1_ghz"),
     ({"drive": {"omega1_ghz": 3.2, "eta1": 0.7, "omega2_ghz": 6.759,
                 "amp2_mhz": 6759.0 * 25.5}}, "drive.amp2_mhz"),
+    # refused by the run's plan: 1e300 ns at fig4jc's step is far more steps
+    # than an index can count, and fig5's degenerate drive at g = 0 leaves
+    # H = 0, which suggests no step
+    (_packaged("fig4jc", "grid", t_end_ns=1e300), "grid: "),
+    (_packaged("fig5", "system", g_mhz=0), "integrator.dt_ns"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
@@ -556,17 +569,6 @@ def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, ca
                  ["simulate", str(scn_file), "-o", str(tmp_path / "out")]):
         assert main(argv) == 2
         assert path in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_simulate_grid_too_long_for_its_step_exits_2(tmp_path, capsys):
-    # 1e300 ns at fig4jc's step is far more steps than an index can count
-    doc, _ = load_scenario_document("fig4jc")
-    doc["grid"]["t_end_ns"] = 1e300
-    scn_file = tmp_path / "long.json"
-    scn_file.write_text(json.dumps(doc))
-    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "out")]) == 2
-    assert "grid: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -845,3 +847,9 @@ def test_cli_validate(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["effective"]["g_r_over_omega_eff"] == pytest.approx(1.2, rel=1e-2)
     assert doc["validity"]["ok"] is True
+    # the manifest's resolved parameters, and each run's plan: 400 sample
+    # intervals of 44 DP5 steps, 6 evaluations each plus 1
+    assert doc["fock_cutoff"] == 40 and doc["grid"]["samples"] == 401
+    assert doc["plans"] == {
+        "effective": {"method": "spectral", "rhs_evals": 0, "blocks": [40]},
+        "exact": {"method": "fixed_dp5", "rhs_evals": 400 * (44 * 6 + 1), "blocks": [40, 40]}}

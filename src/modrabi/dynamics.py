@@ -26,28 +26,35 @@ sizes checked once when a run starts: at these sizes the dispatch of
 scipy's `@` cost more than the products.  Every recorded series except the
 purity is a set of diagonal weights applied to |psi|^2 or diag(rho).
 
-A stage writes h f(t, x) into one row of the stack [y, h k_1, .., h k_s],
-with the nonzeros of h K and h J / 2 precomputed: those of h K for every
-stage of up to 512 steps come from one call.  A Schrodinger stage is one
-sparse product, and a Lindblad stage two products and the Hermitian sum.
-Each stage input y + sum_j a_ij h k_j, and the new y, is one real dot of a
-tableau row with the float view of that stack.  DP5's last stage is taken
-at the new y (first same as last), so a step costs six evaluations; its
-default step is 2.5 times the Hamiltonian's `suggested_dt`, where its error
-is below RK4's at `suggested_dt` on every packaged figure.  When that step
-is longer than every sample interval (a lossy effective run, whose
-Hamiltonian is static and slow next to the exact frame's), the run steps
-once across the whole grid and reads each sample off DP5's fourth-order
-continuous extension, one more dot of the stack with the weights
-[1, b(theta)], before the step moves y on.  Any other fixed-step run
-(every exact-frame one) restarts at each sample, exactly on it.
+A stage adds h f(t, x) to one row of the stack [y, h k_1, .., h k_s], which
+the stepper zeroes once per step, with the nonzeros of h K and h J / 2
+precomputed.  A Schrodinger stage is one sparse product, and a Lindblad
+stage two products and the Hermitian sum.  Each stage input
+y + sum_j a_ij h k_j, and the new y, is one real dot of a tableau row with
+the float view of that stack.  DP5's last stage is taken at the new y
+(first same as last), so a step costs six evaluations; its default step is
+2.5 times the Hamiltonian's `suggested_dt`, where its error is below RK4's
+at `suggested_dt` on every packaged figure.  When that step is longer than
+every sample interval (a lossy effective run, whose Hamiltonian is static
+and slow next to the exact frame's), the run steps once across the whole
+grid and reads each sample off DP5's fourth-order continuous extension, one
+more dot of the stack with the weights [1, b(theta)], before the step moves
+y on.  Any other fixed-step run (every exact-frame one) restarts at each
+sample, exactly on it: each sample interval takes its own equal steps, and
+DP5 evaluates its first stage afresh at the interval's start.
 
 `_plan` resolves all this before any compute into a run's `RunPlan`: the
 checked grid, the method, whether the samples come off the continuous
-extension (`dense`), the step count of each `advance`, the parity blocks
-and the right-hand sides those imply (`rhs_evals`: 4 per RK4 step, 6 per
-DP5 step plus 1 per `advance`, 0 for `spectral`).  It raises every
-ValidationError a run can raise; `evolve_*` carry its plan out.
+extension (`dense`), the step count of each interval (each sample interval,
+or the one across the grid), the parity blocks and the right-hand sides
+those imply (`rhs_evals`: 4 per RK4 step, 6 per DP5 step plus 1 per
+interval, 0 for `spectral`).  It raises every ValidationError a run can
+raise; `evolve_*` carry its plan out, through `_schrodinger` and `_master`,
+to which a caller that plans several runs before any of them computes hands
+its plans.  One loop walks the plan's steps in order, across the intervals'
+bounds: the nonzeros of h K for every stage of up to `_MAX_BLOCK` steps, and
+for the first stage of each interval that begins among them, come from one
+call.
 
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
@@ -247,7 +254,7 @@ class _ObservableSet:
 # generator, right-hand sides and stepper
 # ---------------------------------------------------------------------------
 
-_MAX_BLOCK = 512    # steps whose stage nonzeros are evaluated in one call
+_MAX_BLOCK = 64     # steps whose stage nonzeros are evaluated in one call
 
 
 def _csr_kernel(a, x_shape: tuple, out_shape: tuple):
@@ -307,12 +314,12 @@ class _Generator:
 
 class _Flow:
     """The right-hand side y' = f(t, y) of a run on arrays of `shape`, linear
-    in y and applied in stages out = c f(t, x).
+    in y and applied in stages out += c f(t, x).
 
-    stage(data, jump_data, x, out) writes c f(t, x) into out: `data` holds
-    the nonzeros of c K(t) (`generator.data(times, c)`) and `jump_data`
-    those of c J / 2 (c times `jump_data`), so a stage is one pass over each
-    operator and no copy.  A state vector has no J.
+    stage(data, jump_data, x, out) adds c f(t, x) to out, which the caller
+    has zeroed: `data` holds the nonzeros of c K(t) (`generator.data(times,
+    c)`) and `jump_data` those of c J / 2 (c times `jump_data`), so a stage is
+    one pass over each operator and no copy.  A state vector has no J.
     """
 
     def __init__(self, generator: _Generator, stage, shape: tuple,
@@ -322,20 +329,19 @@ class _Flow:
 
 
 def _vector_stage(generator: _Generator, shape: tuple):
-    """stage(data, jump_data, psi, out): out = c K psi, with the nonzeros
+    """stage(data, jump_data, psi, out): out += c K psi, with the nonzeros
     `data` of c K; `jump_data` is unused."""
     apply = _csr_kernel(generator.matrix, shape, shape)
 
     def stage(data, jump_data, psi, out):
-        out.fill(0.0)
         apply(data, psi, out)
     return stage
 
 
 def _block_stage(generator: _Generator, jumps, shape: tuple):
-    """stage(data, jump_data, rho, out): out = M + M+ per sector, with
-    M = c K rho + c J rho / 2, `data` the nonzeros of c K and `jump_data`
-    those of c J / 2.
+    """stage(data, jump_data, rho, out): out = M + M+ per sector, for a zeroed
+    out, with M = c K rho + c J rho / 2, `data` the nonzeros of c K and
+    `jump_data` those of c J / 2.
 
     rho is the (S, N, N) stack of the sectors' blocks and `jumps` is J / 2,
     restricted to them.  For Hermitian rho, which every stage of the flow
@@ -345,15 +351,14 @@ def _block_stage(generator: _Generator, jumps, shape: tuple):
     """
     apply_k = _csr_kernel(generator.matrix, shape, shape)
     apply_j = _csr_kernel(jumps, shape, shape)
-    m, m_h = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    m_t = m.transpose(0, 2, 1)
+    m_h = np.empty(shape, dtype=complex)
+    m_h_t = m_h.transpose(0, 2, 1)
 
     def stage(data, jump_data, rho, out):
-        m.fill(0.0)
-        apply_k(data, rho, m)
-        apply_j(jump_data, rho, m)
-        np.conjugate(m_t, out=m_h)
-        np.add(m, m_h, out=out)
+        apply_k(data, rho, out)         # out holds M
+        apply_j(jump_data, rho, out)
+        np.conjugate(out, out=m_h)
+        out += m_h_t
     return stage
 
 
@@ -413,18 +418,20 @@ TABLEAUS = {"fixed_rk4": RK4, "fixed_dp5": DP5}
 
 
 class _RungeKutta:
-    """Fixed steps of a tableau over arrays, in place.
+    """Fixed steps of a tableau over arrays, in place, along a run's plan.
 
     y and the scaled slopes h k_i are the rows of one stack
     z = [y, h k_1, ..., h k_s], so a stage input x_i = y + sum_j a_ij h k_j
     is one dot of the real weights [1, a_i1, .., a_i,i-1] with the float
-    view of rows 0 .. i-1 of z, and stage i writes h k_i into its row with
-    the nonzeros of h K, those of every stage of up to _MAX_BLOCK steps from
-    one call.  The new y is the dot with [1, b], and a state inside the step
-    the dot of the whole stack with [1, b(theta)].  A tableau whose last
-    stage is taken at the new y (FSAL: c_s = 1, a_s = b) reads the new y
-    from that stage's input and keeps its slope as the next step's first, so
-    a step costs s - 1 evaluations and each `advance` one more.
+    view of rows 0 .. i-1 of z, and stage i adds h k_i to its row, which the
+    stepper zeroes once per step.  The new y is the dot with [1, b], and a
+    state inside the step the dot of the whole stack with [1, b(theta)].  A
+    tableau whose last stage is taken at the new y (FSAL: c_s = 1, a_s = b)
+    reads the new y from that stage's input and keeps its slope as the next
+    step's first, so a step costs s - 1 evaluations and each interval of the
+    plan one more, at its start.  The nonzeros of h K for every stage of up
+    to _MAX_BLOCK steps, and for the first stage of each interval that
+    begins among them, come from one call, across the intervals' bounds.
     """
 
     def __init__(self, flow: _Flow, tableau: Tableau):
@@ -440,7 +447,7 @@ class _RungeKutta:
         self.p = None if tableau.p is None else np.array(tableau.p)
         self.fsal = tableau.fsal
         # the times of the stages taken every step: FSAL takes stage 1 once
-        # per advance
+        # per interval
         self.c = np.array(tableau.c[self.fsal:])
         # stages 2 .. s: (index into those times, the weights of y and
         # h k_1 .. h k_i, those rows of z, the output row h k_i+1)
@@ -448,60 +455,90 @@ class _RungeKutta:
                        for i in range(1, s)]
         self.b = np.array([1.0, *tableau.b]), zf
 
-    def advance(self, t0: float, y: np.ndarray, t1: float, nsub: int, dense=None):
-        """Step y from t0 to t1 in place, in `nsub` equal steps.
+    def run(self, y0: np.ndarray, plan: RunPlan, record):
+        """Step y0 along the plan, handing record(k, state at times[k]) for
+        every time of its grid; the state handed over is a buffer the next
+        step overwrites.
 
-        With `dense` = (times, record), times increasing in [t0, t1], each
-        step also hands record(k, state at times[k]) for the times it covers,
-        read off the continuous extension before y moves on; the state handed
-        over is a buffer the next sample overwrites.
+        Interval k of the plan (a sample interval, or the whole grid when
+        `dense`) takes plan.steps[k] equal steps of its own h.  A run that
+        restarts at each sample records the new y at the end of each
+        interval; a dense run reads each sample off the continuous extension
+        in the step that covers it, before y moves on.
         """
-        h = (t1 - t0) / nsub
-        gen, stage, stages, c, fsal = (self.flow.generator, self.flow.stage, self.stages,
-                                       self.c, self.fsal)
-        jump_data = h * self.flow.jump_data
+        times, dense, c = plan.times, plan.dense, self.c
+        stage, stages, fsal = self.flow.stage, self.stages, self.fsal
         x, xf, b = self.x, self.xf, self.b
-        y0, k1, ks = self.z[0], self.z[1], self.z[-1]
-        if dense is not None:
-            times, record = dense
-            u = (np.asarray(times) - t0) / h
-            in_step = np.clip(np.ceil(u).astype(int) - 1, 0, nsub - 1)
+        y, k1, ks = self.z[0], self.z[1], self.z[-1]
+        fresh = self.z[1 + fsal:]               # the rows a step's stages write
+        edges = times[[0, -1]] if dense else times
+        h = np.diff(edges) / plan.steps
+        ends = np.cumsum(plan.steps)
+        begins = ends - plan.steps
+        total = int(ends[-1])
+
+        def load(first):
+            """The nonzeros of h K for the steps first .. first + _MAX_BLOCK - 1
+            (first a multiple of _MAX_BLOCK), one (c, nnz) array per step,
+            and an iterator over those of the first stage of each interval
+            that begins among them (FSAL only)."""
+            n = np.arange(first, min(first + _MAX_BLOCK, total))
+            k = np.searchsorted(ends, n, side="right")      # the interval of each step
+            hs = h[k]
+            starts = edges[k] + (n - begins[k]) * hs
+            t, scale = [(starts[:, None] + hs[:, None] * c).ravel()], [np.repeat(hs, c.size)]
+            if fsal:
+                new = k[n == begins[k]]
+                t.append(edges[new])
+                scale.append(h[new])
+            data = self.flow.generator.data(np.concatenate(t), np.concatenate(scale))
+            return data[:n.size * c.size].reshape(n.size, c.size, -1), iter(data[n.size * c.size:])
+
+        if dense:
+            u = (times - times[0]) / h[0]
+            in_step = np.clip(np.ceil(u).astype(int) - 1, 0, total - 1)
             theta = (u - in_step)[:, None] ** np.arange(1, self.p.shape[1] + 1)
             weights = np.hstack([np.ones((u.size, 1)), theta @ self.p.T])
             # step n reads samples reads[n] .. reads[n + 1] - 1
-            reads = np.searchsorted(in_step, np.arange(nsub + 1))
-        np.copyto(y0, y)
-        if fsal:
-            stage(gen.data(np.array([t0]), h)[0], jump_data, y0, k1)
-        for first in range(0, nsub, _MAX_BLOCK):
-            starts = t0 + np.arange(first, min(first + _MAX_BLOCK, nsub)) * h
-            n = starts.size
-            data = gen.data((starts[:, None] + h * c).ravel(), h).reshape(n, c.size, -1)
-            for step_n, d in enumerate(data, start=first):
+            reads = np.searchsorted(in_step, np.arange(total + 1)).tolist()
+        np.copyto(y, y0)
+        if not dense:
+            record(0, y)
+        for k, (first, last) in enumerate(zip(begins.tolist(), ends.tolist())):
+            jump_data = h[k] * self.flow.jump_data
+            for n in range(first, last):
+                if n % _MAX_BLOCK == 0:
+                    rows, fsal_rows = load(n)
+                if n == first and fsal:     # the interval's first stage, afresh
+                    k1.fill(0.0)
+                    stage(next(fsal_rows), jump_data, y, k1)
+                d = rows[n % _MAX_BLOCK]
+                fresh.fill(0.0)
                 if not fsal:
-                    stage(d[0], jump_data, y0, k1)
-                for i, w, rows, out in stages:
-                    np.dot(w, rows, out=xf)
+                    stage(d[0], jump_data, y, k1)
+                for i, w, zrows, out in stages:
+                    np.dot(w, zrows, out=xf)
                     stage(d[i], jump_data, x, out)
                 if not fsal:                # else the last stage's input is the new y
                     np.dot(*b, out=xf)
-                if dense is not None:
-                    for k in range(reads[step_n], reads[step_n + 1]):
-                        np.dot(weights[k], self.zf, out=self.sf)
-                        record(k, self.sample)
-                np.copyto(y0, x)
+                if dense:
+                    for j in range(reads[n], reads[n + 1]):
+                        np.dot(weights[j], self.zf, out=self.sf)
+                        record(j, self.sample)
+                np.copyto(y, x)
                 if fsal:
                     np.copyto(k1, ks)
-        np.copyto(y, y0)
+            if not dense:
+                record(k + 1, y)
 
 
 @dataclass(frozen=True)
 class RunPlan:
     """How one run is carried out, resolved by `_plan` before any compute.
 
-    A stepped run makes one `advance` per entry of `steps`, of that many equal
-    steps: one per sample interval, or one across the grid when the samples
-    come from DP5's continuous extension (`dense`).  `blocks` holds the basis
+    A stepped run takes `steps[k]` equal steps over its interval k: sample
+    interval k, or the whole grid when the samples come from DP5's
+    continuous extension (`dense`, one interval).  `blocks` holds the basis
     states of each parity block the run carries."""
 
     times: np.ndarray
@@ -572,18 +609,9 @@ def _check_finite(value: float, t: float, what: str):
 
 
 def _propagate(flow: _Flow, y0: np.ndarray, plan: RunPlan, record):
-    """Carry y0 over the plan's grid in its steps, handing the state at each
-    time i to record(i, y)."""
-    times = plan.times
-    stepper = _RungeKutta(flow, TABLEAUS[plan.method])
-    if plan.dense:
-        stepper.advance(times[0], y0.copy(), times[-1], plan.steps[0], (times, record))
-        return
-    y = y0.copy()
-    record(0, y)
-    for k, nsub in enumerate(plan.steps, start=1):
-        stepper.advance(times[k - 1], y, times[k], nsub)
-        record(k, y)
+    """Carry y0 along the plan's grid in its steps, handing the state at each
+    time i to record(i, state)."""
+    _RungeKutta(flow, TABLEAUS[plan.method]).run(y0, plan, record)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +631,13 @@ def evolve_schrodinger(H: TimeDependentHamiltonian, psi0: PureState,
     must be Hermitian.  Given `reference`, one vector per time of the grid,
     the run also records `fidelity`, |<ref|psi>|^2.
     """
-    plan = _plan(H, psi0, times, cfg, reference=reference)
+    return _schrodinger(H, psi0, _plan(H, psi0, times, cfg, reference=reference), reference)
+
+
+def _schrodinger(H: TimeDependentHamiltonian, psi0: PureState, plan: RunPlan,
+                 reference: np.ndarray | None = None) -> Trajectory:
+    """The run of `evolve_schrodinger`, carrying out `plan`, which `_plan`
+    made for it."""
     times, [order] = plan.times, plan.blocks
     obs = _ObservableSet(H.space, len(times), order)
     states = np.zeros((len(times), H.space.dim), complex)
@@ -738,7 +772,15 @@ def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator]
     `fidelity`, <ref|rho|ref>, as it goes: the sum over the blocks it
     carries of <ref_s|rho_s|ref_s>.
     """
-    plan = _plan(H, rho0, times, cfg, dissipators, reference)
+    return _master(H, dissipators, rho0, _plan(H, rho0, times, cfg, dissipators, reference),
+                   store_states, reference)
+
+
+def _master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
+            rho0: DensityMatrix, plan: RunPlan, store_states: bool = False,
+            reference: np.ndarray | None = None) -> Trajectory:
+    """The run of `evolve_master`, carrying out `plan`, which `_plan` made
+    for it."""
     times = plan.times
     flow, layout = _lindblad(H, dissipators, plan.blocks)
     rows = layout[:, :, 0] // H.space.dim       # basis state of each row, (S, N)

@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import X_LIMIT
-from .dynamics import (METHODS, IntegratorConfig, Trajectory, _plan, evolve_master,
-                       evolve_schrodinger, loss_dissipators)
+from .dynamics import (METHODS, IntegratorConfig, Trajectory, _master, _plan, _schrodinger,
+                       loss_dissipators)
 from .errors import UnreachableTargetError, ValidationError
 from .hamiltonians import effective_hamiltonian, rotated_hamiltonian
 from .hilbert import HilbertSpace, basis_state
@@ -407,19 +407,24 @@ class SimulationResult:
 
 
 def _runs(scn: Scenario, eff) -> dict:
-    """side -> (H, initial state, loss channels or None for a Schrodinger run)
-    of each run, the effective one first: in 'both' mode it is the lossless
-    reference whose states the exact run records its fidelity to."""
+    """side -> (H, initial state, loss channels or None for a Schrodinger run,
+    plan) of each run, the effective one first: in 'both' mode it is the
+    lossless reference whose states the exact run records its fidelity to.
+    Every run is planned here, so a scenario that one run's plan refuses
+    fails before any run computes."""
     space = HilbertSpace(1, scn.fock_cutoff)
     psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
+    times = np.linspace(0.0, scn.t_end, scn.samples)
     sides = {}
     if scn.model in ("effective", "both"):
         sides["effective"] = effective_hamiltonian(eff, space), scn.model == "effective"
     if scn.model in ("rotated_exact", "both"):
         sides["exact"] = rotated_hamiltonian(scn.system, scn.drive, space), True
-    return {side: (H, psi0.density_matrix(), loss_dissipators(scn.system, space))
+    runs = {side: (H, psi0.density_matrix(), loss_dissipators(scn.system, space))
             if scn.dissipation and takes_loss else (H, psi0, None)
             for side, (H, takes_loss) in sides.items()}
+    return {side: (H, state, channels, _plan(H, state, times, scn.integrator, channels))
+            for side, (H, state, channels) in runs.items()}
 
 
 def _resolved(scn: Scenario, eff) -> dict:
@@ -445,26 +450,21 @@ def validation_report(scn: Scenario) -> dict:
     `rhs_evals` and `blocks` of each run, planned as `run_simulation` plans
     them: it raises what a run would raise, before any run computes."""
     eff = effective_params(scn.system, scn.drive)
-    times = np.linspace(0.0, scn.t_end, scn.samples)
-    plans = {side: _plan(H, state, times, scn.integrator, channels).summary()
-             for side, (H, state, channels) in _runs(scn, eff).items()}
+    plans = {side: plan.summary() for side, (*_, plan) in _runs(scn, eff).items()}
     return {**_resolved(scn, eff), "plans": plans}
 
 
 @_one_blas_thread()
 def run_simulation(scn: Scenario) -> SimulationResult:
     eff = effective_params(scn.system, scn.drive)
-    times = np.linspace(0.0, scn.t_end, scn.samples)
     runs = {}
-    for side, (H, state, channels) in _runs(scn, eff).items():
+    for side, (H, state, channels, plan) in _runs(scn, eff).items():
         # the effective run, when it went first, is the exact run's reference
         reference = runs["effective"].states if "effective" in runs else None
         if channels is None:
-            runs[side] = evolve_schrodinger(H, state, times, scn.integrator,
-                                            reference=reference)
+            runs[side] = _schrodinger(H, state, plan, reference)
         else:
-            runs[side] = evolve_master(H, channels, state, times, scn.integrator,
-                                       reference=reference)
+            runs[side] = _master(H, channels, state, plan, reference=reference)
     exact_traj, eff_traj = runs.get("exact"), runs.get("effective")
 
     primary = exact_traj if exact_traj is not None else eff_traj

@@ -8,9 +8,9 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from modrabi.dynamics import (DEFAULT_OBSERVABLES, DP5, RK4, Dissipator,
-                              IntegratorConfig, _csr_kernel, _Generator, _lindblad,
-                              _parity_blocks, dissipator_frame_defect, evolve_master,
+from modrabi.dynamics import (_MAX_BLOCK, DEFAULT_OBSERVABLES, DP5, RK4, TABLEAUS,
+                              Dissipator, IntegratorConfig, _csr_kernel, _Generator, _lindblad,
+                              _parity_blocks, _plan, dissipator_frame_defect, evolve_master,
                               evolve_schrodinger, extract_period, fidelity,
                               loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -18,7 +18,7 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   effective_hamiltonian, frame_phases,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
-from modrabi.hilbert import (HilbertSpace, Operator, PureState,
+from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
                              annihilation, basis_state, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
@@ -602,7 +602,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
         for L, r in channels:
             LdL = L.conj().T @ L
             expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
-        out = np.empty_like(rho)
+        out = np.zeros_like(rho)              # a stage adds to its output
         flow.stage(flow.generator.data(np.array([t]))[0], flow.jump_data, rho[None], out[None])
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -950,6 +950,76 @@ def test_rhs_evals_counts_the_stages_a_run_evaluates(case, method, dense, blocks
         traj = evolve_master(H, channels, state, times, cfg)
     assert traj.diagnostics["rhs_evals"] == plan.rhs_evals == len(calls)
     assert (len(calls) > 0) == (method != "spectral")
+
+
+def _thirty_intervals(method):
+    """An exact-frame Hamiltonian and a grid of 30 sample intervals of 3.6 to
+    5 default steps of `method` each, so every run restarts at each sample,
+    each interval takes its own h and a block of _MAX_BLOCK steps spans
+    several intervals."""
+    space = HilbertSpace(1, 6)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    step = TABLEAUS[method].step * H.descriptor["suggested_dt"]
+    lengths = np.random.default_rng(7).uniform(3.6, 5.0, 30)
+    return space, H, np.concatenate([[0.0], np.cumsum(lengths)]) * step
+
+
+def _splits_a_block(plan) -> bool:
+    """Whether a block of _MAX_BLOCK steps ends inside a sample interval."""
+    ends = np.cumsum(plan.steps)
+    return bool(np.setdiff1d(np.arange(_MAX_BLOCK, ends[-1], _MAX_BLOCK), ends).size)
+
+
+def test_generator_nonzeros_come_one_call_per_block_across_intervals(monkeypatch):
+    # the stage nonzeros of up to _MAX_BLOCK steps, and the first stage of
+    # each interval that begins among them, come from one call, however the
+    # steps fall into sample intervals
+    calls = []
+    data = _Generator.data
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return data(self, *args, **kwargs)
+    monkeypatch.setattr(_Generator, "data", counted)
+    space, H, times = _thirty_intervals("fixed_dp5")
+    psi0 = basis_state(space, "g", 0)
+    runs = [(psi0, None), (psi0.density_matrix(), loss_dissipators(SYS, space))]
+    for state, channels in runs:
+        plan = _plan(H, state, times, None, channels)
+        assert not plan.dense and len(plan.steps) == 30 and sum(plan.steps) > 2 * _MAX_BLOCK
+        calls.clear()
+        if channels is None:
+            traj = evolve_schrodinger(H, state, times)
+        else:
+            traj = evolve_master(H, channels, state, times)
+            assert traj.diagnostics["blocks"] == [6, 6]
+        assert traj.diagnostics["rhs_evals"] == plan.rhs_evals
+        assert 0 < len(calls) <= math.ceil(sum(plan.steps) / _MAX_BLOCK) + 1
+
+
+@pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])
+def test_a_run_continued_from_a_stored_state_repeats_the_rest_bit_for_bit(method):
+    # each sample interval takes its own h, jump data and, for FSAL, its own
+    # first stage at its start: so stopping at sample k and starting again
+    # from the state stored there gives the same bits, whichever of the
+    # steps share a block of nonzeros in either run
+    space, H, times = _thirty_intervals(method)
+    channels = loss_dissipators(SYS, space)
+    rho0 = basis_state(space, "e", 1).density_matrix()
+    cfg = IntegratorConfig(method=method)
+    k = 15
+    full = evolve_master(H, channels, rho0, times, cfg, store_states=True)
+    first = evolve_master(H, channels, rho0, times[:k + 1], cfg, store_states=True)
+    rest = evolve_master(H, channels, DensityMatrix(space, full.states[k]), times[k:], cfg,
+                         store_states=True)
+    assert full.diagnostics["blocks"] == rest.diagnostics["blocks"] == [6, 6]
+    # the legs split their steps into blocks unlike the whole run, and a
+    # block ends inside a sample interval of each leg
+    assert all(_splits_a_block(_plan(H, rho0, t, cfg, channels))
+               for t in (times, times[:k + 1], times[k:]))
+    assert np.array_equal(first.states, full.states[:k + 1])
+    assert np.array_equal(rest.states, full.states[k:])
+    assert np.max(np.abs(full.states[-1] - full.states[0])) > 1e-2
 
 
 @pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])

@@ -22,7 +22,7 @@ from modrabi.scenarios import (load_scenario_document, packaged_scenarios,
 
 
 def _rhs(flow, t, y, out):
-    """out = f(t, y): one stage of the run's flow with step 1."""
+    """out = f(t, y), for a zeroed out: one stage of the run's flow with step 1."""
     flow.stage(flow.generator.data(np.array([t]))[0], flow.jump_data, y, out)
 
 
@@ -130,7 +130,7 @@ def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
     for L, r in jumps:
         LdL = L.conj().T @ L
         expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
-    out = np.empty(layout.shape, dtype=complex)
+    out = np.zeros(layout.shape, dtype=complex)
     _rhs(flow, t, rho.reshape(-1)[layout], out)
     scale = np.max(np.abs(hm @ rho)) + np.max(np.abs(expected))    # > 0 when expected is 0
     assert np.max(np.abs(out - expected.reshape(-1)[layout])) <= 1e-12 * scale
@@ -161,7 +161,7 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     for L, r in jumps:
         LdL = L.conj().T @ L
         expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
-    out = np.empty_like(rho)
+    out = np.zeros_like(rho)
     _rhs(flow, 0.0, rho[None], out[None])
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(out, out.conj().T)

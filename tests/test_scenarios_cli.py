@@ -221,7 +221,7 @@ def blas_spy(monkeypatch):
     """The BLAS thread counts read as each integration of a run starts."""
     import modrabi.scenarios as scenarios
     seen = []
-    for name in ("evolve_master", "evolve_schrodinger"):
+    for name in ("_master", "_schrodinger"):
         def spy(*args, _evolve=getattr(scenarios, name), **kwargs):
             seen.append(_blas_threads())
             return _evolve(*args, **kwargs)
@@ -245,7 +245,7 @@ def test_run_simulation_restores_blas_threads_after_an_error(
     def fail(*args, **kwargs):
         blas_spy.append(_blas_threads())
         raise error("injected")
-    monkeypatch.setattr(scenarios, "evolve_master", fail)
+    monkeypatch.setattr(scenarios, "_master", fail)
     with pytest.raises(error, match="injected"):
         run_simulation(parse_scenario(small_doc(dissipation=True)))
     assert blas_spy[-1] == [1] * len(caller_blas_threads)
@@ -266,7 +266,7 @@ def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns(
     import modrabi.scenarios as scenarios
     both_inside, first_done = threading.Barrier(2, timeout=60), threading.Event()
     seen, errors = {}, []
-    evolve = scenarios.evolve_schrodinger
+    evolve = scenarios._schrodinger
 
     def spy(*args, **kwargs):
         both_inside.wait()
@@ -284,7 +284,7 @@ def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns(
         if done is not None:
             done.set()
 
-    monkeypatch.setattr(scenarios, "evolve_schrodinger", spy)
+    monkeypatch.setattr(scenarios, "_schrodinger", spy)
     workers = [threading.Thread(target=run, args=(first_done,), name="first"),
                threading.Thread(target=run, name="second")]
     for worker in workers:
@@ -570,6 +570,26 @@ def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, ca
         assert main(argv) == 2
         assert path in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_plans_both_sides_before_either_runs(tmp_path, capsys, monkeypatch):
+    # fig4jc's exact side is refused by its plan; the lossless effective
+    # reference, which runs first, must not be computed before that
+    import modrabi.dynamics as dynamics
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(dynamics, "_propagate", spy("_propagate", dynamics._propagate))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    scn_file = tmp_path / "long.json"
+    scn_file.write_text(json.dumps(_packaged("fig4jc", "grid", t_end_ns=1e300)))
+    assert main(["simulate", str(scn_file), "-o", str(tmp_path / "out")]) == 2
+    assert "grid: " in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_unreadable_scenario_exit_code(tmp_path, capsys):

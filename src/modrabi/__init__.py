@@ -4,8 +4,8 @@ Rabi models from a dispersively coupled qubit-resonator system.
 The package is organized bottom-up:
 
 * :mod:`modrabi.hilbert` - truncated qubit(s) x resonator linear algebra;
-* :mod:`modrabi.bessel` - first-kind Bessel functions (``scipy.special.jv``
-  on a checked domain);
+* :mod:`modrabi.bessel` - first-kind Bessel functions of every order to 64
+  from one trapezoid sum, numpy alone, on a checked domain;
 * :mod:`modrabi.modulation` - drive settings <-> effective model constants,
   sideband series, approximation audit, inverse design (amplitudes, and the
   one drive solve behind the CLI and scenario design targets);
@@ -20,7 +20,7 @@ The package is organized bottom-up:
   the ``modrabi`` command-line front end.
 """
 
-from .bessel import J0_FIRST_ZERO, bessel_j
+from .bessel import J0_FIRST_ZERO, bessel_j, bessel_orders
 from .errors import (NumericsError, TruncationWarning, UnreachableTargetError,
                      ValidationError)
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,

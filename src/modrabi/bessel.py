@@ -1,26 +1,76 @@
-"""Bessel functions of the first kind, integer order.
+"""Bessel functions of the first kind, integer order, from numpy alone.
 
-``bessel_j`` is ``scipy.special.jv`` behind a checked domain: integer order
-n >= 0 and |x| <= X_LIMIT, the range on which the tests hold it to 1e-14
-absolute against a 40-digit mpmath oracle.  ``jv`` itself gives
-J_n(-x) = (-1)^n J_n(x) and J_n(0) exactly, and takes negative orders,
-J_{-n}(x) = (-1)^n J_n(x), where an array of orders is wanted.
+J_n(x) is the n-th Fourier coefficient of e^{ix sin tau}, the Jacobi-Anger
+expansion behind the sideband series, so the trapezoid rule on M nodes,
+
+    J_n(x) ~ (1/M) sum_k cos(x sin tau_k - n tau_k),   tau_k = 2 pi k / M,
+
+errs only by the aliases J_{n +- M}(x), and those vanish faster than
+geometrically once M - n exceeds |x| (Trefethen & Weideman, SIAM Rev. 56,
+385 (2014)).  The summand is even in tau and, per parity of n, symmetric
+about pi/2, so the sum runs over the M/4 + 1 nodes of [0, pi/2]:
+cos(x sin tau_k) weighs the even orders and sin(x sin tau_k) the odd ones.
+`bessel_orders` takes every order 0..ORDER_LIMIT at once, as one product of
+those node values with a cached table, and returns the ones asked for.  M
+is the least power of two >= |x| + ORDER_LIMIT + ALIAS_MARGIN, set by |x|
+alone, so J_n(x) is bit for bit the same whatever orders a call asks for.
+Negative arguments come by sign, J_n(-x) = (-1)^n J_n(x), and x = 0 is
+exact: J_0(0) = 1 and J_n(0) = 0.
+
+On the checked domain, 0 <= n <= ORDER_LIMIT and |x| <= X_LIMIT, the tests
+hold it to 1e-14 absolute against a 40-digit mpmath oracle; it is within
+1e-15 of it there.
 """
 
-from scipy.special import jv
+import functools
+import math
+
+import numpy as np
 
 # First zero of J0. Drive amplitudes at eta = J0_FIRST_ZERO / 2 null one of the
 # two effective couplings exactly.
 J0_FIRST_ZERO = 2.404825557695773
 
 X_LIMIT = 50.0
+ORDER_LIMIT = 64    # highest order taken
+ALIAS_MARGIN = 40   # least M - n - |x|: the aliases J_{M-n}(x) are then below 1e-16
 
 
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n >= 0 and |x| <= 50."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"order must be a nonnegative integer, got {n}")
+@functools.cache
+def _nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i sin tau_k, table) for the M = m point rule on the nodes
+    tau_k = 2 pi k / m of [0, pi/2].  Row n of the table holds the weights
+    of J_n against the interleaved (cos, sin)(x sin tau_k): w_k cos(n tau_k)
+    on the cosines for even n, w_k sin(n tau_k) on the sines for odd n, with
+    w_k = 4/m inside and 2/m at either end."""
+    q = m // 4
+    tau = (0.5 * math.pi / q) * np.arange(q + 1)
+    w = np.full(q + 1, 4.0 / m)
+    w[[0, -1]] = 2.0 / m
+    n = np.arange(ORDER_LIMIT + 1)[:, None]
+    table = np.zeros((ORDER_LIMIT + 1, q + 1, 2))
+    table[0::2, :, 0] = w * np.cos(n[0::2] * tau)
+    table[1::2, :, 1] = w * np.sin(n[1::2] * tau)
+    return 1j * np.sin(tau), table.reshape(ORDER_LIMIT + 1, -1)
+
+
+def bessel_orders(n: int, x: float) -> list[float]:
+    """[J_0(x), .., J_n(x)] for integer 0 <= n <= ORDER_LIMIT and |x| <= X_LIMIT."""
+    if not 0 <= n <= ORDER_LIMIT or int(n) != n:
+        raise ValueError(f"order must be an integer in [0, {ORDER_LIMIT}], got {n}")
     x = float(x)
     if not abs(x) <= X_LIMIT:
         raise ValueError(f"argument {x} outside validated range |x| <= {X_LIMIT}")
-    return float(jv(int(n), x))
+    n = int(n)
+    if x == 0.0:
+        return [1.0] + [0.0] * n
+    i_sin, table = _nodes(1 << math.ceil(math.log2(abs(x) + ORDER_LIMIT + ALIAS_MARGIN)))
+    j = table.dot(np.exp(abs(x) * i_sin).view(float))
+    if x < 0.0:
+        j[1::2] *= -1.0
+    return j[:n + 1].tolist()
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for integer 0 <= n <= ORDER_LIMIT and |x| <= X_LIMIT."""
+    return bessel_orders(n, x)[-1]

@@ -23,8 +23,10 @@ vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel, whatever its
 structure, costs one more sparse product.  Both products call scipy's
 compiled CSR kernels directly, into preallocated buffers, with the operand
 sizes checked once when a run starts: at these sizes the dispatch of
-scipy's `@` cost more than the products.  Every recorded series except the
-purity is a set of diagonal weights applied to |psi|^2 or diag(rho).
+scipy's `@` cost more than the products.  `scipy.sparse` loads when the
+first run builds its generator, not with this module.  Every recorded
+series except the purity is a set of diagonal weights applied to |psi|^2 or
+diag(rho).
 
 A stage adds h f(t, x) to one row of the stack [y, h k_1, .., h k_s], which
 the stepper zeroes once per step, with the nonzeros of h K and h J / 2
@@ -100,8 +102,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools     # private: the CSR kernels behind `@`
 
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
@@ -268,6 +268,7 @@ def _csr_kernel(a, x_shape: tuple, out_shape: tuple):
     operand sizes are checked here, once; every call must pass C-contiguous
     complex arrays of these sizes and `data` of a.indices.size entries.
     """
+    from scipy.sparse import _sparsetools     # private: the CSR kernels behind `@`
     n_row, n_col = a.shape
     vecs = math.prod(x_shape) // n_col
     if math.prod(x_shape) != vecs * n_col or math.prod(out_shape) != vecs * n_row:
@@ -290,8 +291,9 @@ class _Generator:
     """
 
     def __init__(self, H: TimeDependentHamiltonian, damping=0.0, order=slice(None)):
+        from scipy import sparse
         static = (-1j * np.asarray(H.static) - damping)[order][:, order]
-        terms = [-1j * m.toarray()[order][:, order] for m in H.terms]
+        terms = [-1j * m[order][:, order] for m in H.terms]
         rows, cols = np.nonzero(np.logical_or.reduce([static != 0]
                                                      + [m != 0 for m in terms]))
         dim = static.shape[0]
@@ -687,6 +689,7 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
     once and restricted to the entries in `layout`: a jump maps each sector
     into one sector, so a block-diagonal rho has a block-diagonal image.
     """
+    from scipy import sparse
     dim = H.space.dim
     damping = sum((0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
                    for d in dissipators), np.zeros((dim, dim)))
@@ -731,7 +734,7 @@ def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator
         rows, cols = np.nonzero(jump)
         return all(np.unique(label[rows[label[cols] == s]]).size <= 1 for s in (0, 1))
 
-    entries = [np.nonzero(H.static), *(m.nonzero() for m in H.terms),
+    entries = [np.nonzero(H.static), *(np.nonzero(m) for m in H.terms),
                *(np.nonzero(d.jump.matrix.conj().T @ d.jump.matrix) for d in dissipators)]
     keeps = (all(within(*e) for e in entries)
              and all(into_one(d.jump.matrix) for d in dissipators))

@@ -22,14 +22,17 @@ mu(t) = (omega - omega_eff) t.  No numerical differentiation of U is ever
 involved; at GHz phase scales that cancellation must be exact to survive.
 
 Every builder returns H(t) = static + sum_k c_k(t) M_k: a dense static
-matrix, fixed sparse couplings M_k and vectorized coefficients c_k.  In the
-rotating frame all GHz-scale phases sit in the four scalar c_k and the M_k
-are band-sparse, so the propagators apply H(t) as a sparse product and
-evaluate the coefficients of many times in one numpy call.  The static
-anisotropic Rabi/Dicke matrix is written once, in `effective_hamiltonian`:
-the `model` specializations are it at projected parameters, and the
-collective Jx field is the interaction-picture Dicke form at balanced
-couplings.  Qubit sums are the collective operators of `hilbert`.
+matrix, fixed couplings M_k held as plain (d, d) arrays, and vectorized
+coefficients c_k.  In the rotating frame all GHz-scale phases sit in the
+four scalar c_k and the M_k are band-sparse; the propagators gather the
+nonzeros of the static part and of every M_k into one sparse pattern when a
+run starts (`dynamics`), so building, planning and checking a run need
+numpy alone, and they evaluate the coefficients of many times in one numpy
+call.  The static anisotropic Rabi/Dicke matrix is written once, in
+`effective_hamiltonian`: the `model` specializations are it at projected
+parameters, and the collective Jx field is the interaction-picture Dicke
+form at balanced couplings.  Qubit sums are the collective operators of
+`hilbert`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, annihilation,
@@ -55,9 +57,10 @@ _CONSTRAINT_RTOL = 1e-9
 class TimeDependentHamiltonian:
     """H(t) = static + sum_k c_k(t) M_k and the step scale its builder suggests.
 
-    `static` is the dense constant part, required; `terms` holds the sparse
-    M_k and `coefficients` maps times (T,) to the (T, K) complex c_k, and a
-    static Hamiltonian has neither.  `descriptor["suggested_dt"]` is fixed
+    `static` is the dense constant part, required; `terms` holds the M_k as
+    (d, d) arrays (a scipy sparse term is converted to one, once, here) and
+    `coefficients` maps times (T,) to the (T, K) complex c_k, and a static
+    Hamiltonian has neither.  `descriptor["suggested_dt"]` is fixed
     RK4's default step (inf where H suggests none).  `evaluate(t)`, the
     dense assembly, is a reference that propagators never call.
     """
@@ -74,6 +77,8 @@ class TimeDependentHamiltonian:
             raise ValidationError("a Hamiltonian needs a static part")
         if bool(self.terms) != (self.coefficients is not None):
             raise ValidationError("coupling terms and coefficients go together")
+        object.__setattr__(self, "terms", tuple(
+            m.toarray() if hasattr(m, "toarray") else np.asarray(m) for m in self.terms))
         # dataclasses.replace hands over the old instance's bound assembly
         inherited = getattr(self.evaluate, "__func__", None) is TimeDependentHamiltonian._assemble
         if self.evaluate is None or inherited:
@@ -83,7 +88,7 @@ class TimeDependentHamiltonian:
         h = np.array(self.static, dtype=complex)
         if self.terms:
             for c, m in zip(self.coefficients(np.array([t]))[0], self.terms):
-                h += c * m.toarray()
+                h += c * m
         return h
 
 
@@ -151,11 +156,6 @@ def _coupling_matrices(space: HilbertSpace):
             collective_qubit_operator(space, "jm").matrix @ a)
 
 
-def _sparse(*mats: np.ndarray) -> tuple:
-    """Fixed coupling matrices in CSR form, for `TimeDependentHamiltonian.terms`."""
-    return tuple(sparse.csr_array(m) for m in mats)
-
-
 def _hermitian_pairs(c: np.ndarray) -> np.ndarray:
     """(T, 2J) coefficients (c_1, c_1*, c_2, c_2*, ...) from (T, J) ones."""
     return np.stack([c, c.conj()], axis=-1).reshape(len(c), -1)
@@ -182,7 +182,7 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
         space=space,
         descriptor={"suggested_dt": _suggest_dt(sys, drive)},
         static=_bare(sys.omega, sys.epsilon, space) + sys.g * (x @ sx),
-        terms=_sparse(2.0 * collective_qubit_operator(space, "jz").matrix),
+        terms=(2.0 * collective_qubit_operator(space, "jz").matrix,),
         coefficients=coefficients)
 
 
@@ -207,7 +207,7 @@ def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
         space=space,
         descriptor={"suggested_dt": _suggest_dt(sys, drive)},
         static=_bare(eff.omega_eff, eff.epsilon_eff, space),
-        terms=_sparse(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
+        terms=(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
         coefficients=coefficients)
 
 
@@ -325,7 +325,7 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace) -> TimeDependen
         space=space,
         descriptor={"suggested_dt": 2.0 * math.pi / scale / 40.0},
         static=np.zeros((space.dim, space.dim), dtype=complex),
-        terms=_sparse(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
+        terms=(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
         coefficients=coefficients)
 
 

@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import jv
-
-from .bessel import J0_FIRST_ZERO, X_LIMIT, bessel_j
+from .bessel import J0_FIRST_ZERO, ORDER_LIMIT, X_LIMIT, bessel_j, bessel_orders
 from .errors import UnreachableTargetError, ValidationError
 
 ETA_BALANCED = 0.7173          # amplitude with J1(2 eta)/J0(2 eta) = 1 to ~4 digits
@@ -135,8 +133,9 @@ def effective_params(sys: SystemParams, drive: DriveParams) -> EffectiveParams:
     det = detunings(sys, drive)
     # Bessel product first: commutativity then makes swapping the two tones
     # exchange g_r and g_cr bit-for-bit.
-    g_r = -sys.g * (bessel_j(1, 2 * drive.eta1) * bessel_j(0, 2 * drive.eta2))
-    g_cr = -sys.g * (bessel_j(0, 2 * drive.eta1) * bessel_j(1, 2 * drive.eta2))
+    j1s, j2s = bessel_orders(1, 2 * drive.eta1), bessel_orders(1, 2 * drive.eta2)
+    g_r = -sys.g * (j1s[1] * j2s[0])
+    g_cr = -sys.g * (j1s[0] * j2s[1])
     # epsilon_eff first, omega_eff as delta1 + epsilon_eff: keeps the
     # reconstruction delta1 = omega_eff - epsilon_eff exact for resonant and
     # degenerate drives.
@@ -167,6 +166,12 @@ class SidebandTerm:
     frequency: float
 
 
+def _signed_orders(n_max: int, x: float) -> list[float]:
+    """J_n(x) for n = -n_max..n_max, the negative orders as (-1)^n J_|n|(x)."""
+    js = bessel_orders(n_max, x)
+    return [-j if n % 2 else j for n, j in zip(range(n_max, 0, -1), js[:0:-1])] + js
+
+
 def sideband_amplitudes(drive: DriveParams, det: Detunings,
                         n_max: int) -> tuple[list[SidebandTerm], list[SidebandTerm]]:
     """Double Jacobi-Anger series of the two modulated coupling amplitudes.
@@ -177,13 +182,13 @@ def sideband_amplitudes(drive: DriveParams, det: Detunings,
     and frequency (epsilon - omega) + n1 Omega1 + n2 Omega2; beta mirrors it
     with conjugated phase and frequency -[(epsilon + omega) + n1 Omega1 + n2 Omega2].
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    if not 1 <= n_max <= ORDER_LIMIT:
+        raise ValidationError(f"n_max must be in [1, {ORDER_LIMIT}]")
     alpha: list[SidebandTerm] = []
     beta: list[SidebandTerm] = []
     orders = range(-n_max, n_max + 1)
-    j1s = jv(orders, 2 * drive.eta1).tolist()
-    j2s = jv(orders, 2 * drive.eta2).tolist()
+    j1s = _signed_orders(n_max, 2 * drive.eta1)
+    j2s = _signed_orders(n_max, 2 * drive.eta2)
     for n1, j1 in zip(orders, j1s):
         for n2, j2 in zip(orders, j2s):
             j = j1 * j2
@@ -285,10 +290,10 @@ def validity_report(sys: SystemParams, drive: DriveParams) -> ValidityReport:
 
 def coupling_ratio(eta: float) -> float:
     """J1(2 eta) / J0(2 eta), strictly increasing on [0, ETA_NULL)."""
-    j0 = bessel_j(0, 2 * eta)
+    j0, j1 = bessel_orders(1, 2 * eta)
     if j0 == 0.0:
         return math.inf
-    return bessel_j(1, 2 * eta) / j0
+    return j1 / j0
 
 
 def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
@@ -316,7 +321,7 @@ def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
     lo, hi = 0.0, ETA_NULL
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        j0, j1 = bessel_j(0, 2 * mid), bessel_j(1, 2 * mid)
+        j0, j1 = bessel_orders(1, 2 * mid)
         ratio = (j1 / j0 if j0 != 0.0 else math.inf) / r_fixed
         err = abs(ratio - lam) if lam <= 1.0 else abs(1.0 / ratio - 1.0 / lam)
         if err < tol:

@@ -26,12 +26,11 @@ fixed-step integration reproduce byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import json
 import math
 import os
-import tempfile
+import sys
 import threading
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -334,20 +333,23 @@ def packaged_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 
 _blas_lock = threading.Lock()
-_blas_controls = None    # (get, set) of each loaded OpenBLAS, found on first entry
+_blas_controls = {}      # path -> (get, set) of each OpenBLAS found so far
+_blas_modules = -1       # len(sys.modules) when they were last looked for
 _blas_depth = 0          # runs inside _one_blas_thread, over all threads
-_blas_saved = []         # the caller's counts, restored when the last run leaves
+_blas_saved = {}         # path -> the caller's count, restored when the last run leaves
 
 
-def _find_openblas() -> list:
-    """The (get, set) thread-count functions of every OpenBLAS this process
-    has loaded; none without /proc/self/maps to find them in."""
+def _find_openblas(known) -> dict:
+    """path -> (get, set) thread-count functions of every OpenBLAS this
+    process has loaded whose path is not in `known`; none without
+    /proc/self/maps to find them in."""
     try:
         maps = Path("/proc/self/maps").read_text().splitlines()
     except OSError:
-        return []
-    controls = []
-    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+        return {}
+    controls = {}
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}
+                       - set(known)):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -359,7 +361,7 @@ def _find_openblas() -> list:
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
+                controls[path] = get, put
                 break
     return controls
 
@@ -375,17 +377,29 @@ def _one_blas_thread():
     effective_sweep operation from 0.213 s to 0.119 s at the same rate, and
     fig3d at cutoff 40 and at cutoff 100 ran no slower.  Forked sweep
     workers inherit the count.  Setting OPENBLAS_NUM_THREADS would do
-    nothing here, as OpenBLAS reads it when numpy loads it.  The libraries
-    are found once, on the first entry; without OpenBLAS, or /proc/self/maps
-    to find it in, nothing changes."""
-    global _blas_controls, _blas_depth, _blas_saved
+    nothing here, as OpenBLAS reads it when numpy loads it.
+
+    numpy loads its OpenBLAS with the package, and scipy's loads later, with
+    `scipy.linalg` or `scipy.special`, or never.  A library loads only with
+    an extension module, and every import adds to sys.modules, so an entry
+    looks for new libraries when sys.modules has changed size since the last
+    look: reading /proc/self/maps costs about 0.3 ms, and comparing a length
+    nothing.  A library found while runs are inside is held at one thread
+    too.  Without OpenBLAS, or /proc/self/maps to find it in, nothing
+    changes."""
+    global _blas_modules, _blas_depth, _blas_saved
     with _blas_lock:
-        if _blas_controls is None:
-            _blas_controls = _find_openblas()
+        found = {}
+        if len(sys.modules) != _blas_modules:
+            _blas_modules = len(sys.modules)
+            found = _find_openblas(_blas_controls)
+            _blas_controls.update(found)
         if _blas_depth == 0:
-            _blas_saved = [get() for get, _ in _blas_controls]
-            for _, put in _blas_controls:
-                put(1)
+            _blas_saved = {}
+        # the outermost entry pins every library, a nested one those just found
+        for path, (get, put) in (found if _blas_depth else _blas_controls).items():
+            _blas_saved[path] = get()
+            put(1)
         _blas_depth += 1
     try:
         yield
@@ -393,8 +407,8 @@ def _one_blas_thread():
         with _blas_lock:
             _blas_depth -= 1
             if _blas_depth == 0:
-                for (_, put), count in zip(_blas_controls, _blas_saved):
-                    put(count)
+                for path, count in _blas_saved.items():
+                    _blas_controls[path][1](count)
 
 
 @dataclass
@@ -617,36 +631,46 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
 # file output
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, writer):
+def _atomic_write(path: Path, text: str):
+    """Write `text` to `path` through a new file beside it and a rename, so a
+    reader finds the old file or the new one, never a part.  The new file is
+    created with mode 0666 less the umask, as a plain open would create it,
+    and the rename keeps that mode."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer(fh)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
-def _fmt(value) -> str:
+def _field(value) -> str:
+    """One CSV field: the shortest round-trip decimal of a float, str() of
+    anything else, quoted where RFC 4180 asks."""
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip decimal
-    return str(value)
+        return repr(float(value))
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(values) -> list[str]:
+    """The fields of one CSV column; a column of floats is formatted in one pass."""
+    if all(issubclass(t, (float, np.floating)) for t in set(map(type, values))):
+        return list(map(repr, map(float, values)))
+    return list(map(_field, values))
 
 
 def write_csv(path: Path, header: list, rows: list):
-    def do(fh):
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    _atomic_write(Path(path), do)
+    """Header and rows as CSV lines ending in CRLF, written in one piece."""
+    lines = [",".join(map(_field, header)), *map(",".join, zip(*map(_column, zip(*rows))))]
+    _atomic_write(Path(path), "\r\n".join(lines) + "\r\n")
 
 
 def write_json(path: Path, obj: dict):
-    def do(fh):
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _atomic_write(Path(path), do)
+    _atomic_write(Path(path), json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from modrabi.bessel import J0_FIRST_ZERO, bessel_j
+from modrabi.bessel import J0_FIRST_ZERO, ORDER_LIMIT, X_LIMIT, bessel_j, bessel_orders
 
 
 def series_oracle(n: int, x: float, dps: int = 40) -> float:
@@ -25,6 +25,27 @@ def test_values_at_zero():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(1, 0.0) == 0.0
     assert bessel_j(7, 0.0) == 0.0
+
+
+def test_every_order_at_zero_is_exact():
+    for x in (0.0, -0.0):
+        assert bessel_orders(ORDER_LIMIT, x) == [1.0] + [0.0] * ORDER_LIMIT
+
+
+def test_an_order_does_not_depend_on_the_others_asked_for():
+    # bit for bit: effective_params then swaps g_r and g_cr exactly with the tones
+    for x in (1e-300, 0.37, 1.4346, 2.404825557695773, 23.999, 24.001, -17.5, X_LIMIT):
+        every = bessel_orders(ORDER_LIMIT, x)
+        for n in range(ORDER_LIMIT + 1):
+            assert bessel_orders(n, x) == every[:n + 1]
+            assert bessel_j(n, x) == every[n]
+
+
+@pytest.mark.parametrize("x", [0.3, 23.9, 24.1, 49.9, X_LIMIT])
+def test_every_order_against_high_precision(x):
+    # the node count changes at |x| = 24; the highest orders sit nearest their aliases
+    for n, value in enumerate(bessel_orders(ORDER_LIMIT, x)):
+        assert abs(value - float(mpmath.besselj(n, x))) < 1e-14
 
 
 def test_first_zero_of_j0():
@@ -81,6 +102,10 @@ def test_completeness_sum():
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
+    with pytest.raises(ValueError):
+        bessel_orders(ORDER_LIMIT + 1, 1.0)
+    with pytest.raises(ValueError):
+        bessel_orders(1.5, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0, 50.5)
     with pytest.raises(ValueError):

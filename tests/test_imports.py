@@ -1,5 +1,6 @@
-"""What a command loads: scipy's integrate and linalg stacks stay out of every
-process whose run does not call them, and no run calls scipy.integrate."""
+"""What a command loads: importing the package loads no scipy module, nor do
+the commands that step no run; a run that steps loads scipy.sparse for its
+generator, and nothing of scipy's special, integrate or linalg stacks."""
 
 import json
 import os
@@ -9,17 +10,20 @@ from pathlib import Path
 
 import modrabi
 
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+WATCHED = ("scipy", "scipy.sparse", "scipy.special", "scipy.integrate", "scipy.optimize",
+           "scipy.linalg", "scipy.sparse.linalg")
 
-# A fresh interpreter: the test modules themselves import scipy.integrate.
+# A fresh interpreter: the test modules themselves import scipy.  It runs the
+# commands named in argv, in order, and reports after each which of WATCHED
+# are loaded.
 SCRIPT = """
 import json, sys
 from modrabi.scenarios import load_scenario_document
 
-DEFERRED = %r
+WATCHED = %r
 
 def loaded():
-    return [m for m in DEFERRED if m in sys.modules]
+    return [m for m in WATCHED if m in sys.modules]
 
 import modrabi, modrabi.cli
 report = {"import": loaded()}
@@ -38,32 +42,48 @@ doc["integrator"] = {"method": "fixed_rk4"}
 with open("fig5_rk4.json", "w") as fh:
     json.dump(doc, fh)
 
-for name, argv in [
-        ("validate", ["validate", "fig3d"]),
-        ("design", ["design", "--lambda", "1", "--gratio", "0.3"]),
-        ("gate", ["applications", "gate", "-o", "gate"]),
-        ("simulate_exact", ["simulate", "fig2a_short.json", "-o", "fig2a"]),
-        ("simulate_lossy_effective", ["simulate", "fig5_short.json", "-o", "fig5"]),
-        ("simulate_rk4", ["simulate", "fig5_rk4.json", "-o", "fig5_rk4"])]:
-    report[name] = [main(argv), loaded()]
+COMMANDS = {
+    "validate": ["validate", "fig3d"],
+    "design": ["design", "--lambda", "1", "--gratio", "0.3"],
+    "gate": ["applications", "gate", "-o", "gate"],
+    "simulate_exact": ["simulate", "fig2a_short.json", "-o", "fig2a"],
+    "simulate_lossy_effective": ["simulate", "fig5_short.json", "-o", "fig5"],
+    "simulate_rk4": ["simulate", "fig5_rk4.json", "-o", "fig5_rk4"],
+    "sweep": ["sweep", "fig5_short.json", "--param", "drive.eta2", "--from", "0",
+              "--to", "1", "--points", "2", "--threads", "1", "-o", "sweep"],
+}
+for name in sys.argv[1:]:
+    report[name] = [main(COMMANDS[name]), loaded()]
 
 # the benchmark harness hooks dynamics.solve_ivp, which still resolves to scipy's
 import scipy.integrate
 report["solve_ivp_is_scipys"] = modrabi.dynamics.solve_ivp is scipy.integrate.solve_ivp
 print(json.dumps(report))
-""" % (DEFERRED,)
+""" % (WATCHED,)
 
 
-def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp_path):
+def _report(tmp_path, *commands) -> dict:
     src = str(Path(modrabi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, *commands], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp_path):
+    stepped = ("simulate_exact", "simulate_lossy_effective", "simulate_rk4")
+    report = _report(tmp_path, "validate", "design", "gate", *stepped)
     assert report["import"] == []
-    for name in ("validate", "design", "gate", "simulate_exact", "simulate_lossy_effective",
-                 "simulate_rk4"):
+    for name in ("validate", "design", "gate"):
         assert report[name] == [0, []], name
+    for name in stepped:
+        assert report[name] == [0, ["scipy", "scipy.sparse"]], name
     assert report["solve_ivp_is_scipys"] is True
+
+
+def test_a_sweep_loads_scipy_sparse_alone(tmp_path):
+    report = _report(tmp_path, "sweep")
+    assert report["import"] == []
+    assert report["sweep"] == [0, ["scipy", "scipy.sparse"]]

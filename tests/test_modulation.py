@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modrabi.bessel import X_LIMIT, bessel_j
+from modrabi.bessel import ORDER_LIMIT, X_LIMIT, bessel_j
 from modrabi.errors import UnreachableTargetError, ValidationError
 from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 SystemParams, amplitudes_for_coupling,
@@ -196,6 +196,15 @@ def test_series_negative_orders_reflect_exactly():
         phase = a.n1 * drive.phi1 + a.n2 * drive.phi2
         assert a.coefficient == j * complex(math.cos(phase), math.sin(phase))
         assert b.coefficient == j * complex(math.cos(phase), -math.sin(phase))
+
+
+def test_series_orders_outside_the_bessel_range_are_rejected():
+    drive = DriveParams(omega1=3.2 * GHZ, omega2=6.759 * GHZ, eta1=1.3, eta2=0.9)
+    det = detunings(SYS, drive)
+    assert len(sideband_amplitudes(drive, det, n_max=ORDER_LIMIT)[0]) == (2 * ORDER_LIMIT + 1) ** 2
+    for n_max in (0, ORDER_LIMIT + 1):
+        with pytest.raises(ValidationError):
+            sideband_amplitudes(drive, det, n_max=n_max)
 
 
 def test_series_completeness():

@@ -298,6 +298,60 @@ def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns(
     assert _blas_threads() == caller_blas_threads
 
 
+# A fresh interpreter, so that scipy's own OpenBLAS loads after the first run
+# whatever the test modules imported before.
+LATE_BLAS_SCRIPT = """
+import json, sys
+import modrabi.scenarios as scenarios
+from modrabi.scenarios import parse_scenario, run_simulation
+
+%s
+
+scn = parse_scenario(json.loads(sys.argv[1]))
+run_simulation(scn)
+first = len(_openblas_functions("get"))
+import scipy.linalg
+for put in _openblas_functions("set"):
+    put(2)
+seen, evolve = [], scenarios._schrodinger
+
+def spy(*args, **kwargs):
+    seen.append([get() for get in _openblas_functions("get")])
+    return evolve(*args, **kwargs)
+
+scenarios._schrodinger = spy
+run_simulation(scn)
+print(json.dumps({"first": first, "seen": seen,
+                  "after": [get() for get in _openblas_functions("get")]}))
+"""
+
+
+def test_an_openblas_loaded_after_the_first_run_runs_one_thread_in_the_next(tmp_path):
+    import inspect
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import modrabi
+    try:
+        _blas_threads()
+    except OSError:
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    src = str(Path(modrabi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    script = LATE_BLAS_SCRIPT % inspect.getsource(_openblas_functions)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(small_doc(model="effective"))],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    if len(report["after"]) <= report["first"]:
+        pytest.skip("no OpenBLAS loads after the first run")
+    assert report["seen"] == [[1] * len(report["after"])]
+    assert report["after"] == [2] * len(report["after"])
+
+
 def test_sweep_rejects_unknown_param_and_single_point():
     doc = small_doc()
     with pytest.raises(ValidationError):
@@ -473,6 +527,43 @@ def test_cli_simulate_writes_outputs(tmp_path):
     # the static lossless reference is solved by one eigendecomposition
     assert manifest["diagnostics"]["exact"]["method"] == "fixed_dp5"
     assert manifest["diagnostics"]["effective"]["method"] == "spectral"
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_take_the_umask_as_a_plain_open_would(tmp_path, mask):
+    import os
+    import stat
+    from modrabi.scenarios import write_csv, write_json
+    old = os.umask(mask)
+    try:
+        write_json(tmp_path / "manifest.json", {"a": 1})
+        write_csv(tmp_path / "timeseries.csv", ["x"], [[1.0]])
+        write_csv(tmp_path / "timeseries.csv", ["x"], [[2.0]])    # over an existing file
+    finally:
+        os.umask(old)
+    for name in ("manifest.json", "timeseries.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~mask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "timeseries.csv"]
+
+
+def test_write_csv_matches_the_csv_module_field_by_field(tmp_path):
+    """The one-pass writer against csv.writer fed one formatted value at a time."""
+    import io
+    from modrabi.scenarios import write_csv
+
+    def reference_field(value):
+        return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+    header = ["time_s", "n", "mixed", "note, quoted"]
+    rows = [[np.float64(0.1 * k), k, [np.float32(0.5), 3, 2.5e-300, True][k],
+             ['plain', 'a,b', 'say "hi"', 'two\nlines'][k]] for k in range(4)]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([reference_field(v) for v in row])
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_cli_simulate_is_deterministic(tmp_path):

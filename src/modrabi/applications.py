@@ -27,6 +27,7 @@ from .hilbert import (HilbertSpace, Operator, PureState, annihilation,
                       coherent_state, collective_qubit_operator, displacement)
 
 SQRT2 = math.sqrt(2.0)
+MIN_PROBABILITY = 1e-300    # largest outcome probability conditional_cat refuses
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def conditional_cat(state: PureState, outcome: str) -> tuple[CatState, float]:
     n = state.space.fock_cutoff
     block = state.amplitudes[:n] if outcome == "e" else state.amplitudes[n:]
     prob = float(np.real(np.vdot(block, block)))
-    if prob <= 1e-300:
+    if prob <= MIN_PROBABILITY:
         raise ValidationError(f"outcome {outcome!r} has zero probability")
     res_space = HilbertSpace(0, n)
     vec = block / math.sqrt(prob)
@@ -134,9 +135,10 @@ def cross_parity_population(cat: CatState) -> float:
 
 
 def conditional_probability(xi: complex, outcome: str) -> float:
-    """Closed-form heralding probability (1 +- e^{-2|xi|^2})/2."""
-    overlap = math.exp(-2.0 * abs(xi) ** 2)
-    return 0.5 * (1.0 + overlap) if outcome == "g" else 0.5 * (1.0 - overlap)
+    """Closed-form heralding probability (1 +- e^{-2|xi|^2})/2; P(e) is
+    taken from expm1, so it stays accurate, near |xi|^2, at small |xi|."""
+    x = -2.0 * abs(xi) ** 2
+    return 0.5 * (1.0 + math.exp(x)) if outcome == "g" else -0.5 * math.expm1(x)
 
 
 # ---------------------------------------------------------------------------

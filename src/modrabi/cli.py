@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .applications import (cat_evolution, cnot_equivalence_check,
+from .applications import (MIN_PROBABILITY, cat_evolution, cnot_equivalence_check,
                            conditional_cat, conditional_probability,
                            cross_parity_population, entangling_power,
                            gate_at_period, magnus_phase,
@@ -28,15 +28,12 @@ from .hilbert import HilbertSpace
 from .modulation import (SystemParams, amplitudes_for_coupling, drive_for_targets,
                          effective_params, json_float, solve_amplitudes,
                          validity_report)
-from .scenarios import (SCHEMA_VERSION, effective_summary, load_scenario,
-                        load_scenario_document, packaged_scenarios,
+from .scenarios import (_UNIT_SCALE, NS, SCHEMA_VERSION, _delta1, effective_summary,
+                        load_scenario, load_scenario_document, packaged_scenarios,
                         run_simulation, run_sweep, validation_report, write_csv,
                         write_json)
 
-TWO_PI = 2.0 * math.pi
-GHZ = TWO_PI * 1e9
-MHZ = TWO_PI * 1e6
-NS = 1e-9
+GHZ, MHZ = _UNIT_SCALE["ghz"], _UNIT_SCALE["mhz"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,11 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one scenario and write CSV + manifest")
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("scenario", help="scenario JSON path or packaged name "
                      f"({', '.join(packaged_scenarios())})")
     sim.add_argument("-o", "--output", default="out", help="output directory")
 
     des = sub.add_parser("design", help="solve drive settings for a target model")
+    des.set_defaults(run=cmd_design)
     des.add_argument("--lambda", dest="anisotropy", type=float, required=True,
                      help="target coupling ratio g_cr/g_r (inf allowed)")
     des.add_argument("--gratio", type=float, default=None,
@@ -84,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write design.json into this directory")
 
     swp = sub.add_parser("sweep", help="repeat a scenario over one parameter")
+    swp.set_defaults(run=cmd_sweep)
     swp.add_argument("scenario")
     swp.add_argument("--param", required=True, help="e.g. drive.eta2")
     swp.add_argument("--from", dest="start", type=float, required=True)
@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     app_sub = app.add_subparsers(dest="which", required=True)
 
     cat = app_sub.add_parser("cat", help="cat-state preparation data")
+    cat.set_defaults(run=cmd_applications_cat)
     cat.add_argument("--g-ratio", type=float, required=True,
                      help="effective coupling over effective frequency")
     cat.add_argument("--omega-mhz", type=float, default=35.03,
@@ -108,10 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("-o", "--output", default="out")
 
     gat = app_sub.add_parser("gate", help="two-qubit gate at one full period")
+    gat.set_defaults(run=cmd_applications_gate)
     gat.add_argument("--g-ratio", type=float, default=0.25)
     gat.add_argument("-o", "--output", default="out")
 
     val = sub.add_parser("validate", help="check a scenario file and report")
+    val.set_defaults(run=cmd_validate)
     val.add_argument("scenario")
 
     return p
@@ -130,12 +133,12 @@ def _warn_failed(where: str, side: str, diagnostics: dict | None):
               f"limit {CUTOFF_POP_LIMIT:g})", file=sys.stderr)
 
 
-def _check_finite(args, *dests: str):
-    """Refuse a non-finite value of any given option, naming its flag."""
+def _require(args, rule: str, ok, *dests: str):
+    """Refuse a set value of any option in `dests` that fails ok(value), naming its flag."""
     for dest in dests:
         value = getattr(args, dest)
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(f"--{dest.replace('_', '-')}: must be finite, got {value}")
+        if value is not None and not ok(value):
+            raise ValidationError(f"--{dest.replace('_', '-')}: must be {rule}, got {value}")
 
 
 def cmd_simulate(args) -> int:
@@ -155,11 +158,9 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     if not args.anisotropy >= 0:      # NaN included
         raise ValidationError(f"--lambda: must be a number in [0, inf], got {args.anisotropy}")
-    _check_finite(args, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
-    for dest in ("gratio", "gr_mhz"):
-        value = getattr(args, dest)
-        if value is not None and not value > 0:
-            raise ValidationError(f"--{dest.replace('_', '-')}: must be > 0, got {value}")
+    _require(args, "finite", math.isfinite, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
+    _require(args, "> 0", lambda v: v > 0, "gratio", "gr_mhz")
+    delta1 = _delta1(args.delta1_hz, args.delta1_mhz, "--delta1-hz", "--delta1-mhz")
     sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ,
                               omega=args.omega_ghz * GHZ,
                               g=args.g_mhz * MHZ,
@@ -170,14 +171,6 @@ def cmd_design(args) -> int:
         eta1, eta2 = amplitudes_for_coupling(args.gr_mhz * MHZ, lam, sys_params.g)
     else:
         eta1, eta2 = solve_amplitudes(lam)
-    if args.delta1_hz is not None and args.delta1_mhz is not None:
-        raise ValidationError("give --delta1-hz or --delta1-mhz, not both")
-    if args.delta1_hz is not None:
-        delta1 = args.delta1_hz * TWO_PI
-    elif args.delta1_mhz is not None:
-        delta1 = args.delta1_mhz * MHZ
-    else:
-        delta1 = 0.0
     drive = drive_for_targets(sys_params, eta1, eta2, delta1, args.gratio)
     eff = effective_params(sys_params, drive)
     doc = {
@@ -232,19 +225,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_applications_cat(args) -> int:
-    _check_finite(args, "g_ratio")
-    if args.time_ns is not None and not 0.0 < args.time_ns < math.inf:
-        raise ValidationError(f"--time-ns: must be finite and > 0, got {args.time_ns}")
-    if not (math.isfinite(args.omega_mhz) and args.omega_mhz != 0.0):
-        raise ValidationError("--omega-mhz: must be finite and nonzero, "
-                              f"got {args.omega_mhz}")
-    if args.samples < 1:
-        raise ValidationError(f"--samples: must be >= 1, got {args.samples}")
-    if args.fock_cutoff < 2:
-        raise ValidationError(f"--fock-cutoff: must be >= 2, got {args.fock_cutoff}")
+    _require(args, "finite", math.isfinite, "g_ratio")
+    _require(args, "finite and > 0", lambda v: 0.0 < v < math.inf, "time_ns")
+    _require(args, "finite and nonzero", lambda v: math.isfinite(v) and v != 0.0, "omega_mhz")
+    _require(args, ">= 1", lambda v: v >= 1, "samples")
+    _require(args, ">= 2", lambda v: v >= 2, "fock_cutoff")
     omega_eff = args.omega_mhz * MHZ
     g_eff = args.g_ratio * omega_eff
     t_end = args.time_ns * NS if args.time_ns is not None else math.pi / abs(omega_eff)
+    xi_end = magnus_phase(g_eff, omega_eff, t_end).xi
+    if conditional_probability(xi_end, "e") <= MIN_PROBABILITY:
+        raise ValidationError(f"--g-ratio: {args.g_ratio} leaves outcome 'e' no "
+                              f"probability at t = {t_end:.6g} s")
     space = HilbertSpace(1, args.fock_cutoff)
     times = np.linspace(0.0, t_end, args.samples)
     rows = []
@@ -254,7 +246,6 @@ def cmd_applications_cat(args) -> int:
     psi = cat_evolution(g_eff, omega_eff, t_end, space)
     cat_g, p_g = conditional_cat(psi, "g")
     cat_e, p_e = conditional_cat(psi, "e")
-    xi_end = magnus_phase(g_eff, omega_eff, t_end).xi
     fock_rows = [[n, float(np.abs(cat_g.state.amplitudes[n]) ** 2),
                   float(np.abs(cat_e.state.amplitudes[n]) ** 2)]
                  for n in range(args.fock_cutoff)]
@@ -278,15 +269,15 @@ def cmd_applications_cat(args) -> int:
     }
     out = Path(args.output)
     write_json(out / "manifest.json", manifest)
-    write_csv(out / "cat_path.csv", ["time_s", "xi_re", "xi_im", "xi_abs", "phase"], rows)
-    write_csv(out / "cat_fock.csv", ["n", "pop_even", "pop_odd"], fock_rows)
+    for (name, header), body in zip(manifest["csv_files"].items(), (rows, fock_rows)):
+        write_csv(out / name, header, body)
     print(f"cat: |xi| = {abs(xi_end)} at t = {t_end} s, P(g) = {p_g}, "
           f"wrote {out / 'cat_path.csv'}")
     return 0
 
 
 def cmd_applications_gate(args) -> int:
-    _check_finite(args, "g_ratio")
+    _require(args, "finite", math.isfinite, "g_ratio")
     gate = gate_at_period(args.g_ratio, 1.0)
     theta = theta_from_coupling_ratio(args.g_ratio)
     power = entangling_power(theta)
@@ -320,22 +311,9 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "design":
-            return cmd_design(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "applications":
-            if args.which == "cat":
-                return cmd_applications_cat(args)
-            return cmd_applications_gate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 2
@@ -347,7 +325,6 @@ def main(argv=None) -> int:
     except UnreachableTargetError as err:
         print(f"unreachable target: {err}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

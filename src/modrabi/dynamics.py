@@ -32,31 +32,32 @@ A stage adds h f(t, x) to one row of the stack [y, h k_1, .., h k_s], which
 the stepper zeroes once per step, with the nonzeros of h K and h J / 2
 precomputed.  A Schrodinger stage is one sparse product, and a Lindblad
 stage two products and the Hermitian sum.  Each stage input
-y + sum_j a_ij h k_j, and the new y, is one real dot of a tableau row with
-the float view of that stack.  DP5's last stage is taken at the new y
-(first same as last), so a step costs six evaluations; its default step is
-2.5 times the Hamiltonian's `suggested_dt`, where its error is below RK4's
-at `suggested_dt` on every packaged figure.  When that step is longer than
+y + sum_j a_ij h k_j is one real dot of a tableau row with the float view
+of that stack.  Every tableau's last stage is taken at the new y (first
+same as last; RK4 gets a fifth stage there), so a step costs six
+evaluations under DP5 and four under RK4.  DP5's default step is 2.5 times
+the Hamiltonian's `suggested_dt`, where its error is below RK4's at
+`suggested_dt` on every packaged figure.  When that step is longer than
 every sample interval (a lossy effective run, whose Hamiltonian is static
 and slow next to the exact frame's), the run steps once across the whole
 grid and reads each sample off DP5's fourth-order continuous extension, one
 more dot of the stack with the weights [1, b(theta)], before the step moves
 y on.  Any other fixed-step run (every exact-frame one) restarts at each
 sample, exactly on it: each sample interval takes its own equal steps, and
-DP5 evaluates its first stage afresh at the interval's start.
+its first stage is evaluated afresh at the interval's start.
 
 `_plan` resolves all this before any compute into a run's `RunPlan`: the
 checked grid, the method, whether the samples come off the continuous
 extension (`dense`), the step count of each interval (each sample interval,
 or the one across the grid), the parity blocks and the right-hand sides
-those imply (`rhs_evals`: 4 per RK4 step, 6 per DP5 step plus 1 per
-interval, 0 for `spectral`).  It raises every ValidationError a run can
-raise; `evolve_*` carry its plan out, through `_schrodinger` and `_master`,
-to which a caller that plans several runs before any of them computes hands
-its plans.  One loop walks the plan's steps in order, across the intervals'
-bounds: the nonzeros of h K for every stage of up to `_MAX_BLOCK` steps, and
-for the first stage of each interval that begins among them, come from one
-call.
+those imply (`rhs_evals`: 4 per RK4 step or 6 per DP5 step, plus 1 per
+interval; 0 for `spectral`, at most `MAX_RHS_EVALS`).  It raises every
+ValidationError a run can raise; `evolve_*` carry its plan out, through
+`_schrodinger` and `_master`, to which a caller that plans several runs
+before any of them computes hands its plans.  One loop walks the plan's
+steps in order, across the intervals' bounds: the nonzeros of h K for every
+stage of up to `_MAX_BLOCK` steps, and for the first stage of each interval
+that begins among them, come from one call.
 
 Every generator here conserves the parity (n + excited qubits) mod 2.  A
 state vector whose psi0 lies in one parity sector stays there, and the run
@@ -127,6 +128,7 @@ CHOLESKY_MARGIN = 1e-12
 CUTOFF_POP_LIMIT = 1e-6     # largest top-Fock population of a run with cutoff_ok
 HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
 MIN_PROMINENCE = 0.05       # least peak prominence extract_period counts, of the range
+MAX_RHS_EVALS = 10 ** 9     # most right-hand sides a plan accepts: ~3 h at 10 us each
 
 # the series every run records, in this order
 DEFAULT_OBSERVABLES = ("sigma_pop", "photon_number", "trace", "purity", "top_fock_pop")
@@ -371,7 +373,8 @@ class Tableau:
     the step is y <- y + h sum_j b_j k_j.  `step` is the default step as a
     multiple of the Hamiltonian's `suggested_dt`.  A method with a continuous
     extension gives it as `p`: y(t + theta h) = y + h sum_i b_i(theta) k_i
-    with b_i(theta) = sum_j p_ij theta^(j+1), so b_i(1) = b_i."""
+    with b_i(theta) = sum_j p_ij theta^(j+1), so b_i(1) = b_i.  A tableau
+    whose last stage is not at the new y (c_s = 1, b_s = 0, a_s = b) is refused."""
 
     a: tuple
     b: tuple
@@ -379,14 +382,14 @@ class Tableau:
     step: float
     p: tuple | None = None
 
-    @property
-    def fsal(self) -> bool:
-        """The last stage is taken at the new y: first same as last."""
-        return self.c[-1] == 1.0 and self.b[-1] == 0.0 and self.a[-1] == self.b[:-1]
+    def __post_init__(self):
+        if not (self.c[-1] == 1.0 and self.b[-1] == 0.0 and self.a[-1] == self.b[:-1]):
+            raise ValueError("a tableau must take its last stage at the new y")
 
 
-RK4 = Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
-              b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 1 / 2, 1 / 2, 1.0), step=1.0)
+# Classical RK4 with a fifth stage at the new y, which is the next step's first
+RK4 = Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+              b=(1 / 6, 1 / 3, 1 / 3, 1 / 6, 0.0), c=(0.0, 1 / 2, 1 / 2, 1.0, 1.0), step=1.0)
 
 # Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980): fifth order, with
 # the seventh stage at the new y (first same as last).
@@ -426,13 +429,12 @@ class _RungeKutta:
     z = [y, h k_1, ..., h k_s], so a stage input x_i = y + sum_j a_ij h k_j
     is one dot of the real weights [1, a_i1, .., a_i,i-1] with the float
     view of rows 0 .. i-1 of z, and stage i adds h k_i to its row, which the
-    stepper zeroes once per step.  The new y is the dot with [1, b], and a
-    state inside the step the dot of the whole stack with [1, b(theta)].  A
-    tableau whose last stage is taken at the new y (FSAL: c_s = 1, a_s = b)
-    reads the new y from that stage's input and keeps its slope as the next
-    step's first, so a step costs s - 1 evaluations and each interval of the
-    plan one more, at its start.  The nonzeros of h K for every stage of up
-    to _MAX_BLOCK steps, and for the first stage of each interval that
+    stepper zeroes once per step.  A state inside the step is the dot of the
+    whole stack with [1, b(theta)].  The last stage is taken at the new y
+    (c_s = 1, a_s = b), so the new y is that stage's input and its slope the
+    next step's first: a step costs s - 1 evaluations and each interval of
+    the plan one more, at its start.  The nonzeros of h K for every stage of
+    up to _MAX_BLOCK steps, and for the first stage of each interval that
     begins among them, come from one call, across the intervals' bounds.
     """
 
@@ -447,15 +449,13 @@ class _RungeKutta:
         self.xf = self.x.reshape(-1).view(float)
         self.sf = self.sample.reshape(-1).view(float)
         self.p = None if tableau.p is None else np.array(tableau.p)
-        self.fsal = tableau.fsal
-        # the times of the stages taken every step: FSAL takes stage 1 once
+        # the times of the stages taken every step; stage 1 is taken once
         # per interval
-        self.c = np.array(tableau.c[self.fsal:])
+        self.c = np.array(tableau.c[1:])
         # stages 2 .. s: (index into those times, the weights of y and
         # h k_1 .. h k_i, those rows of z, the output row h k_i+1)
-        self.stages = [(i - self.fsal, np.array([1.0, *tableau.a[i]]), zf[:i + 1], self.z[i + 1])
+        self.stages = [(i - 1, np.array([1.0, *tableau.a[i]]), zf[:i + 1], self.z[i + 1])
                        for i in range(1, s)]
-        self.b = np.array([1.0, *tableau.b]), zf
 
     def run(self, y0: np.ndarray, plan: RunPlan, record):
         """Step y0 along the plan, handing record(k, state at times[k]) for
@@ -469,10 +469,9 @@ class _RungeKutta:
         in the step that covers it, before y moves on.
         """
         times, dense, c = plan.times, plan.dense, self.c
-        stage, stages, fsal = self.flow.stage, self.stages, self.fsal
-        x, xf, b = self.x, self.xf, self.b
+        stage, stages, x, xf = self.flow.stage, self.stages, self.x, self.xf
         y, k1, ks = self.z[0], self.z[1], self.z[-1]
-        fresh = self.z[1 + fsal:]               # the rows a step's stages write
+        fresh = self.z[2:]                      # the rows a step's stages write
         edges = times[[0, -1]] if dense else times
         h = np.diff(edges) / plan.steps
         ends = np.cumsum(plan.steps)
@@ -483,17 +482,14 @@ class _RungeKutta:
             """The nonzeros of h K for the steps first .. first + _MAX_BLOCK - 1
             (first a multiple of _MAX_BLOCK), one (c, nnz) array per step,
             and an iterator over those of the first stage of each interval
-            that begins among them (FSAL only)."""
+            that begins among them."""
             n = np.arange(first, min(first + _MAX_BLOCK, total))
             k = np.searchsorted(ends, n, side="right")      # the interval of each step
             hs = h[k]
             starts = edges[k] + (n - begins[k]) * hs
-            t, scale = [(starts[:, None] + hs[:, None] * c).ravel()], [np.repeat(hs, c.size)]
-            if fsal:
-                new = k[n == begins[k]]
-                t.append(edges[new])
-                scale.append(h[new])
-            data = self.flow.generator.data(np.concatenate(t), np.concatenate(scale))
+            new = k[n == begins[k]]
+            t = np.concatenate([(starts[:, None] + hs[:, None] * c).ravel(), edges[new]])
+            data = self.flow.generator.data(t, np.concatenate([np.repeat(hs, c.size), h[new]]))
             return data[:n.size * c.size].reshape(n.size, c.size, -1), iter(data[n.size * c.size:])
 
         if dense:
@@ -510,26 +506,21 @@ class _RungeKutta:
             jump_data = h[k] * self.flow.jump_data
             for n in range(first, last):
                 if n % _MAX_BLOCK == 0:
-                    rows, fsal_rows = load(n)
-                if n == first and fsal:     # the interval's first stage, afresh
+                    rows, first_rows = load(n)
+                if n == first:              # the interval's first stage, afresh
                     k1.fill(0.0)
-                    stage(next(fsal_rows), jump_data, y, k1)
+                    stage(next(first_rows), jump_data, y, k1)
                 d = rows[n % _MAX_BLOCK]
                 fresh.fill(0.0)
-                if not fsal:
-                    stage(d[0], jump_data, y, k1)
                 for i, w, zrows, out in stages:
                     np.dot(w, zrows, out=xf)
                     stage(d[i], jump_data, x, out)
-                if not fsal:                # else the last stage's input is the new y
-                    np.dot(*b, out=xf)
                 if dense:
                     for j in range(reads[n], reads[n + 1]):
                         np.dot(weights[j], self.zf, out=self.sf)
                         record(j, self.sample)
-                np.copyto(y, x)
-                if fsal:
-                    np.copyto(k1, ks)
+                np.copyto(y, x)             # the last stage's input is the new y
+                np.copyto(k1, ks)
             if not dense:
                 record(k + 1, y)
 
@@ -591,12 +582,14 @@ def _plan(H: TimeDependentHamiltonian, state: PureState | DensityMatrix,
         if not math.isfinite(dt):
             raise ValidationError("integrator.dt_ns: required, as H suggests no step")
         span = float(times[-1]) - float(times[0])
-        if not span / dt <= np.iinfo(np.intp).max:     # also refuses inf
-            raise ValidationError(f"grid: a span of {span:.6g} in steps of {dt:.6g} "
-                                  f"needs more steps than can be counted")
+        if not span / dt <= MAX_RHS_EVALS:     # each step evaluates at least once; refuses inf
+            raise ValidationError(f"grid: {span / dt:.6g} steps of {dt:.6g}, more than "
+                                  f"the {MAX_RHS_EVALS:,} evaluations a run may take")
         dense = tableau.p is not None and dt > np.max(np.diff(times))
         steps = tuple(max(1, math.ceil(d / dt)) for d in ([span] if dense else np.diff(times)))
-        rhs_evals = sum(steps) * (len(tableau.b) - tableau.fsal) + len(steps) * tableau.fsal
+        rhs_evals = sum(steps) * (len(tableau.b) - 1) + len(steps)
+        if rhs_evals > MAX_RHS_EVALS:
+            raise ValidationError(f"grid: {rhs_evals:,} evaluations, more than {MAX_RHS_EVALS:,}")
     blocks = _parity_blocks(H, [d for d in dissipators or () if d.rate != 0.0],
                             state.amplitudes if dissipators is None else state.matrix)
     return RunPlan(times, method, dense, steps, blocks, rhs_evals)

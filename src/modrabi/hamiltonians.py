@@ -31,8 +31,8 @@ numpy alone, and they evaluate the coefficients of many times in one numpy
 call.  The static anisotropic Rabi/Dicke matrix is written once, in
 `effective_hamiltonian`: the `model` specializations are it at projected
 parameters, and the collective Jx field is the interaction-picture Dicke
-form at balanced couplings.  Qubit sums are the collective operators of
-`hilbert`.
+form at balanced couplings; the exact frame and the Dicke form share one
+assembly, `_collective`.  Qubit sums are the collective operators of `hilbert`.
 """
 
 from __future__ import annotations
@@ -156,14 +156,34 @@ def _coupling_matrices(space: HilbertSpace):
             collective_qubit_operator(space, "jm").matrix @ a)
 
 
-def _hermitian_pairs(c: np.ndarray) -> np.ndarray:
-    """(T, 2J) coefficients (c_1, c_1*, c_2, c_2*, ...) from (T, J) ones."""
-    return np.stack([c, c.conj()], axis=-1).reshape(len(c), -1)
-
-
-def _suggest_dt(sys: SystemParams, drive: DriveParams) -> float:
-    w_max = max(sys.epsilon + sys.omega, drive.omega1 + drive.omega2)
+def _suggest_dt(w_max: float) -> float:
+    """Fixed RK4's default step, 2 pi / (40 w_max): 40 per period of w_max."""
     return 2.0 * math.pi / w_max / 40.0
+
+
+def _lab_w_max(sys: SystemParams, drive: DriveParams) -> float:
+    """The fastest frequency of the lab frame, which the exact frame's phases keep."""
+    return max(sys.epsilon + sys.omega, drive.omega1 + drive.omega2)
+
+
+def _collective(space: HilbertSpace, static: np.ndarray, couplings,
+                w_max: float) -> TimeDependentHamiltonian:
+    """static + c_r(t) J+ a + c_cr(t) J- a + h.c. at the step `_suggest_dt(w_max)`,
+    where couplings(t) maps times (T,) to the (T,) complex c_r and c_cr."""
+    if space.n_qubits < 1:
+        raise ValidationError("a collective coupling needs at least one qubit")
+    jp_a, jm_a = _coupling_matrices(space)
+
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        c_r, c_cr = couplings(t)
+        return np.stack([c_r, c_r.conj(), c_cr, c_cr.conj()], axis=-1)
+
+    return TimeDependentHamiltonian(
+        space=space,
+        descriptor={"suggested_dt": _suggest_dt(w_max)},
+        static=static,
+        terms=(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
+        coefficients=coefficients)
 
 
 def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
@@ -180,7 +200,7 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
 
     return TimeDependentHamiltonian(
         space=space,
-        descriptor={"suggested_dt": _suggest_dt(sys, drive)},
+        descriptor={"suggested_dt": _suggest_dt(_lab_w_max(sys, drive))},
         static=_bare(sys.omega, sys.epsilon, space) + sys.g * (x @ sx),
         terms=(2.0 * collective_qubit_operator(space, "jz").matrix,),
         coefficients=coefficients)
@@ -189,26 +209,18 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
 def rotated_hamiltonian(sys: SystemParams, drive: DriveParams,
                         space: HilbertSpace) -> TimeDependentHamiltonian:
     """Exact frame-transformed Hamiltonian; no sideband series truncation."""
-    if space.n_qubits < 1:
-        raise ValidationError("rotated Hamiltonian needs at least one qubit")
     eff = effective_params(sys, drive)
-    sp_a, sm_a = _coupling_matrices(space)
     g = sys.g
     d_eps = sys.epsilon - eff.epsilon_eff
     d_om = sys.omega - eff.omega_eff
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
+    def couplings(t: np.ndarray):
         two_chi = d_eps * t + 2.0 * _drive_phase(drive, t)
         mu = d_om * t
-        return _hermitian_pairs(np.stack([g * np.exp(1j * (two_chi - mu)),
-                                          g * np.exp(-1j * (two_chi + mu))], axis=-1))
+        return g * np.exp(1j * (two_chi - mu)), g * np.exp(-1j * (two_chi + mu))
 
-    return TimeDependentHamiltonian(
-        space=space,
-        descriptor={"suggested_dt": _suggest_dt(sys, drive)},
-        static=_bare(eff.omega_eff, eff.epsilon_eff, space),
-        terms=(sp_a, sp_a.conj().T, sm_a, sm_a.conj().T),
-        coefficients=coefficients)
+    return _collective(space, _bare(eff.omega_eff, eff.epsilon_eff, space), couplings,
+                       _lab_w_max(sys, drive))
 
 
 def effective_hamiltonian(eff: EffectiveParams,
@@ -308,25 +320,15 @@ def dicke_hamiltonian(eff: EffectiveParams, space: HilbertSpace) -> TimeDependen
     exp(-i(delta1 t + phi1)) on a J+ and exp(-i(delta2 t - phi2)) on a J-,
     not as the static omega_eff a+a + epsilon_eff Jz of `effective_hamiltonian`.
     """
-    if space.n_qubits < 1:
-        raise ValidationError("Dicke Hamiltonian needs at least one qubit")
-    jp_a, jm_a = _coupling_matrices(space)
     d1, d2 = eff.delta1, eff.delta2
     g_r, g_cr = eff.g_r, eff.g_cr
     phi1, phi2 = eff.phi1, eff.phi2
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
-        return _hermitian_pairs(np.stack([g_r * np.exp(-1j * (d1 * t + phi1)),
-                                          g_cr * np.exp(-1j * (d2 * t - phi2))],
-                                         axis=-1))
+    def couplings(t: np.ndarray):
+        return g_r * np.exp(-1j * (d1 * t + phi1)), g_cr * np.exp(-1j * (d2 * t - phi2))
 
-    scale = max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300)
-    return TimeDependentHamiltonian(
-        space=space,
-        descriptor={"suggested_dt": 2.0 * math.pi / scale / 40.0},
-        static=np.zeros((space.dim, space.dim), dtype=complex),
-        terms=(jp_a, jp_a.conj().T, jm_a, jm_a.conj().T),
-        coefficients=coefficients)
+    return _collective(space, np.zeros((space.dim, space.dim), dtype=complex), couplings,
+                       max(abs(g_r), abs(g_cr), abs(d1), abs(d2), 1e-300))
 
 
 def jx_field_hamiltonian(g_eff: float, omega_eff: float,

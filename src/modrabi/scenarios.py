@@ -177,6 +177,15 @@ def _amplitude(drive: dict, tone: int, omega: float) -> float:
     return val
 
 
+def _delta1(hz: float | None, mhz: float | None, hz_name: str, mhz_name: str) -> float:
+    """delta1 in rad/s from delta1 / 2 pi in Hz or in MHz (0 if neither); not both."""
+    if hz is not None and mhz is not None:
+        raise ValidationError(f"give {hz_name} or {mhz_name}, not both")
+    if hz is not None:
+        return hz * TWO_PI
+    return 0.0 if mhz is None else mhz * _UNIT_SCALE["mhz"]
+
+
 def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
     """Resolve a drive from model targets instead of explicit tone settings.
 
@@ -190,12 +199,9 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
         lam = math.inf
     else:
         lam = _number(design, "anisotropy", "drive.design")
-    if "delta1_hz" in design and "delta1_mhz" in design:
-        raise ValidationError("drive.design: give delta1_hz or delta1_mhz, not both")
-    if "delta1_hz" in design:
-        delta1 = _number(design, "delta1_hz", "drive.design") * TWO_PI
-    else:
-        delta1 = _number(design, "delta1_mhz", "drive.design", 0.0) * _UNIT_SCALE["mhz"]
+    delta1 = _delta1(_number(design, "delta1_hz", "drive.design", None),
+                     _number(design, "delta1_mhz", "drive.design", None),
+                     "drive.design.delta1_hz", "drive.design.delta1_mhz")
     gratio = _number(design, "g_r_over_omega_eff", "drive.design", None)
     try:
         eta1, eta2 = solve_amplitudes(lam)

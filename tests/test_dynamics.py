@@ -8,11 +8,11 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from modrabi.dynamics import (_MAX_BLOCK, DEFAULT_OBSERVABLES, DP5, RK4, TABLEAUS,
-                              Dissipator, IntegratorConfig, _csr_kernel, _Generator, _lindblad,
-                              _parity_blocks, _plan, dissipator_frame_defect, evolve_master,
-                              evolve_schrodinger, extract_period, fidelity,
-                              loss_dissipators)
+from modrabi.dynamics import (_MAX_BLOCK, DEFAULT_OBSERVABLES, DP5, MAX_RHS_EVALS, RK4,
+                              TABLEAUS, Dissipator, IntegratorConfig, Tableau, _csr_kernel,
+                              _Generator, _lindblad, _parity_blocks, _plan,
+                              dissipator_frame_defect, evolve_master, evolve_schrodinger,
+                              extract_period, fidelity, loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
 from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   effective_hamiltonian, frame_phases,
@@ -225,9 +225,10 @@ def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():
     times = np.linspace(0.0, 4 * 3.5 * dt, 5)      # 4 steps per interval, 16 in all
     fixed = IntegratorConfig(method="fixed_rk4", dt=dt)
     traj = evolve_master(H, channels, rho0, times, fixed, store_states=True)
-    assert traj.diagnostics["rhs_evals"] == 4 * 16
+    # RK4: 4 per step and a restart per interval
+    assert traj.diagnostics["rhs_evals"] == 4 * 16 + 4
     assert evolve_schrodinger(H, basis_state(space, "g", 0), times,
-                              fixed).diagnostics["rhs_evals"] == 4 * 16
+                              fixed).diagnostics["rhs_evals"] == 4 * 16 + 4
     i = list(traj.times).index(traj.diagnostics["min_eigenvalue_time"])
     assert abs(np.linalg.eigvalsh(traj.states[i])[0]
                - traj.diagnostics["min_eigenvalue"]) <= 1e-14
@@ -792,6 +793,16 @@ def test_tableaus_match_scipy_and_satisfy_the_order_conditions():
             assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_a_tableau_whose_last_stage_is_not_at_the_new_y_is_refused():
+    # classical RK4 as four stages: its new y is no stage's input
+    with pytest.raises(ValueError, match="last stage"):
+        Tableau(a=((), (1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)),
+                b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 1 / 2, 1 / 2, 1.0), step=1.0)
+    # RK4 and DP5 carry a last stage at the new y
+    for tab in (RK4, DP5):
+        assert tab.c[-1] == 1.0 and tab.b[-1] == 0.0 and tab.a[-1] == tab.b[:-1]
+
+
 def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
@@ -801,7 +812,7 @@ def test_rhs_evals_are_six_per_dp5_step_and_one_per_interval():
     # 4 intervals of 3.5 steps each: 4 steps per interval, 16 in all
     for method, step in (("fixed_rk4", dt), ("fixed_dp5", 2.5 * dt)):
         times = np.linspace(0.0, 4 * 3.5 * step, 5)
-        want = {"fixed_rk4": 4 * 16, "fixed_dp5": 6 * 16 + 4}[method]
+        want = {"fixed_rk4": 4 * 16 + 4, "fixed_dp5": 6 * 16 + 4}[method]
         for cfg in (IntegratorConfig(method=method), IntegratorConfig(method=method, dt=step)):
             assert evolve_schrodinger(H, psi0, times, cfg).diagnostics["rhs_evals"] == want
             assert evolve_master(H, channels, psi0.density_matrix(), times,
@@ -1041,6 +1052,29 @@ def test_grid_too_long_for_its_step_is_refused_before_stepping(method, monkeypat
                                           psi0.density_matrix(), times, cfg)):
             with pytest.raises(ValidationError, match="^grid: "):
                 run()
+
+
+def test_plan_refuses_more_right_hand_sides_than_the_bound(monkeypatch):
+    # a run of more than MAX_RHS_EVALS evaluations is refused by its plan,
+    # naming the grid and the count, whether its steps alone exceed the bound
+    # or only its evaluations do; one just under it is planned
+    import modrabi.dynamics as dynamics
+
+    def no_compute(*args):
+        raise AssertionError("the run stepped")
+    monkeypatch.setattr(dynamics, "_RungeKutta", no_compute)
+    space = HilbertSpace(1, 4)
+    H = rotated_hamiltonian(SYS, DRIVE_A, space)
+    psi0 = basis_state(space, "g", 0)
+    for method, steps, match in (("fixed_rk4", 2 * MAX_RHS_EVALS, "^grid: 2e[+]09 steps"),
+                                 ("fixed_dp5", MAX_RHS_EVALS // 4, "^grid: 1,500,000,001 "),
+                                 ("fixed_rk4", MAX_RHS_EVALS // 4, "^grid: 1,000,000,001 ")):
+        cfg = IntegratorConfig(method=method, dt=1.0)
+        with pytest.raises(ValidationError, match=match):
+            evolve_schrodinger(H, psi0, [0.0, float(steps)], cfg)
+    plan = _plan(H, psi0, [0.0, float(MAX_RHS_EVALS // 4 - 1)],
+                 IntegratorConfig(method="fixed_rk4", dt=1.0))
+    assert plan.rhs_evals == MAX_RHS_EVALS - 3
 
 
 # ---------------------------------------------------------------------------

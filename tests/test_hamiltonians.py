@@ -288,6 +288,16 @@ def test_dicke_single_qubit_reduces_to_interaction_aqrm():
         assert np.max(np.abs(H.evaluate(t) - expected)) < 1e-9 * SYS.g
 
 
+def test_dicke_coefficients_are_the_hand_formula_bit_for_bit():
+    space = HilbertSpace(2, 3)
+    eff = effective_params(SYS, DRIVE_A)
+    t = np.array([0.0, 0.4, 1.9, 37.3]) * NS
+    c1 = eff.g_r * np.exp(-1j * (eff.delta1 * t + eff.phi1))
+    c2 = eff.g_cr * np.exp(-1j * (eff.delta2 * t - eff.phi2))
+    want = np.stack([c1, c1.conj(), c2, c2.conj()], axis=-1)
+    assert np.array_equal(dicke_hamiltonian(eff, space).coefficients(t), want)
+
+
 def test_dicke_two_qubit_balanced_at_t0():
     space = HilbertSpace(2, 3)
     eff = EffectiveParams(g_r=-1.0, g_cr=-1.0, omega_eff=0.0, epsilon_eff=0.0,

@@ -610,6 +610,24 @@ def _packaged(name, section, **fields):
     return doc
 
 
+def test_cli_grid_over_the_evaluation_bound_exits_2_before_compute(tmp_path, capsys,
+                                                                   monkeypatch):
+    # fig4jc over 1e12 ns is about 1e15 right-hand sides: validate and
+    # simulate both refuse it, naming the grid, and nothing is computed
+    import modrabi.dynamics as dynamics
+
+    def no_compute(*args):
+        raise AssertionError("a run was propagated")
+    monkeypatch.setattr(dynamics, "_propagate", no_compute)
+    scn_file = tmp_path / "long.json"
+    scn_file.write_text(json.dumps(_packaged("fig4jc", "grid", t_end_ns=1e12)))
+    for argv in (["validate", str(scn_file)],
+                 ["simulate", str(scn_file), "-o", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert "grid: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("breaker, path", [
     (_with_drive(phi1="x"), "drive.phi1"),
     (_with_drive(amp1_ghz="x"), "drive.amp1_ghz"),
@@ -919,7 +937,7 @@ def test_cli_applications_cat_negative_omega_default_time(tmp_path):
 @pytest.mark.parametrize("flag, value", [("--omega-mhz", "0"), ("--omega-mhz", "inf"),
                                          ("--omega-mhz", "nan"), ("--samples", "0"),
                                          ("--samples", "-1"), ("--g-ratio", "nan"),
-                                         ("--g-ratio", "inf"),
+                                         ("--g-ratio", "inf"), ("--g-ratio", "0"),
                                          ("--time-ns", "nan"), ("--time-ns", "inf"),
                                          ("--time-ns", "0"), ("--time-ns", "-1"),
                                          ("--fock-cutoff", "1"), ("--fock-cutoff", "0")])
@@ -929,6 +947,27 @@ def test_cli_applications_cat_bad_flag_exits_2(flag, value, tmp_path, capsys):
                  "-o", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_applications_cat_without_odd_outcome_is_refused_before_compute(
+        tmp_path, capsys, monkeypatch):
+    # P(e) = (1 - e^{-2|xi|^2}) / 2 at or below what conditional_cat refuses
+    # is refused by its flag, before the state is built; a tiny nonzero
+    # displacement still heralds both outcomes
+    import modrabi.cli as cli
+
+    def no_compute(*args):
+        raise AssertionError("the cat state was built")
+    monkeypatch.setattr(cli, "cat_evolution", no_compute)
+    for ratio in ("0", "-0", "1e-170"):
+        assert main(["applications", "cat", "--g-ratio", ratio,
+                     "-o", str(tmp_path / "cat")]) == 2
+        assert "--g-ratio" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["applications", "cat", "--g-ratio", "1e-140", "--samples", "3",
+                 "-o", str(tmp_path / "tiny")]) == 0
+    cond = json.loads((tmp_path / "tiny" / "manifest.json").read_text())["conditional"]
+    assert cond["p_e_closed_form"] == pytest.approx(cond["p_e_measured"], rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

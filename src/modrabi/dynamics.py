@@ -4,93 +4,53 @@ Both equations run through one propagation loop over arrays; a state vector
 is the (n,) case and a density matrix a stack of diagonal blocks.  A
 Schrodinger run keeps its states, one (T, d) array; a Lindblad run keeps
 its (T, d, d) stack only when asked (`store_states`).  The loop takes
-fixed steps of one Runge-Kutta stepper driven by a Butcher tableau, either
-Dormand-Prince 5(4) (`fixed_dp5`, the default of every run that is
-stepped) or classical RK4 (`fixed_rk4`, the oracle).  A Schrodinger run
-with a static Hamiltonian and no method named skips the loop: one
+fixed steps of one Runge-Kutta stepper driven by a Butcher tableau
+(`_RungeKutta`): Dormand-Prince 5(4) (`fixed_dp5`, the default of every run
+that is stepped) or classical RK4 (`fixed_rk4`, the oracle).  A Schrodinger
+run with a static Hamiltonian and no method named skips the loop: one
 eigendecomposition H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0))
-V+ psi0 exactly at every time of the grid, and the run reports method
-"spectral".  The Lindblad right-hand side is
+V+ psi0 exactly at every time of the grid, all in one product, and the run
+reports method "spectral".  The Lindblad right-hand side is
 
     d rho / dt = K rho + rho K+  +  sum_j r_j L_j rho L_j+,
     K = -i H(t) - sum_j (r_j / 2) L_j+ L_j,
 
 with the (rate/2)(2 L rho L+ - rho L+L - L+L rho) normalization, so a pure
 decay run gives <n>(t) = e^{-gamma t} exactly.  K keeps the Hamiltonian's
-form, a static part plus scalar coefficients times fixed sparse matrices.
-All jump terms together are one fixed sparse superoperator on the row-major
-vec(rho), J = sum_j r_j L_j (x) conj(L_j), so every channel, whatever its
-structure, costs one more sparse product.  Both products call scipy's
-compiled CSR kernels directly, into preallocated buffers, with the operand
-sizes checked once when a run starts: at these sizes the dispatch of
-scipy's `@` cost more than the products.  `scipy.sparse` loads when the
-first run builds its generator, not with this module.  Every recorded
-series except the purity is a set of diagonal weights applied to |psi|^2 or
-diag(rho).
+form, a static part plus scalar coefficients times fixed sparse matrices,
+and all jump terms together are one fixed sparse superoperator on the
+row-major vec(rho), J = sum_j r_j L_j (x) conj(L_j), whatever the channels.
+Both products call scipy's compiled CSR kernels directly, into preallocated
+buffers (`_csr_kernel`); `scipy.sparse` loads when the first run builds its
+generator, not with this module.
 
-A stage adds h f(t, x) to one row of the stack [y, h k_1, .., h k_s], which
-the stepper zeroes once per step, with the nonzeros of h K and h J / 2
-precomputed.  A Schrodinger stage is one sparse product, and a Lindblad
-stage two products and the Hermitian sum.  Each stage input
-y + sum_j a_ij h k_j is one real dot of a tableau row with the float view
-of that stack.  Every tableau's last stage is taken at the new y (first
-same as last; RK4 gets a fifth stage there), so a step costs six
-evaluations under DP5 and four under RK4.  DP5's default step is 2.5 times
-the Hamiltonian's `suggested_dt`, where its error is below RK4's at
-`suggested_dt` on every packaged figure.  When that step is longer than
-every sample interval (a lossy effective run, whose Hamiltonian is static
-and slow next to the exact frame's), the run steps once across the whole
-grid and reads each sample off DP5's fourth-order continuous extension, one
-more dot of the stack with the weights [1, b(theta)], before the step moves
-y on.  Any other fixed-step run (every exact-frame one) restarts at each
-sample, exactly on it: each sample interval takes its own equal steps, and
-its first stage is evaluated afresh at the interval's start.
+`_plan` resolves a run before any compute into its `RunPlan` (the checked
+grid, the method, the steps of each interval, the parity blocks and
+`rhs_evals`) and raises every ValidationError the run can raise; `evolve_*`
+carry the plan out through `_schrodinger` and `_master`, to which a caller
+that plans several runs before any of them computes hands its plans.  Each
+run reports its plan's `summary` in its diagnostics.  Every generator here
+conserves the parity (n + excited qubits) mod 2, and a run carries only the
+parity sectors its initial state holds (`_parity_blocks`).
 
-`_plan` resolves all this before any compute into a run's `RunPlan`: the
-checked grid, the method, whether the samples come off the continuous
-extension (`dense`), the step count of each interval (each sample interval,
-or the one across the grid), the parity blocks and the right-hand sides
-those imply (`rhs_evals`: 4 per RK4 step or 6 per DP5 step, plus 1 per
-interval; 0 for `spectral`, at most `MAX_RHS_EVALS`).  It raises every
-ValidationError a run can raise; `evolve_*` carry its plan out, through
-`_schrodinger` and `_master`, to which a caller that plans several runs
-before any of them computes hands its plans.  One loop walks the plan's
-steps in order, across the intervals' bounds: the nonzeros of h K for every
-stage of up to `_MAX_BLOCK` steps, and for the first stage of each interval
-that begins among them, come from one call.
-
-Every generator here conserves the parity (n + excited qubits) mod 2.  A
-state vector whose psi0 lies in one parity sector stays there, and the run
-steps that sector alone.  When the generator, the jumps and rho0 respect
-the parity, which every packaged lossy run does, rho stays block diagonal in
-its two equal sectors.  The run then orders the basis by sector and carries
-only the two blocks, as one (2, d/2, d/2) stack: K in sector order is block
-diagonal, so one product gives both K_s rho_s, J acts on the entries of the
-blocks alone, and the spectrum, the weights and the purity are taken per
-block.  That halves the state and the work per step.  Any other run is the
-one-block case of the same code, a (d,) vector or a (1, d, d) stack.
-`_parity_blocks` is the one rule for both equations.
-
-Every run records the series `DEFAULT_OBSERVABLES`, in that order, and
-reports `cutoff_ok`: whether the top-Fock population stayed below
-`CUTOFF_POP_LIMIT`.  A run handed `reference` vectors, one per time of
-the grid, also records `fidelity`: |<ref|psi>|^2, or <ref|rho|ref> taken
-block by block as each sample is recorded, so comparing a Lindblad run with
-a reference keeps no density matrices.  Every state a Lindblad run holds
-is exactly Hermitian with no repair: each stage writes M + M+ and every
-combination of the stack has real weights.  Positivity
-is monitored, not projected: an eigenvalue below `POSITIVITY_FLOOR` aborts,
-because it is evidence of a cutoff or step-size misconfiguration, and so
-does a trace that leaves 1 by more than `TRACE_TOL`.  The monitor needs
-only the least eigenvalue, and only when it is a new minimum: from the
-second sample on, a sample whose blocks rho_s - (m + `CHOLESKY_MARGIN`) I
-all factor by Cholesky has every eigenvalue above m, the least so far, so
-it cannot move the minimum, its time or the abort, and `eigvalsh` runs only
-at the samples where that factorization fails.  A sample holding NaN or
-inf, which a Cholesky factorization does not reject, aborts before that
-test, in both equations.  Each run reports its plan's method, `rhs_evals`
-and `blocks`, and for rho when its least eigenvalue occurred
-(`min_eigenvalue_time`).
+Every run records the series `DEFAULT_OBSERVABLES`, in that order, each but
+the purity a set of diagonal weights on |psi|^2 or diag(rho), and reports
+`cutoff_ok`: whether the top-Fock population stayed below
+`CUTOFF_POP_LIMIT`.  A Lindblad run records each sample as it steps.  A
+vector run copies each sample aside, and after the run takes its series,
+norms and normalized states in a few array calls.  A run handed `reference`
+vectors, one per time of the grid, also records `fidelity`: |<ref|psi>|^2,
+or <ref|rho|ref> taken block by block as each sample is recorded, so
+comparing a Lindblad run with a reference keeps no density matrices.  A
+sample holding NaN or inf aborts either equation at that sample, before the
+run steps on.  Every state a Lindblad run holds is exactly Hermitian with no
+repair: each stage writes M + M+ and every combination of the stack has real
+weights.  Its positivity is monitored, not projected: an eigenvalue below
+`POSITIVITY_FLOOR` aborts, because it is evidence of a cutoff or step-size
+misconfiguration, and so does a trace that leaves 1 by more than
+`TRACE_TOL`; `eigvalsh` runs only at the samples where a Cholesky test
+cannot rule out a new least eigenvalue (`_above`), and the run reports when
+the least one occurred (`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
 """
@@ -107,7 +67,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .hamiltonians import TimeDependentHamiltonian
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                      annihilation, number_operator, qubit_operator)
+                      annihilation, basis_labels, qubit_operator)
 from .modulation import SystemParams
 
 METHODS = ("fixed_rk4", "fixed_dp5")
@@ -209,11 +169,12 @@ class Trajectory:
 # observables
 # ---------------------------------------------------------------------------
 
-_DIAGONAL_WEIGHTS = {    # series -> its operator's diagonal in the product basis
-    "sigma_pop": lambda s: 0.5 + 0.5 * np.real(np.diagonal(qubit_operator(s, 0, "sz").matrix)),
-    "photon_number": lambda s: np.real(np.diagonal(number_operator(s).matrix)),
-    "trace": lambda s: np.ones(s.dim),
-    "top_fock_pop": lambda s: (np.arange(s.dim) % s.fock_cutoff == s.fock_cutoff - 1) * 1.0,
+_DIAGONAL_WEIGHTS = {    # series -> its operator's diagonal, from space s and its Fock labels
+    # qubit 0 leads the basis order, so its excited states are the first half
+    "sigma_pop": lambda s, fock: np.arange(s.dim) < s.fock_cutoff * (s.qubit_dim // 2),
+    "photon_number": lambda s, fock: fock,
+    "trace": lambda s, fock: np.ones(s.dim),
+    "top_fock_pop": lambda s, fock: fock == s.fock_cutoff - 1,
 }
 
 
@@ -227,7 +188,9 @@ class _ObservableSet:
     """
 
     def __init__(self, space: HilbertSpace, samples: int, order=slice(None)):
-        self.weights = np.array([w(space) for w in _DIAGONAL_WEIGHTS.values()])[:, order]
+        fock, _ = basis_labels(space)
+        self.weights = np.array([w(space, fock) for w in _DIAGONAL_WEIGHTS.values()],
+                                dtype=float)[:, order]
         self.table = np.empty((len(_DIAGONAL_WEIGHTS), samples))
         self.purity = np.empty(samples)
         rows = dict(zip(_DIAGONAL_WEIGHTS, self.table), purity=self.purity)
@@ -240,10 +203,10 @@ class _ObservableSet:
         return {"cutoff_ok": bool(top[i] < CUTOFF_POP_LIMIT),
                 "max_top_fock_pop": float(top[i]), "max_top_fock_pop_time": float(times[i])}
 
-    def from_vector(self, i: int, psi: np.ndarray):
-        pop = psi.real ** 2 + psi.imag ** 2
-        self.table[:, i] = self.weights @ pop
-        self.purity[i] = pop.sum() ** 2
+    def from_vectors(self, pop: np.ndarray, norm2: np.ndarray):
+        """Every sample of a vector run: its (T, n) |psi|^2 and (T,) |psi|^2 sums."""
+        np.matmul(self.weights, pop.T, out=self.table)
+        np.square(norm2, out=self.purity)
 
     def from_blocks(self, i: int, rho: np.ndarray):
         """Sample i of a block-diagonal rho, given as its (S, N, N) blocks."""
@@ -634,34 +597,37 @@ def _schrodinger(H: TimeDependentHamiltonian, psi0: PureState, plan: RunPlan,
     """The run of `evolve_schrodinger`, carrying out `plan`, which `_plan`
     made for it."""
     times, [order] = plan.times, plan.blocks
-    obs = _ObservableSet(H.space, len(times), order)
-    states = np.zeros((len(times), H.space.dim), complex)
-    norm_drift = 0.0
+    raw = np.empty((len(times), order.size), complex)     # the sector's samples
 
     def record(i, psi):
-        nonlocal norm_drift
-        obs.from_vector(i, psi)
-        norm = np.linalg.norm(psi)
-        _check_finite(norm, times[i], "state vector")
-        norm_drift = max(norm_drift, abs(norm - 1.0))
-        states[i, order] = psi / norm
+        raw[i] = psi
+        _check_finite(np.vdot(psi, psi).real, times[i], "state vector")
 
     psi0_sector = psi0.amplitudes[order]
     if plan.method == "spectral":
         # psi(t) = V exp(-i lam (t - t0)) V+ psi0, H = V diag(lam) V+ in the sector
         lam, V = np.linalg.eigh(np.asarray(H.static, dtype=complex)[np.ix_(order, order)])
         c0 = V.conj().T @ psi0_sector
-        for i, t in enumerate(times):
-            record(i, V @ (np.exp(-1j * lam * (t - times[0])) * c0))
+        np.matmul(np.exp(-1j * lam * (times - times[0])[:, None]) * c0, V.T, out=raw)
     else:
         generator = _Generator(H, order=order)
         flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
         _propagate(flow, psi0_sector, plan, record)
+    pop = raw.real ** 2 + raw.imag ** 2
+    norm2 = pop.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(norm2))   # a stepped run has stopped at its first
+    if bad.size:
+        _check_finite(norm2[bad[0]], times[bad[0]], "state vector")
+    norms = np.sqrt(norm2)
+    obs = _ObservableSet(H.space, len(times), order)
+    obs.from_vectors(pop, norm2)
+    states = np.zeros((len(times), H.space.dim), complex)
+    states[:, order] = raw / norms[:, None]
     if reference is not None:
         obs.series["fidelity"] = fidelity(reference, states)
     return Trajectory(times=times, observables=obs.series, states=states,
-                      diagnostics={"norm_drift": norm_drift, **obs.cutoff_report(times),
-                                   **plan.summary()})
+                      diagnostics={"norm_drift": float(np.max(np.abs(norms - 1.0))),
+                                   **obs.cutoff_report(times), **plan.summary()})
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +682,7 @@ def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator
     blocks of the stack share one shape.
     """
     space = H.space
-    qubits, n = np.divmod(np.arange(space.dim), space.fock_cutoff)
-    ground = sum((qubits >> k) & 1 for k in range(space.n_qubits))  # a set bit is a ground qubit
-    label = (n + space.n_qubits - ground) % 2
+    label = sum(basis_labels(space)) % 2
 
     def within(rows, cols):
         return np.array_equal(label[rows], label[cols])

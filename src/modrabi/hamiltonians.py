@@ -32,7 +32,9 @@ call.  The static anisotropic Rabi/Dicke matrix is written once, in
 `effective_hamiltonian`: the `model` specializations are it at projected
 parameters, and the collective Jx field is the interaction-picture Dicke
 form at balanced couplings; the exact frame and the Dicke form share one
-assembly, `_collective`.  Qubit sums are the collective operators of `hilbert`.
+assembly, `_collective`.  The bare energies, the frame phases and J+- a are
+written from the basis labels (`hilbert.basis_labels`): no dense operator is
+built only to read its diagonal, and no d x d product is formed.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import (HilbertSpace, Operator, annihilation,
-                      collective_qubit_operator, number_operator)
+from .hilbert import (HilbertSpace, Operator, _require_resonator, annihilation,
+                      basis_labels, collective_qubit_operator)
 from .modulation import (DriveParams, EffectiveParams, SystemParams,
                          effective_params)
 
@@ -135,25 +137,30 @@ class FramePhases:
 def frame_phases(sys: SystemParams, drive: DriveParams,
                  space: HilbertSpace) -> FramePhases:
     eff = effective_params(sys, drive)
-    fock = np.arange(space.fock_cutoff, dtype=float)
-    fock_part = np.tile(fock, space.qubit_dim)
-    sz_total = 2.0 * np.real(np.diagonal(collective_qubit_operator(space, "jz").matrix))
-    linear = (sys.omega - eff.omega_eff) * fock_part \
-        + 0.5 * (sys.epsilon - eff.epsilon_eff) * sz_total
+    fock, excited = basis_labels(space)
+    sz_total = 2.0 * excited - space.n_qubits
+    linear = (sys.omega - eff.omega_eff) * fock + 0.5 * (sys.epsilon - eff.epsilon_eff) * sz_total
     return FramePhases(space=space, linear=linear, sz_total=sz_total, drive=drive)
 
 
 def _bare(omega: float, epsilon: float, space: HilbertSpace) -> np.ndarray:
-    """omega a+a + epsilon Jz, Jz = (1/2) sum_i sigma_z^(i)."""
-    return (omega * number_operator(space).matrix
-            + epsilon * collective_qubit_operator(space, "jz").matrix)
+    """omega a+a + epsilon Jz, Jz = (1/2) sum_i sigma_z^(i), both diagonal."""
+    fock, excited = basis_labels(space)
+    return np.diag(omega * fock + epsilon * (excited - space.n_qubits / 2)).astype(complex)
 
 
 def _coupling_matrices(space: HilbertSpace):
-    """J+ a and J- a (sigma+ a and sigma- a for one qubit)."""
-    a = annihilation(space).matrix
-    return (collective_qubit_operator(space, "jp").matrix @ a,
-            collective_qubit_operator(space, "jm").matrix @ a)
+    """J+ a and J- a (sigma+ a and sigma- a for one qubit), entry by entry
+    from the basis labels: sqrt(m) from |.., g_k, .., m> to |.., e_k, .., m - 1>
+    for each qubit k, and from e_k to g_k."""
+    _require_resonator(space)
+    qubits, fock = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    jp_a, jm_a = np.zeros((2, space.dim, space.dim), dtype=complex)
+    for bit in (1 << k for k in range(space.n_qubits)):     # a set bit is a ground qubit
+        for out, before, flip in ((jp_a, bit, -bit), (jm_a, 0, bit)):
+            cols = np.flatnonzero(((qubits & bit) == before) & (fock > 0))
+            out[cols + flip * space.fock_cutoff - 1, cols] = np.sqrt(fock[cols])
+    return jp_a, jm_a
 
 
 def _suggest_dt(w_max: float) -> float:

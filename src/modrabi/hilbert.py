@@ -183,6 +183,14 @@ def _require_resonator(space: HilbertSpace):
         raise ValidationError("operation needs a resonator factor (fock_cutoff >= 2)")
 
 
+def basis_labels(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The Fock level and the number of excited qubits of each basis state,
+    so a diagonal operator needs no matrix built to read it off."""
+    qubits, fock = np.divmod(np.arange(space.dim), space.fock_cutoff)
+    ground = (qubits[:, None] >> np.arange(space.n_qubits)) & 1    # a set bit: ground
+    return fock, space.n_qubits - ground.sum(axis=1)
+
+
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, np.eye(space.dim, dtype=complex))
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .bessel import J0_FIRST_ZERO, ORDER_LIMIT, X_LIMIT, bessel_j, bessel_orders
 from .errors import UnreachableTargetError, ValidationError
 
@@ -166,10 +168,21 @@ class SidebandTerm:
     frequency: float
 
 
-def _signed_orders(n_max: int, x: float) -> list[float]:
-    """J_n(x) for n = -n_max..n_max, the negative orders as (-1)^n J_|n|(x)."""
-    js = bessel_orders(n_max, x)
-    return [-j if n % 2 else j for n, j in zip(range(n_max, 0, -1), js[:0:-1])] + js
+def _sideband_grids(drive: DriveParams, det: Detunings, n_max: int) -> tuple:
+    """Both series of `sideband_amplitudes`, alpha then beta, each as its
+    coefficients and its frequencies on (2 n_max + 1)^2 grids whose entry
+    [n1 + n_max, n2 + n_max] is term (n1, n2)."""
+    if not 1 <= n_max <= ORDER_LIMIT:
+        raise ValidationError(f"n_max must be in [1, {ORDER_LIMIT}]")
+    n = np.arange(-n_max, n_max + 1)
+    sign = np.where(n < 0, (-1.0) ** n, 1.0)      # J_-k(x) = (-1)^k J_k(x)
+    j = np.multiply.outer(*(sign * np.array(bessel_orders(n_max, 2 * eta))[abs(n)]
+                            for eta in (drive.eta1, drive.eta2)))
+    phase = n[:, None] * drive.phi1 + n * drive.phi2
+    # e^{i phase} as complex(cos, sin) exactly: no product that could flip a zero's sign
+    unit = np.stack([np.cos(phase), np.sin(phase)], axis=-1).view(complex)[..., 0]
+    comb = n[:, None] * drive.omega1 + n * drive.omega2
+    return (j * unit, det.delta_minus + comb), (j * unit.conj(), -(det.delta_plus + comb))
 
 
 def sideband_amplitudes(drive: DriveParams, det: Detunings,
@@ -182,23 +195,10 @@ def sideband_amplitudes(drive: DriveParams, det: Detunings,
     and frequency (epsilon - omega) + n1 Omega1 + n2 Omega2; beta mirrors it
     with conjugated phase and frequency -[(epsilon + omega) + n1 Omega1 + n2 Omega2].
     """
-    if not 1 <= n_max <= ORDER_LIMIT:
-        raise ValidationError(f"n_max must be in [1, {ORDER_LIMIT}]")
-    alpha: list[SidebandTerm] = []
-    beta: list[SidebandTerm] = []
-    orders = range(-n_max, n_max + 1)
-    j1s = _signed_orders(n_max, 2 * drive.eta1)
-    j2s = _signed_orders(n_max, 2 * drive.eta2)
-    for n1, j1 in zip(orders, j1s):
-        for n2, j2 in zip(orders, j2s):
-            j = j1 * j2
-            phase = n1 * drive.phi1 + n2 * drive.phi2
-            comb = n1 * drive.omega1 + n2 * drive.omega2
-            alpha.append(SidebandTerm(n1, n2, j * complex(math.cos(phase), math.sin(phase)),
-                                      det.delta_minus + comb))
-            beta.append(SidebandTerm(n1, n2, j * complex(math.cos(phase), -math.sin(phase)),
-                                     -(det.delta_plus + comb)))
-    return alpha, beta
+    orders = [(n1, n2) for n1 in range(-n_max, n_max + 1) for n2 in range(-n_max, n_max + 1)]
+    return tuple([SidebandTerm(*n, c, f) for n, c, f in
+                  zip(orders, coef.ravel().tolist(), freq.ravel().tolist())]
+                 for coef, freq in _sideband_grids(drive, det, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +261,12 @@ def validity_report(sys: SystemParams, drive: DriveParams) -> ValidityReport:
         abs(det.delta1) / abs(det.delta_minus) if det.delta_minus else math.inf,
         abs(det.delta2) / abs(det.delta_plus) if det.delta_plus else math.inf)
 
-    alpha, beta = sideband_amplitudes(drive, det, SIDEBAND_ORDERS)
-    margin = math.inf
-    for terms, kept in ((alpha, (-1, 0)), (beta, (0, -1))):
-        for term in terms:
-            if (term.n1, term.n2) == kept:
-                continue
-            coupling = abs(sys.g * term.coefficient)
-            if coupling == 0.0:
-                continue
-            margin = min(margin, abs(term.frequency) / coupling)
+    margin, n = math.inf, SIDEBAND_ORDERS
+    for (coef, freq), kept in zip(_sideband_grids(drive, det, n), ((n - 1, n), (n, n - 1))):
+        coupling = np.abs(sys.g * coef)
+        coupling[kept] = 0.0
+        live = coupling != 0.0
+        margin = min(margin, float(np.min(np.abs(freq[live]) / coupling[live], initial=math.inf)))
     return ValidityReport(
         dispersive_ratio=dispersive_ratio,
         detuning_ratio=detuning_ratio,

@@ -13,7 +13,8 @@ and/or the constant effective model; with both, the lossless effective run
 goes first as the reference whose fidelity the exact run records as it
 goes, so no run keeps a density-matrix stack.  ``validation_report`` plans
 the same runs without running them.  ``run_sweep`` repeats a run over one
-scalar parameter, optionally on a forked pool bounded by MODRABI_THREADS.
+scalar parameter, planning every point before any runs, optionally on a
+forked pool bounded by MODRABI_THREADS.
 All three hold every loaded OpenBLAS at one thread while they run, which
 the pool's workers inherit: on these small matrices a second BLAS thread
 doubled the CPU time and saved no wall time (``_one_blas_thread``).
@@ -426,12 +427,13 @@ class SimulationResult:
     effective: Trajectory | None
 
 
-def _runs(scn: Scenario, eff) -> dict:
-    """side -> (H, initial state, loss channels or None for a Schrodinger run,
-    plan) of each run, the effective one first: in 'both' mode it is the
-    lossless reference whose states the exact run records its fidelity to.
-    Every run is planned here, so a scenario that one run's plan refuses
-    fails before any run computes."""
+def _runs(scn: Scenario) -> tuple:
+    """The effective parameters, and side -> (H, initial state, loss channels
+    or None for a Schrodinger run, plan) of each run, the effective one first:
+    in 'both' mode it is the lossless reference whose states the exact run
+    records its fidelity to.  Every run is planned here, so a scenario that
+    one run's plan refuses fails before any run computes."""
+    eff = effective_params(scn.system, scn.drive)
     space = HilbertSpace(1, scn.fock_cutoff)
     psi0 = basis_state(space, "g" if scn.initial_state == "vac_g" else "e", 0)
     times = np.linspace(0.0, scn.t_end, scn.samples)
@@ -443,8 +445,8 @@ def _runs(scn: Scenario, eff) -> dict:
     runs = {side: (H, psi0.density_matrix(), loss_dissipators(scn.system, space))
             if scn.dissipation and takes_loss else (H, psi0, None)
             for side, (H, takes_loss) in sides.items()}
-    return {side: (H, state, channels, _plan(H, state, times, scn.integrator, channels))
-            for side, (H, state, channels) in runs.items()}
+    return eff, {side: (H, state, channels, _plan(H, state, times, scn.integrator, channels))
+                 for side, (H, state, channels) in runs.items()}
 
 
 def _resolved(scn: Scenario, eff) -> dict:
@@ -469,16 +471,21 @@ def validation_report(scn: Scenario) -> dict:
     """The resolved parameters of `scn` and, under "plans", the method,
     `rhs_evals` and `blocks` of each run, planned as `run_simulation` plans
     them: it raises what a run would raise, before any run computes."""
-    eff = effective_params(scn.system, scn.drive)
-    plans = {side: plan.summary() for side, (*_, plan) in _runs(scn, eff).items()}
-    return {**_resolved(scn, eff), "plans": plans}
+    eff, runs = _runs(scn)
+    return {**_resolved(scn, eff), "plans": {side: plan.summary()
+                                             for side, (*_, plan) in runs.items()}}
 
 
 @_one_blas_thread()
 def run_simulation(scn: Scenario) -> SimulationResult:
-    eff = effective_params(scn.system, scn.drive)
+    return _simulate(scn, *_runs(scn))
+
+
+@_one_blas_thread()
+def _simulate(scn: Scenario, eff, planned: dict) -> SimulationResult:
+    """Carry out the runs `_runs(scn)` planned; sweep points, in pool workers too, enter here."""
     runs = {}
-    for side, (H, state, channels, plan) in _runs(scn, eff).items():
+    for side, (H, state, channels, plan) in planned.items():
         # the effective run, when it went first, is the exact run's reference
         reference = runs["effective"].states if "effective" in runs else None
         if channels is None:
@@ -554,10 +561,11 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     return out
 
 
-def _sweep_point(args):
-    value, scn = args
+def _sweep_point(job):
+    """One planned point (value, scenario, its effective parameters, its runs)."""
+    value, scn, eff, planned = job
     try:
-        res = run_simulation(scn)
+        res = _simulate(scn, eff, planned)
         primary = res.exact or res.effective
         obs = primary.observables
         return {"value": value, "ok": True,
@@ -572,6 +580,13 @@ def _sweep_point(args):
     except Exception as err:  # per-point failure is data, not a crash
         return {"value": value, "ok": False,
                 "error": f"{type(err).__name__}: {err}"}
+
+
+_inherited = []      # a forked sweep worker's planned points, empty elsewhere
+
+
+def _inherited_point(i: int):
+    return _sweep_point(_inherited[i])
 
 
 def _worker_count(threads: int | None) -> int:
@@ -595,16 +610,25 @@ def run_sweep(doc: dict, param: str, values: list[float], name: str = "sweep",
     """Run one scenario per value; returns (manifest, header, rows)."""
     if len(values) < 2:
         raise ValidationError("sweep needs at least 2 points")
-    # validate the thread count and parse every point, once, before any compute
+    # validate the thread count, then parse and plan every point, once,
+    # before any compute: a point that is refused names its value
     threads = min(_worker_count(threads), len(values))
-    jobs = [(v, parse_scenario(apply_sweep_value(doc, param, v), name=name))
-            for v in values]
+    jobs = []
+    for v in values:
+        point = apply_sweep_value(doc, param, v)      # names the parameter itself
+        try:
+            scn = parse_scenario(point, name=name)
+            jobs.append((v, scn, *_runs(scn)))
+        except ValidationError as err:
+            raise ValidationError(f"{param} = {v}: {err}") from err
     if threads == 1:
         points = [_sweep_point(j) for j in jobs]
     else:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(threads) as pool:
-            points = pool.map(_sweep_point, jobs)
+        # a rotated H holds closures, which do not pickle: each worker's
+        # initializer keeps the planned points the fork copied, by index
+        with mp.get_context("fork").Pool(threads, _inherited.extend, (jobs,)) as pool:
+            points = pool.map(_inherited_point, range(len(jobs)))
 
     header = ["sweep_value", "time_s", "sigma_pop", "photon_number"]
     rows = []

@@ -8,9 +8,10 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from modrabi.dynamics import (_MAX_BLOCK, DEFAULT_OBSERVABLES, DP5, MAX_RHS_EVALS, RK4,
-                              TABLEAUS, Dissipator, IntegratorConfig, Tableau, _csr_kernel,
-                              _Generator, _lindblad, _parity_blocks, _plan,
+from modrabi.dynamics import (_DIAGONAL_WEIGHTS, _MAX_BLOCK, DEFAULT_OBSERVABLES, DP5,
+                              MAX_RHS_EVALS, RK4, TABLEAUS, Dissipator, IntegratorConfig,
+                              Tableau, _csr_kernel, _Generator, _lindblad, _ObservableSet,
+                              _parity_blocks, _plan,
                               dissipator_frame_defect, evolve_master, evolve_schrodinger,
                               extract_period, fidelity, loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -19,7 +20,8 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                             annihilation, basis_state, qubit_operator)
+                             annihilation, basis_state, embed_resonator, number_operator,
+                             qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
 from modrabi.scenarios import (load_scenario, load_scenario_document, parse_scenario,
@@ -214,6 +216,45 @@ def test_non_finite_sample_aborts_naming_its_time(method):
         with pytest.raises(NumericsError, match=r"not finite at t = 0\.5$") as err:
             run()
         assert err.value.diagnostics == {"time": 0.5}
+
+
+@pytest.mark.parametrize("method", ["fixed_dp5", "fixed_rk4"])
+def test_vector_run_stops_stepping_at_its_first_non_finite_sample(method):
+    # a run that turns NaN after t = 0.45 on a grid to t = 1000 raises at the
+    # sample t = 0.5, and the stepper evaluates no time more than one block
+    # of _MAX_BLOCK steps past it: it does not run on to the end of the grid
+    space = HilbertSpace(1, 4)
+    H = nan_after(space, 0.45)
+    evaluated = []
+
+    def spy(t, coefficients=H.coefficients):
+        evaluated.append(float(np.max(t)))
+        return coefficients(t)
+    H = replace(H, coefficients=spy)
+    dt = 0.01
+    times = np.linspace(0.0, 1000.0, 10001)
+    with pytest.raises(NumericsError, match=r"not finite at t = 0\.5$") as err:
+        evolve_schrodinger(H, basis_state(space, "g", 0), times,
+                           IntegratorConfig(method=method, dt=dt))
+    assert err.value.diagnostics == {"time": 0.5}
+    assert 0.5 <= max(evaluated) <= 0.5 + _MAX_BLOCK * dt * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", range(2, 7))
+def test_observable_weights_equal_the_kron_built_diagonals(n_qubits, cutoff):
+    space = HilbertSpace(n_qubits, cutoff)
+    weights = dict(zip(_DIAGONAL_WEIGHTS, _ObservableSet(space, 1).weights))
+    top = np.diag(np.arange(cutoff) == cutoff - 1).astype(complex)
+    expected = {
+        "sigma_pop": 0.5 + 0.5 * np.real(np.diagonal(qubit_operator(space, 0, "sz").matrix)),
+        "photon_number": np.real(np.diagonal(number_operator(space).matrix)),
+        "trace": np.ones(space.dim),
+        "top_fock_pop": np.real(np.diagonal(embed_resonator(space, top))),
+    }
+    assert weights.keys() == expected.keys()
+    for name, w in expected.items():
+        assert np.array_equal(weights[name], w), name
 
 
 def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():

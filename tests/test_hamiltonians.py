@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from modrabi.errors import ValidationError
-from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
-                                  effective_hamiltonian, frame_phases,
+from modrabi.hamiltonians import (TimeDependentHamiltonian, _bare, _coupling_matrices,
+                                  dicke_hamiltonian, effective_hamiltonian, frame_phases,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
 from modrabi.hilbert import (HilbertSpace, annihilation,
@@ -343,6 +343,36 @@ def test_jx_field_matches_balanced_degenerate_dicke():
     H_jx = jx_field_hamiltonian(g_eff, delta, space)
     for t in (0.0, 0.3, 1.1):
         assert np.max(np.abs(H_dicke.evaluate(t) - H_jx.evaluate(t))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# operators written from the basis labels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_qubits", range(4))
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_label_built_operators_equal_the_kron_built_ones(n_qubits, cutoff):
+    # the bare energies, J+- a and the frame phases, written from the basis
+    # labels, against the dense kron-built constructors of hilbert, exactly
+    space = HilbertSpace(n_qubits, cutoff)
+    eff = effective_params(SYS, DRIVE_A)
+    jz = collective_qubit_operator(space, "jz").matrix
+    phases = frame_phases(SYS, DRIVE_A, space)
+    sz_total = 2.0 * np.real(np.diagonal(jz))
+    fock = np.tile(np.arange(cutoff, dtype=float), space.qubit_dim)
+    assert np.array_equal(phases.sz_total, sz_total)
+    assert np.array_equal(phases.linear, (SYS.omega - eff.omega_eff) * fock
+                          + 0.5 * (SYS.epsilon - eff.epsilon_eff) * sz_total)
+    if cutoff < 2:      # no ladder: J+- a is refused, as annihilation refuses a
+        with pytest.raises(ValidationError, match="resonator"):
+            _coupling_matrices(space)
+        return
+    for omega, epsilon in ((eff.omega_eff, eff.epsilon_eff), (-3.5, 0.25)):
+        assert np.array_equal(_bare(omega, epsilon, space),
+                              omega * number_operator(space).matrix + epsilon * jz)
+    a = annihilation(space).matrix
+    for built, kind in zip(_coupling_matrices(space), ("jp", "jm")):
+        assert np.array_equal(built, collective_qubit_operator(space, kind).matrix @ a)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modrabi.bessel import ORDER_LIMIT, X_LIMIT, bessel_j
+from modrabi.bessel import ORDER_LIMIT, X_LIMIT, bessel_j, bessel_orders
 from modrabi.errors import UnreachableTargetError, ValidationError
 from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 SystemParams, amplitudes_for_coupling,
                                 coupling_ratio, detunings, drive_for_detunings,
                                 drive_for_targets, effective_params,
-                                sideband_amplitudes, solve_amplitudes, swap_tones,
-                                validity_report)
+                                SIDEBAND_ORDERS, sideband_amplitudes, solve_amplitudes,
+                                swap_tones, validity_report)
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -238,6 +240,67 @@ def test_rwa_margin_zero_amplitude():
     det = detunings(SYS, drive)
     expected = min(abs(det.delta_minus), abs(det.delta_plus)) / SYS.g
     assert rep.rwa_margin == pytest.approx(expected, rel=1e-12)
+
+
+def _reference_series(drive, det, n_max):
+    """Both sideband series term by term, (n1, n2, coefficient, frequency)."""
+    def signed(n, x):
+        val = bessel_orders(n_max, x)[abs(n)]
+        return -val if n < 0 and n % 2 else val
+
+    alpha, beta = [], []
+    for n1 in range(-n_max, n_max + 1):
+        for n2 in range(-n_max, n_max + 1):
+            j = signed(n1, 2 * drive.eta1) * signed(n2, 2 * drive.eta2)
+            phase = n1 * drive.phi1 + n2 * drive.phi2
+            comb = n1 * drive.omega1 + n2 * drive.omega2
+            alpha.append((n1, n2, j * complex(math.cos(phase), math.sin(phase)),
+                          det.delta_minus + comb))
+            beta.append((n1, n2, j * complex(math.cos(phase), -math.sin(phase)),
+                         -(det.delta_plus + comb)))
+    return alpha, beta
+
+
+def _reference_margin(sys, drive):
+    """The sideband margin of `validity_report`, term by term."""
+    alpha, beta = _reference_series(drive, detunings(sys, drive), SIDEBAND_ORDERS)
+    margin = math.inf
+    for terms, kept in ((alpha, (-1, 0)), (beta, (0, -1))):
+        for n1, n2, coefficient, frequency in terms:
+            coupling = abs(sys.g * coefficient)
+            if (n1, n2) != kept and coupling != 0.0:
+                margin = min(margin, abs(frequency) / coupling)
+    return margin
+
+
+def _bits(z):
+    """The exact floats of z, told apart down to the sign of a zero."""
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+_amplitudes = st.one_of(st.just(0.0), st.floats(0.0, X_LIMIT / 2))
+_drives = st.builds(DriveParams, omega1=st.floats(0.1, 20.0).map(lambda f: f * GHZ),
+                    omega2=st.floats(0.1, 20.0).map(lambda f: f * GHZ),
+                    eta1=_amplitudes, eta2=_amplitudes,
+                    phi1=st.floats(-10.0, 10.0), phi2=st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=60)
+@given(drive=_drives, g_mhz=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+       n_max=st.integers(1, 8))
+def test_series_and_margin_equal_the_per_term_loop_bit_for_bit(drive, g_mhz, n_max):
+    # eta = 0 leaves zero couplings, which the margin skips; g = 0 leaves no
+    # coupling at all, and the margin is inf, spelled "inf" in the JSON
+    sys = replace(SYS, g=g_mhz * MHZ)
+    det = detunings(sys, drive)
+    for terms, reference in zip(sideband_amplitudes(drive, det, n_max),
+                                _reference_series(drive, det, n_max)):
+        assert [(t.n1, t.n2, _bits(t.coefficient), _bits(t.frequency)) for t in terms] \
+            == [(n1, n2, _bits(c), _bits(f)) for n1, n2, c, f in reference]
+    report = validity_report(sys, drive)
+    assert _bits(report.rwa_margin) == _bits(_reference_margin(sys, drive))
+    if g_mhz == 0.0:
+        assert report.as_dict()["rwa_margin"] == "inf"
 
 
 # ---------------------------------------------------------------------------

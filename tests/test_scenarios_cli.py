@@ -701,6 +701,44 @@ def test_simulate_plans_both_sides_before_either_runs(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_sweep_with_a_refused_point_exits_2_before_any_point_runs(tmp_path, capsys,
+                                                                      monkeypatch, threads):
+    # the last point of this sweep is fig4jc over 1e12 ns, which its plan
+    # refuses; the sweep exits 2 naming that point and the grid, and its
+    # first point, which is fine, is not run either
+    import modrabi.scenarios as scenarios
+    runs = []
+    for name in ("_schrodinger", "_master"):
+        monkeypatch.setattr(scenarios, name, lambda *args, **kwargs: runs.append(1))
+    argv = ["sweep", "fig4jc", "--param", "grid.t_end_ns", "--from", "2", "--to", "1e12",
+            "--points", "2", "--threads", threads, "-o", str(tmp_path / "swp")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "grid.t_end_ns = 1000000000000.0: grid: " in err
+    assert runs == []
+    assert not (tmp_path / "swp").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_plans_each_point_once_and_pool_workers_do_not_replan(monkeypatch, threads):
+    import os
+
+    import modrabi.scenarios as scenarios
+    parent, planned, plan = os.getpid(), [], scenarios._plan
+
+    def plan_in_the_parent(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker planned a run")
+        planned.append(1)
+        return plan(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "_plan", plan_in_the_parent)
+    manifest, _, rows = run_sweep(small_doc(), "drive.eta2", [0.0, 0.4, 0.8], threads=threads)
+    assert manifest["status"] == "complete" and manifest["failures"] == []
+    assert len(planned) == 3 * 2        # model 'both': two runs per point
+    assert len(rows) == 3 * 21
+
+
 def test_cli_unreadable_scenario_exit_code(tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
     scn_file.write_text('{"schema_version": 1,')

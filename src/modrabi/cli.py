@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     des.add_argument("--epsilon-ghz", type=float, default=5.4)
     des.add_argument("--omega-ghz", type=float, default=2.2)
     des.add_argument("--g-mhz", type=float, default=70.0)
-    des.add_argument("--kappa-mhz", type=float, default=0.05)
-    des.add_argument("--gamma-mhz", type=float, default=0.012)
     des.add_argument("-o", "--output", default=None,
                      help="also write design.json into this directory")
 
@@ -160,12 +158,12 @@ def cmd_design(args) -> int:
         raise ValidationError(f"--lambda: must be a number in [0, inf], got {args.anisotropy}")
     _require(args, "finite", math.isfinite, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
     _require(args, "> 0", lambda v: v > 0, "gratio", "gr_mhz")
+    # in rad/s, where a huge finite value overflows
+    _require(args, "finite and >= 0", lambda v: 0 <= v * GHZ < math.inf, "epsilon_ghz", "omega_ghz")
+    _require(args, "finite and >= 0", lambda v: 0 <= v * MHZ < math.inf, "g_mhz")
     delta1 = _delta1(args.delta1_hz, args.delta1_mhz, "--delta1-hz", "--delta1-mhz")
-    sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ,
-                              omega=args.omega_ghz * GHZ,
-                              g=args.g_mhz * MHZ,
-                              kappa=args.kappa_mhz * MHZ,
-                              gamma=args.gamma_mhz * MHZ)
+    sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ, omega=args.omega_ghz * GHZ,
+                              g=args.g_mhz * MHZ)
     lam = args.anisotropy
     if args.gr_mhz is not None:
         eta1, eta2 = amplitudes_for_coupling(args.gr_mhz * MHZ, lam, sys_params.g)
@@ -225,7 +223,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_applications_cat(args) -> int:
-    _require(args, "finite", math.isfinite, "g_ratio")
+    _require(args, "finite, with 4 pi g_ratio^2 finite",    # it bounds |xi|^2
+             lambda v: math.isfinite(theta_from_coupling_ratio(v)), "g_ratio")
     _require(args, "finite and > 0", lambda v: 0.0 < v < math.inf, "time_ns")
     _require(args, "finite and nonzero", lambda v: math.isfinite(v) and v != 0.0, "omega_mhz")
     _require(args, ">= 1", lambda v: v >= 1, "samples")
@@ -277,7 +276,8 @@ def cmd_applications_cat(args) -> int:
 
 
 def cmd_applications_gate(args) -> int:
-    _require(args, "finite", math.isfinite, "g_ratio")
+    _require(args, "finite, with 4 pi g_ratio^2 finite",
+             lambda v: math.isfinite(theta_from_coupling_ratio(v)), "g_ratio")
     gate = gate_at_period(args.g_ratio, 1.0)
     theta = theta_from_coupling_ratio(args.g_ratio)
     power = entangling_power(theta)

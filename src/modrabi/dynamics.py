@@ -5,7 +5,7 @@ is the (n,) case and a density matrix a stack of diagonal blocks.  A
 Schrodinger run keeps its states, one (T, d) array; a Lindblad run keeps
 its (T, d, d) stack only when asked (`store_states`).  The loop takes
 fixed steps of one Runge-Kutta stepper driven by a Butcher tableau
-(`_RungeKutta`): Dormand-Prince 5(4) (`fixed_dp5`, the default of every run
+(`_propagate`): Dormand-Prince 5(4) (`fixed_dp5`, the default of every run
 that is stepped) or classical RK4 (`fixed_rk4`, the oracle).  A Schrodinger
 run with a static Hamiltonian and no method named skips the loop: one
 eigendecomposition H = V diag(lam) V+ gives psi(t) = V exp(-i lam (t - t0))
@@ -279,22 +279,6 @@ class _Generator:
         return c @ self.weights
 
 
-class _Flow:
-    """The right-hand side y' = f(t, y) of a run on arrays of `shape`, linear
-    in y and applied in stages out += c f(t, x).
-
-    stage(data, jump_data, x, out) adds c f(t, x) to out, which the caller
-    has zeroed: `data` holds the nonzeros of c K(t) (`generator.data(times,
-    c)`) and `jump_data` those of c J / 2 (c times `jump_data`), so a stage is
-    one pass over each operator and no copy.  A state vector has no J.
-    """
-
-    def __init__(self, generator: _Generator, stage, shape: tuple,
-                 jump_data: np.ndarray = np.zeros(0, dtype=complex)):
-        self.generator, self.stage, self.shape = generator, stage, shape
-        self.jump_data = jump_data
-
-
 def _vector_stage(generator: _Generator, shape: tuple):
     """stage(data, jump_data, psi, out): out += c K psi, with the nonzeros
     `data` of c K; `jump_data` is unused."""
@@ -385,107 +369,98 @@ DP5 = Tableau(
 TABLEAUS = {"fixed_rk4": RK4, "fixed_dp5": DP5}
 
 
-class _RungeKutta:
-    """Fixed steps of a tableau over arrays, in place, along a run's plan.
+def _propagate(generator: _Generator, stage, y0: np.ndarray, plan: RunPlan, record,
+               jump_data: np.ndarray = np.zeros(0, dtype=complex)):
+    """Step y0 along the plan in fixed steps of its method's tableau, handing
+    record(k, state at times[k]) for every time of its grid; the state
+    handed over is a buffer the next step overwrites.
 
-    y and the scaled slopes h k_i are the rows of one stack
+    stage(data, jump_data, x, out) adds c f(t, x) to out, which the stepper
+    zeroes: `data` holds the nonzeros of c K(t) (`generator.data(times, c)`)
+    and `jump_data` those of c J / 2, c times the `jump_data` given here (a
+    state vector has no J).  Interval k of the plan (a sample interval, or
+    the whole grid when `dense`) takes plan.steps[k] equal steps of its own
+    h.  y and the scaled slopes h k_i are the rows of one stack
     z = [y, h k_1, ..., h k_s], so a stage input x_i = y + sum_j a_ij h k_j
-    is one dot of the real weights [1, a_i1, .., a_i,i-1] with the float
-    view of rows 0 .. i-1 of z, and stage i adds h k_i to its row, which the
-    stepper zeroes once per step.  A state inside the step is the dot of the
-    whole stack with [1, b(theta)].  The last stage is taken at the new y
-    (c_s = 1, a_s = b), so the new y is that stage's input and its slope the
-    next step's first: a step costs s - 1 evaluations and each interval of
-    the plan one more, at its start.  The nonzeros of h K for every stage of
-    up to _MAX_BLOCK steps, and for the first stage of each interval that
-    begins among them, come from one call, across the intervals' bounds.
+    is one real dot of [1, a_i1, .., a_i,i-1] with rows 0 .. i-1 of z, and a
+    state inside a step one of [1, b(theta)] with all of z.  The last stage
+    is at the new y (c_s = 1, a_s = b), so its slope is the next step's
+    first: a step costs s - 1 evaluations and each interval one more.  The
+    nonzeros of h K for up to _MAX_BLOCK steps, across the intervals' bounds,
+    come from one call.  A run that restarts at each sample records the new y
+    at the end of each interval; a dense run reads each sample off the
+    continuous extension in the step that covers it, before y moves on.
     """
+    tableau = TABLEAUS[plan.method]
+    s = len(tableau.b)
+    z = np.zeros((s + 1, *y0.shape), dtype=complex)
+    x = np.empty(y0.shape, dtype=complex)
+    sample = np.empty(y0.shape, dtype=complex)
+    # float views: the weights are real, so each combination is one real dot
+    zf = z.reshape(s + 1, -1).view(float)
+    xf = x.reshape(-1).view(float)
+    sf = sample.reshape(-1).view(float)
+    # the times of the stages taken every step; stage 1 is taken once per interval
+    c = np.array(tableau.c[1:])
+    # stages 2 .. s: (index into those times, the weights of y and
+    # h k_1 .. h k_i, those rows of z, the output row h k_i+1)
+    stages = [(i - 1, np.array([1.0, *tableau.a[i]]), zf[:i + 1], z[i + 1])
+              for i in range(1, s)]
+    times, dense = plan.times, plan.dense
+    y, k1, ks = z[0], z[1], z[-1]
+    fresh = z[2:]                           # the rows a step's stages write
+    edges = times[[0, -1]] if dense else times
+    h = np.diff(edges) / plan.steps
+    ends = np.cumsum(plan.steps)
+    begins = ends - plan.steps
+    total = int(ends[-1])
 
-    def __init__(self, flow: _Flow, tableau: Tableau):
-        s = len(tableau.b)
-        self.flow = flow
-        self.z = np.zeros((s + 1, *flow.shape), dtype=complex)
-        self.x = np.empty(flow.shape, dtype=complex)
-        self.sample = np.empty(flow.shape, dtype=complex)
-        # float views: the weights are real, so each combination is one real dot
-        self.zf = zf = self.z.reshape(s + 1, -1).view(float)
-        self.xf = self.x.reshape(-1).view(float)
-        self.sf = self.sample.reshape(-1).view(float)
-        self.p = None if tableau.p is None else np.array(tableau.p)
-        # the times of the stages taken every step; stage 1 is taken once
-        # per interval
-        self.c = np.array(tableau.c[1:])
-        # stages 2 .. s: (index into those times, the weights of y and
-        # h k_1 .. h k_i, those rows of z, the output row h k_i+1)
-        self.stages = [(i - 1, np.array([1.0, *tableau.a[i]]), zf[:i + 1], self.z[i + 1])
-                       for i in range(1, s)]
+    def load(first):
+        """The nonzeros of h K for the steps first .. first + _MAX_BLOCK - 1
+        (first a multiple of _MAX_BLOCK), one (c, nnz) array per step, and an
+        iterator over those of the first stage of each interval that begins
+        among them."""
+        n = np.arange(first, min(first + _MAX_BLOCK, total))
+        k = np.searchsorted(ends, n, side="right")      # the interval of each step
+        hs = h[k]
+        starts = edges[k] + (n - begins[k]) * hs
+        new = k[n == begins[k]]
+        t = np.concatenate([(starts[:, None] + hs[:, None] * c).ravel(), edges[new]])
+        data = generator.data(t, np.concatenate([np.repeat(hs, c.size), h[new]]))
+        return data[:n.size * c.size].reshape(n.size, c.size, -1), iter(data[n.size * c.size:])
 
-    def run(self, y0: np.ndarray, plan: RunPlan, record):
-        """Step y0 along the plan, handing record(k, state at times[k]) for
-        every time of its grid; the state handed over is a buffer the next
-        step overwrites.
-
-        Interval k of the plan (a sample interval, or the whole grid when
-        `dense`) takes plan.steps[k] equal steps of its own h.  A run that
-        restarts at each sample records the new y at the end of each
-        interval; a dense run reads each sample off the continuous extension
-        in the step that covers it, before y moves on.
-        """
-        times, dense, c = plan.times, plan.dense, self.c
-        stage, stages, x, xf = self.flow.stage, self.stages, self.x, self.xf
-        y, k1, ks = self.z[0], self.z[1], self.z[-1]
-        fresh = self.z[2:]                      # the rows a step's stages write
-        edges = times[[0, -1]] if dense else times
-        h = np.diff(edges) / plan.steps
-        ends = np.cumsum(plan.steps)
-        begins = ends - plan.steps
-        total = int(ends[-1])
-
-        def load(first):
-            """The nonzeros of h K for the steps first .. first + _MAX_BLOCK - 1
-            (first a multiple of _MAX_BLOCK), one (c, nnz) array per step,
-            and an iterator over those of the first stage of each interval
-            that begins among them."""
-            n = np.arange(first, min(first + _MAX_BLOCK, total))
-            k = np.searchsorted(ends, n, side="right")      # the interval of each step
-            hs = h[k]
-            starts = edges[k] + (n - begins[k]) * hs
-            new = k[n == begins[k]]
-            t = np.concatenate([(starts[:, None] + hs[:, None] * c).ravel(), edges[new]])
-            data = self.flow.generator.data(t, np.concatenate([np.repeat(hs, c.size), h[new]]))
-            return data[:n.size * c.size].reshape(n.size, c.size, -1), iter(data[n.size * c.size:])
-
-        if dense:
-            u = (times - times[0]) / h[0]
-            in_step = np.clip(np.ceil(u).astype(int) - 1, 0, total - 1)
-            theta = (u - in_step)[:, None] ** np.arange(1, self.p.shape[1] + 1)
-            weights = np.hstack([np.ones((u.size, 1)), theta @ self.p.T])
-            # step n reads samples reads[n] .. reads[n + 1] - 1
-            reads = np.searchsorted(in_step, np.arange(total + 1)).tolist()
-        np.copyto(y, y0)
+    if dense:
+        p = np.array(tableau.p)
+        u = (times - times[0]) / h[0]
+        in_step = np.clip(np.ceil(u).astype(int) - 1, 0, total - 1)
+        theta = (u - in_step)[:, None] ** np.arange(1, p.shape[1] + 1)
+        weights = np.hstack([np.ones((u.size, 1)), theta @ p.T])
+        # step n reads samples reads[n] .. reads[n + 1] - 1
+        reads = np.searchsorted(in_step, np.arange(total + 1)).tolist()
+    np.copyto(y, y0)
+    if not dense:
+        record(0, y)
+    for k, (first, last) in enumerate(zip(begins.tolist(), ends.tolist())):
+        h_jump_data = h[k] * jump_data
+        for n in range(first, last):
+            if n % _MAX_BLOCK == 0:
+                rows, first_rows = load(n)
+            if n == first:              # the interval's first stage, afresh
+                k1.fill(0.0)
+                stage(next(first_rows), h_jump_data, y, k1)
+            d = rows[n % _MAX_BLOCK]
+            fresh.fill(0.0)
+            for i, w, zrows, out in stages:
+                np.dot(w, zrows, out=xf)
+                stage(d[i], h_jump_data, x, out)
+            if dense:
+                for j in range(reads[n], reads[n + 1]):
+                    np.dot(weights[j], zf, out=sf)
+                    record(j, sample)
+            np.copyto(y, x)             # the last stage's input is the new y
+            np.copyto(k1, ks)
         if not dense:
-            record(0, y)
-        for k, (first, last) in enumerate(zip(begins.tolist(), ends.tolist())):
-            jump_data = h[k] * self.flow.jump_data
-            for n in range(first, last):
-                if n % _MAX_BLOCK == 0:
-                    rows, first_rows = load(n)
-                if n == first:              # the interval's first stage, afresh
-                    k1.fill(0.0)
-                    stage(next(first_rows), jump_data, y, k1)
-                d = rows[n % _MAX_BLOCK]
-                fresh.fill(0.0)
-                for i, w, zrows, out in stages:
-                    np.dot(w, zrows, out=xf)
-                    stage(d[i], jump_data, x, out)
-                if dense:
-                    for j in range(reads[n], reads[n + 1]):
-                        np.dot(weights[j], self.zf, out=self.sf)
-                        record(j, self.sample)
-                np.copyto(y, x)             # the last stage's input is the new y
-                np.copyto(k1, ks)
-            if not dense:
-                record(k + 1, y)
+            record(k + 1, y)
 
 
 @dataclass(frozen=True)
@@ -566,12 +541,6 @@ def _check_finite(value: float, t: float, what: str):
                             diagnostics={"time": float(t)})
 
 
-def _propagate(flow: _Flow, y0: np.ndarray, plan: RunPlan, record):
-    """Carry y0 along the plan's grid in its steps, handing the state at each
-    time i to record(i, state)."""
-    _RungeKutta(flow, TABLEAUS[plan.method]).run(y0, plan, record)
-
-
 # ---------------------------------------------------------------------------
 # Schrodinger propagation
 # ---------------------------------------------------------------------------
@@ -611,8 +580,7 @@ def _schrodinger(H: TimeDependentHamiltonian, psi0: PureState, plan: RunPlan,
         np.matmul(np.exp(-1j * lam * (times - times[0])[:, None]) * c0, V.T, out=raw)
     else:
         generator = _Generator(H, order=order)
-        flow = _Flow(generator, _vector_stage(generator, order.shape), order.shape)
-        _propagate(flow, psi0_sector, plan, record)
+        _propagate(generator, _vector_stage(generator, order.shape), psi0_sector, plan, record)
     pop = raw.real ** 2 + raw.imag ** 2
     norm2 = pop.sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(norm2))   # a stepped run has stopped at its first
@@ -636,7 +604,8 @@ def _schrodinger(H: TimeDependentHamiltonian, psi0: PureState, plan: RunPlan,
 
 def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
               blocks: list[np.ndarray]):
-    """Flow and sector layout of a Lindblad run, two sparse products per stage.
+    """(generator, stage, jump_data, layout) of a Lindblad run, two sparse
+    products per stage, for `_propagate`.
 
     rho is carried as the (S, N, N) stack of its diagonal `blocks`, the
     parity sectors (S = 2) or the one (1, d, d) block when the run does not
@@ -661,8 +630,7 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
         jumps = jumps + (0.5 * d.rate) * sparse.kron(L, L.conj(), format="csr")
     live = layout.reshape(-1)
     jumps = jumps[live][:, live]
-    return _Flow(generator, _block_stage(generator, jumps, layout.shape), layout.shape,
-                 jumps.data), layout
+    return generator, _block_stage(generator, jumps, layout.shape), jumps.data, layout
 
 
 def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -742,8 +710,8 @@ def _master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
     """The run of `evolve_master`, carrying out `plan`, which `_plan` made
     for it."""
     times = plan.times
-    flow, layout = _lindblad(H, dissipators, plan.blocks)
-    rows = layout[:, :, 0] // H.space.dim       # basis state of each row, (S, N)
+    generator, stage, jump_data, layout = _lindblad(H, dissipators, plan.blocks)
+    rows = np.array(plan.blocks)                # basis state of each row, (S, N)
     obs = _ObservableSet(H.space, len(times), rows.reshape(-1))
     if reference is not None:
         obs.series["fidelity"] = np.empty(len(times))
@@ -765,7 +733,7 @@ def _master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
                     f"density matrix lost positivity at t = {times[i]:.6g}",
                     diagnostics={"time": float(times[i]), "min_eigenvalue": lo,
                                  "positivity_floor": POSITIVITY_FLOOR})
-        trace = float(np.real(np.trace(rho, axis1=1, axis2=2).sum()))
+        trace = float(obs.series["trace"][i])
         if abs(trace - 1.0) > TRACE_TOL:
             raise NumericsError(
                 f"density matrix trace drifted to {trace:.9g} at t = {times[i]:.6g}",
@@ -777,7 +745,7 @@ def _master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
         if states is not None:
             states[i].reshape(-1)[layout] = rho
 
-    _propagate(flow, rho0.matrix.reshape(-1)[layout], plan, record)
+    _propagate(generator, stage, rho0.matrix.reshape(-1)[layout], plan, record, jump_data)
     return Trajectory(times=times, observables=obs.series, states=states,
                       diagnostics={"trace_drift": trace_drift, "min_eigenvalue": min_eig,
                                    "min_eigenvalue_time": min_eig_time,

@@ -32,9 +32,11 @@ call.  The static anisotropic Rabi/Dicke matrix is written once, in
 `effective_hamiltonian`: the `model` specializations are it at projected
 parameters, and the collective Jx field is the interaction-picture Dicke
 form at balanced couplings; the exact frame and the Dicke form share one
-assembly, `_collective`.  The bare energies, the frame phases and J+- a are
-written from the basis labels (`hilbert.basis_labels`): no dense operator is
-built only to read its diagonal, and no d x d product is formed.
+assembly, `_collective`, and the lab frame and the effective model one
+constant coupling, `_coupling`.  The bare energies, the frame phases, sigma_z
+and J+- a are written from the basis labels (`hilbert.basis_labels`): no
+dense operator is built only to read its diagonal, and no d x d product is
+formed.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import (HilbertSpace, Operator, _require_resonator, annihilation,
-                      basis_labels, collective_qubit_operator)
+from .hilbert import HilbertSpace, Operator, _require_resonator, basis_labels
 from .modulation import (DriveParams, EffectiveParams, SystemParams,
                          effective_params)
 
@@ -163,6 +164,13 @@ def _coupling_matrices(space: HilbertSpace):
     return jp_a, jm_a
 
 
+def _coupling(space: HilbertSpace, c_r: complex, c_cr: complex) -> np.ndarray:
+    """c_r J+ a + c_cr J- a + h.c., the constant collective coupling."""
+    jp_a, jm_a = _coupling_matrices(space)
+    rot, cnt = c_r * jp_a, c_cr * jm_a
+    return rot + rot.conj().T + cnt + cnt.conj().T
+
+
 def _suggest_dt(w_max: float) -> float:
     """Fixed RK4's default step, 2 pi / (40 w_max): 40 per period of w_max."""
     return 2.0 * math.pi / w_max / 40.0
@@ -198,9 +206,7 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
     """Bare system plus interaction plus the sigma_z frequency modulation."""
     if space.n_qubits < 1:
         raise ValidationError("lab Hamiltonian needs at least one qubit")
-    a = annihilation(space).matrix
-    x = a + a.conj().T
-    sx = collective_qubit_operator(space, "jx").matrix
+    _, excited = basis_labels(space)
 
     def coefficients(t: np.ndarray) -> np.ndarray:
         return _drive_phase_rate(drive, t).astype(complex)[:, None]
@@ -208,8 +214,9 @@ def lab_hamiltonian(sys: SystemParams, drive: DriveParams,
     return TimeDependentHamiltonian(
         space=space,
         descriptor={"suggested_dt": _suggest_dt(_lab_w_max(sys, drive))},
-        static=_bare(sys.omega, sys.epsilon, space) + sys.g * (x @ sx),
-        terms=(2.0 * collective_qubit_operator(space, "jz").matrix,),
+        # g (a + a+) Jx, Jx = J+ + J- (the plain sum of sigma_x)
+        static=_bare(sys.omega, sys.epsilon, space) + _coupling(space, sys.g, sys.g),
+        terms=(np.diag(2.0 * excited - space.n_qubits).astype(complex),),    # 2 Jz
         coefficients=coefficients)
 
 
@@ -239,12 +246,8 @@ def effective_hamiltonian(eff: EffectiveParams,
 
     the one builder of this matrix.
     """
-    jp_a, jm_a = _coupling_matrices(space)
-    rot = eff.g_r * np.exp(-1j * eff.phi1) * jp_a
-    cnt = eff.g_cr * np.exp(1j * eff.phi2) * jm_a
-    h0 = (_bare(eff.omega_eff, eff.epsilon_eff, space)
-          + rot + rot.conj().T + cnt + cnt.conj().T)
-
+    h0 = _bare(eff.omega_eff, eff.epsilon_eff, space) + _coupling(
+        space, eff.g_r * np.exp(-1j * eff.phi1), eff.g_cr * np.exp(1j * eff.phi2))
     return TimeDependentHamiltonian(
         space=space,
         descriptor={"suggested_dt": _static_dt(h0)},

@@ -636,7 +636,8 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
     rho /= np.trace(rho)
     # rho mixes the parity sectors, so the run is one block holding all of rho
     dissipators = [Dissipator(Operator(space, L), r) for L, r in channels]
-    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
+    generator, stage, jump_data, layout = _lindblad(H, dissipators,
+                                                    _parity_blocks(H, dissipators, rho))
     assert layout.shape == (1, space.dim, space.dim)
     for t in rng.uniform(0.0, 20 * NS, size=4):
         h = H.evaluate(float(t))
@@ -645,7 +646,7 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
             LdL = L.conj().T @ L
             expected += r * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
         out = np.zeros_like(rho)              # a stage adds to its output
-        flow.stage(flow.generator.data(np.array([t]))[0], flow.jump_data, rho[None], out[None])
+        stage(generator.data(np.array([t]))[0], jump_data, rho[None], out[None])
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -1077,12 +1078,12 @@ def test_a_run_continued_from_a_stored_state_repeats_the_rest_bit_for_bit(method
 @pytest.mark.parametrize("method", ["fixed_rk4", "fixed_dp5"])
 def test_grid_too_long_for_its_step_is_refused_before_stepping(method, monkeypatch):
     # an infinite step count, and a finite one that fits no index, are both
-    # refused with the field path before the stepper is built
+    # refused with the field path before the stepper starts
     import modrabi.dynamics as dynamics
 
     def no_compute(*args):
         raise AssertionError("the run stepped")
-    monkeypatch.setattr(dynamics, "_RungeKutta", no_compute)
+    monkeypatch.setattr(dynamics, "_propagate", no_compute)
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     psi0 = basis_state(space, "g", 0)
@@ -1103,7 +1104,7 @@ def test_plan_refuses_more_right_hand_sides_than_the_bound(monkeypatch):
 
     def no_compute(*args):
         raise AssertionError("the run stepped")
-    monkeypatch.setattr(dynamics, "_RungeKutta", no_compute)
+    monkeypatch.setattr(dynamics, "_propagate", no_compute)
     space = HilbertSpace(1, 4)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     psi0 = basis_state(space, "g", 0)

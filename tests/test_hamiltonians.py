@@ -352,8 +352,9 @@ def test_jx_field_matches_balanced_degenerate_dicke():
 @pytest.mark.parametrize("n_qubits", range(4))
 @pytest.mark.parametrize("cutoff", range(1, 7))
 def test_label_built_operators_equal_the_kron_built_ones(n_qubits, cutoff):
-    # the bare energies, J+- a and the frame phases, written from the basis
-    # labels, against the dense kron-built constructors of hilbert, exactly
+    # the bare energies, J+- a, the frame phases and the couplings built from
+    # them, written from the basis labels, against the dense kron-built
+    # constructors of hilbert, exactly
     space = HilbertSpace(n_qubits, cutoff)
     eff = effective_params(SYS, DRIVE_A)
     jz = collective_qubit_operator(space, "jz").matrix
@@ -373,6 +374,23 @@ def test_label_built_operators_equal_the_kron_built_ones(n_qubits, cutoff):
     a = annihilation(space).matrix
     for built, kind in zip(_coupling_matrices(space), ("jp", "jm")):
         assert np.array_equal(built, collective_qubit_operator(space, kind).matrix @ a)
+    if n_qubits == 0:
+        return
+    # the lab frame's g (a + a+) Jx and 2 Jz, and the effective model's static
+    # part against its sum of four coupling terms, bit for bit (signed zeros too)
+    lab = lab_hamiltonian(SYS, DRIVE_A, space)
+    jx = collective_qubit_operator(space, "jx").matrix
+    expected = _bare(SYS.omega, SYS.epsilon, space) + SYS.g * ((a + a.conj().T) @ jx)
+    assert lab.static.tobytes() == expected.tobytes()
+    assert lab.terms[0].tobytes() == (2.0 * jz).tobytes()
+    jp_a, jm_a = _coupling_matrices(space)
+    for phi1, phi2 in ((0.0, 0.0), (0.7, -1.3)):
+        phased = dataclasses.replace(eff, phi1=phi1, phi2=phi2)
+        rot = eff.g_r * np.exp(-1j * phi1) * jp_a
+        cnt = eff.g_cr * np.exp(1j * phi2) * jm_a
+        expected = (_bare(eff.omega_eff, eff.epsilon_eff, space)
+                    + rot + rot.conj().T + cnt + cnt.conj().T)
+        assert effective_hamiltonian(phased, space).static.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from modrabi.scenarios import (load_scenario_document, packaged_scenarios,
 
 
 def _rhs(flow, t, y, out):
-    """out = f(t, y), for a zeroed out: one stage of the run's flow with step 1."""
-    flow.stage(flow.generator.data(np.array([t]))[0], flow.jump_data, y, out)
+    """out = f(t, y), for a zeroed out: one stage of the run's (generator,
+    stage, jump_data) with step 1."""
+    generator, stage, jump_data = flow
+    stage(generator.data(np.array([t]))[0], jump_data, y, out)
 
 
 def _random_complex(rng, shape):
@@ -121,7 +123,7 @@ def test_sector_rhs_matches_dense_formula(n_qubits, fock, seed, kinds):
     rho /= np.trace(rho).real
 
     dissipators = [Dissipator(Operator(space, L), r) for L, r in jumps]
-    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
+    *flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
     mixing = set(MIXING_JUMPS) & set(kinds) or (n_qubits == 0 and fock % 2)
     assert len(layout) == (1 if mixing else 2)
     t = rng.uniform(0.0, 5.0)
@@ -153,7 +155,7 @@ def test_lindblad_rhs_matches_dense_formula_on_random_channels(n_qubits, fock, s
     rho = v @ v.conj().T
     rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real      # exactly Hermitian
     dissipators = [Dissipator(Operator(space, L), r) for L, r in jumps]
-    flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
+    *flow, layout = _lindblad(H, dissipators, _parity_blocks(H, dissipators, rho))
     assert layout.shape == (1, space.dim, space.dim)       # rho mixes the sectors
 
     hm = H.static

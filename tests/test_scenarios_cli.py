@@ -580,6 +580,18 @@ def test_cli_simulate_is_deterministic(tmp_path):
     assert man_a == man_b
 
 
+@pytest.mark.parametrize("name", ["fig2a", "fig5"])
+def test_trace_drift_is_the_largest_trace_defect_of_the_csv(name, tmp_path):
+    # the manifest reads the trace off the series the CSV writes, not off a
+    # second sum, so the two agree to the last bit
+    assert main(["simulate", name, "-o", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "timeseries.csv")
+    column = header.index("trace")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    primary = manifest["diagnostics"]["exact"] or manifest["diagnostics"]["effective"]
+    assert primary["trace_drift"] == max(abs(float(row[column]) - 1.0) for row in rows)
+
+
 def test_cli_simulate_exact_run_is_fixed_dp5_and_reproducible(tmp_path):
     scn_file = tmp_path / "small.json"
     scn_file.write_text(json.dumps(small_doc()))
@@ -832,11 +844,12 @@ def test_cli_design_unreachable_exit_code(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--epsilon-ghz", "nan"), ("--g-mhz", "nan"),
-                                         ("--delta1-mhz", "nan"), ("--kappa-mhz", "inf")])
+                                         ("--delta1-mhz", "nan"), ("--omega-ghz", "inf"),
+                                         ("--epsilon-ghz", "1e300")])
 def test_cli_design_non_finite_value_exits_2(flag, value, capsys):
     assert main(["design", "--lambda", "1", flag, value]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "must be finite" in captured.err
+    assert captured.out == "" and "must be finite" in captured.err and flag in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -856,7 +869,7 @@ def test_cli_design_non_finite_target_exits_2_naming_the_flag(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["--lambda", "1", "--gratio", "-1"], ["--lambda", "1", "--gratio", "0"],
     ["--lambda", "1", "--gr-mhz", "-5"], ["--lambda", "1", "--gr-mhz", "0"],
-    ["--lambda", "-1"]], ids=" ".join)
+    ["--lambda", "-1"], ["--lambda", "1", "--g-mhz", "-5"]], ids=" ".join)
 def test_cli_design_out_of_range_target_exits_2_naming_the_flag(argv, capsys):
     # invalid input, as in a scenario's drive.design; a target above the
     # reachable coupling stays exit 4 (test_cli_design_unreachable_exit_code)
@@ -976,6 +989,7 @@ def test_cli_applications_cat_negative_omega_default_time(tmp_path):
                                          ("--omega-mhz", "nan"), ("--samples", "0"),
                                          ("--samples", "-1"), ("--g-ratio", "nan"),
                                          ("--g-ratio", "inf"), ("--g-ratio", "0"),
+                                         ("--g-ratio", "1e154"), ("--g-ratio", "-1e200"),
                                          ("--time-ns", "nan"), ("--time-ns", "inf"),
                                          ("--time-ns", "0"), ("--time-ns", "-1"),
                                          ("--fock-cutoff", "1"), ("--fock-cutoff", "0")])
@@ -1008,7 +1022,7 @@ def test_cli_applications_cat_without_odd_outcome_is_refused_before_compute(
     assert cond["p_e_closed_form"] == pytest.approx(cond["p_e_measured"], rel=1e-12)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200", "-1e154"])
 def test_cli_applications_gate_non_finite_g_ratio_exits_2(value, tmp_path, capsys):
     out = tmp_path / "gate"
     assert main(["applications", "gate", "--g-ratio", value, "-o", str(out)]) == 2

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, design, sweep, applications (cat | gate), validate.
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 unreachable design target.
+Exit codes: 0 success, 1 standard output closed early, 2 validation failure,
+3 numerical failure, 4 unreachable design target.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -313,7 +314,13 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()          # a reader that has left fails here, not at exit
+        return code
+    except BrokenPipeError:         # `modrabi validate fig2a | head -3`: stop quietly,
+        # on a stdout that cannot fail when Python flushes it again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 2

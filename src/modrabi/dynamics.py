@@ -48,9 +48,9 @@ repair: each stage writes M + M+ and every combination of the stack has real
 weights.  Its positivity is monitored, not projected: an eigenvalue below
 `POSITIVITY_FLOOR` aborts, because it is evidence of a cutoff or step-size
 misconfiguration, and so does a trace that leaves 1 by more than
-`TRACE_TOL`; `eigvalsh` runs only at the samples where a Cholesky test
-cannot rule out a new least eigenvalue (`_above`), and the run reports when
-the least one occurred (`min_eigenvalue_time`).
+`TRACE_TOL`; `eigvalsh` takes only the blocks of a sample for which one
+Cholesky call on the stack cannot rule out a new least eigenvalue (`_above`),
+and the run reports when the least one occurred (`min_eigenvalue_time`).
 `extract_period` counts the maxima whose prominence is at least
 `MIN_PROMINENCE` of the series' range.
 """
@@ -74,7 +74,7 @@ METHODS = ("fixed_rk4", "fixed_dp5")
 
 TRACE_TOL = 1e-6            # largest |Tr rho - 1| a Lindblad run accepts
 POSITIVITY_FLOOR = -1e-6    # least eigenvalue of rho a Lindblad run accepts
-# Shift of the Cholesky test that skips `eigvalsh` at a sample.  If every
+# Shift of the Cholesky test that skips `eigvalsh` for a block.  If a
 # block A = rho_s - (m + margin) I factors, A + dA is positive definite with
 # ||dA||_2 <= N gamma_{N+1} ||A||_2, gamma_k = k u / (1 - k u) (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 10.1).  A
@@ -83,7 +83,8 @@ POSITIVITY_FLOOR = -1e-6    # least eigenvalue of rho a Lindblad run accepts
 # N = 40, the largest packaged block; it reaches the margin only near
 # N = 95.  The errors met in practice, of the factorization and of
 # `eigvalsh`, are below 1e-15 up to N = 95.  So every eigenvalue `eigvalsh`
-# would return for a sample that factors lies above m.
+# would return for a block that factors lies above m, and `eigvalsh` of the
+# other blocks alone returns their slice of the whole stack's eigenvalues.
 CHOLESKY_MARGIN = 1e-12
 CUTOFF_POP_LIMIT = 1e-6     # largest top-Fock population of a run with cutoff_ok
 HERMITIAN_RTOL = 1e-12      # largest |H - H+| / max |H| the spectral path accepts
@@ -612,25 +613,41 @@ def _lindblad(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
     keep rho block diagonal.  `layout[s, i, j]` is the index in the row-major
     vec(rho) of entry (i, j) of block s.  K = -i H - sum_j (r_j/2) L_j+ L_j is
     built in sector order, so K is block diagonal and one CSR product on the
-    (d, N) stack gives every K_s rho_s.  Every channel enters
-    one CSR superoperator J = sum_j r_j L_j (x) conj(L_j) on vec(rho), built
-    once and restricted to the entries in `layout`: a jump maps each sector
-    into one sector, so a block-diagonal rho has a block-diagonal image.
+    (d, N) stack gives every K_s rho_s.  Every channel enters one CSR
+    superoperator J on vec(rho), restricted to the entries in `layout`: a jump
+    maps each sector into one sector, so a block-diagonal rho has a
+    block-diagonal image.
     """
-    from scipy import sparse
     dim = H.space.dim
     damping = sum((0.5 * d.rate * (d.jump.matrix.conj().T @ d.jump.matrix)
                    for d in dissipators), np.zeros((dim, dim)))
     generator = _Generator(H, damping, np.concatenate(blocks))
     sectors = np.array(blocks)
     layout = sectors[:, :, None] * dim + sectors[:, None, :]
-    jumps = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
-    for d in dissipators:
-        L = sparse.csr_array(d.jump.matrix)
-        jumps = jumps + (0.5 * d.rate) * sparse.kron(L, L.conj(), format="csr")
-    live = layout.reshape(-1)
-    jumps = jumps[live][:, live]
+    jumps = _jump_superoperator(dissipators, layout.reshape(-1), dim)
     return generator, _block_stage(generator, jumps, layout.shape), jumps.data, layout
+
+
+def _jump_superoperator(dissipators: Sequence[Dissipator], live: np.ndarray, dim: int):
+    """J / 2 = sum_j (r_j / 2) L_j (x) conj(L_j) on the row-major vec(rho),
+    restricted to the entries `live`, as one CSR matrix: bit for bit what
+    scipy's `kron`, `+` and `[live][:, live]` give, with no d^2 x d^2 operand.
+    Entry (r1 d + r2, c1 d + c2) of L (x) conj(L) is L[r1, c1] conj(L[r2, c2]),
+    so each channel's live entries are products over pairs of its nonzeros,
+    rounded as `kron` rounds them; the channels are summed by scipy's `+`."""
+    from scipy import sparse
+    where = np.full(dim * dim, -1)          # index in `live` of each entry of vec(rho)
+    where[live] = np.arange(live.size)
+    jumps = sparse.csr_array((live.size, dim * dim), dtype=complex)
+    for d in dissipators:
+        rows, cols = np.nonzero(d.jump.matrix)
+        v, k = d.jump.matrix[rows, cols], rows.size
+        row, col = where[rows[:, None] * dim + rows], cols[:, None] * dim + cols
+        kept = (row >= 0) & (where[col] >= 0)
+        products = (v.repeat(k).reshape(k, k) * v.conj())[kept] * (0.5 * d.rate)
+        jumps = jumps + sparse.csr_array((products, (row[kept], col[kept])), shape=jumps.shape)
+    return sparse.csr_array((jumps.data, where[jumps.indices].astype(np.int32),
+                             jumps.indptr.astype(np.int32)), shape=(live.size, live.size))
 
 
 def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -672,18 +689,17 @@ def _parity_blocks(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator
     return [np.arange(space.dim)]
 
 
-def _above(blocks: np.ndarray, m: float) -> bool:
-    """True when Cholesky factors every block of blocks - (m + CHOLESKY_MARGIN) I,
-    which shows that each eigenvalue `eigvalsh` finds for them lies above m.
-    A non-finite entry need not make it fail."""
+def _above(blocks: np.ndarray, m: float) -> list[bool]:
+    """Per block: does Cholesky factor block - (m + CHOLESKY_MARGIN) I, so
+    that each eigenvalue `eigvalsh` finds for it lies above m?  A non-finite
+    entry need not make it fail.  `np.linalg.cholesky`'s gufunc (numpy's
+    private `_umath_linalg`) writes NaN over each factor that fails."""
     shifted = blocks.copy()
     # every (N + 1)-th entry of a C-ordered N x N block is on its diagonal
     shifted.reshape(len(blocks), -1)[:, ::blocks.shape[-1] + 1] -= m + CHOLESKY_MARGIN
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    with np.errstate(invalid="ignore"):
+        factor = np.linalg._umath_linalg.cholesky_lo(shifted, signature="D->D")
+    return (~np.isnan(factor[:, 0, 0])).tolist()
 
 
 def evolve_master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
@@ -724,8 +740,10 @@ def _master(H: TimeDependentHamiltonian, dissipators: Sequence[Dissipator],
         obs.from_blocks(i, rho)
         # the purity sums |rho_ij|^2 over every entry, so a NaN or inf reaches it
         _check_finite(obs.purity[i], times[i], "density matrix")
-        if min_eig == math.inf or not _above(rho, min_eig):
-            lo = float(np.min(np.linalg.eigvalsh(rho)[:, 0]))
+        # eigvalsh takes every block at the first sample, then those the gate fails
+        passed = [False] * len(rho) if min_eig == math.inf else _above(rho, min_eig)
+        if not all(passed):
+            lo = float(np.min(np.linalg.eigvalsh(rho[np.logical_not(passed)])[:, 0]))
             if lo < min_eig:
                 min_eig, min_eig_time = lo, float(times[i])
             if lo < POSITIVITY_FLOOR:

@@ -10,8 +10,8 @@ from scipy.linalg import expm
 
 from modrabi.dynamics import (_DIAGONAL_WEIGHTS, _MAX_BLOCK, DEFAULT_OBSERVABLES, DP5,
                               MAX_RHS_EVALS, RK4, TABLEAUS, Dissipator, IntegratorConfig,
-                              Tableau, _csr_kernel, _Generator, _lindblad, _ObservableSet,
-                              _parity_blocks, _plan,
+                              Tableau, _csr_kernel, _Generator, _jump_superoperator,
+                              _lindblad, _ObservableSet, _parity_blocks, _plan,
                               dissipator_frame_defect, evolve_master, evolve_schrodinger,
                               extract_period, fidelity, loss_dissipators)
 from modrabi.errors import NumericsError, ValidationError
@@ -20,8 +20,8 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                             annihilation, basis_state, embed_resonator, number_operator,
-                             qubit_operator)
+                             annihilation, basis_labels, basis_state, embed_resonator,
+                             number_operator, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
 from modrabi.scenarios import (load_scenario, load_scenario_document, parse_scenario,
@@ -650,6 +650,45 @@ def test_lindblad_rhs_matches_dense_formula(n_qubits):
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def _kron_jumps(dissipators, live, dim):
+    """J / 2 restricted to `live`, built as the d^2 x d^2 sum of scipy krons."""
+    jumps = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for d in dissipators:
+        L = sparse.csr_array(d.jump.matrix)
+        jumps = jumps + (0.5 * d.rate) * sparse.kron(L, L.conj(), format="csr")
+    return jumps[live][:, live]
+
+
+@pytest.mark.parametrize("n_qubits, fock", [(q, n) for q in (1, 2, 3) for n in range(2, 9)])
+def test_jump_superoperator_is_the_kron_built_one_bit_for_bit(n_qubits, fock):
+    # the same indptr, indices and data bytes (signed zeros included) as the
+    # d^2 x d^2 krons restricted to the run's entries, with no explicit zero
+    space = HilbertSpace(n_qubits, fock)
+    dim = space.dim
+    label = sum(basis_labels(space)) % 2
+    losses = [Dissipator(qubit_operator(space, k, "sm"), 0.3 + 0.1 * k) for k in range(n_qubits)]
+    losses.append(Dissipator(annihilation(space), 0.7))
+    idle = Dissipator(annihilation(space), 0.0)
+    sectors = [np.flatnonzero(label == s) for s in (0, 1)]
+    cases = [(sectors, losses), (sectors, [idle, *losses])]
+    if dim <= 32:
+        # real entries of both signs make products whose imaginary part is -0
+        rng = np.random.default_rng(dim)
+        real, imag = rng.normal(size=(2, dim, dim))
+        dense = [Dissipator(Operator(space, real), 0.9),
+                 Dissipator(Operator(space, real + 1j * imag), 0.4)]
+        cases.append(([np.arange(dim)], [*dense, idle, *losses]))
+    for blocks, channels in cases:
+        rows = np.array(blocks)
+        live = (rows[:, :, None] * dim + rows[:, None, :]).reshape(-1)
+        got, want = _jump_superoperator(channels, live, dim), _kron_jumps(channels, live, dim)
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.shape == (live.size, live.size) and np.all(got.data != 0)
+    assert _jump_superoperator([idle], live, dim).nnz == 0
+
+
 def parity_sector(space, psi):
     """Basis states of the parity (n + excited qubits) mod 2 of psi, which
     lies in one sector."""
@@ -1166,7 +1205,8 @@ def test_least_eigenvalue_is_that_of_the_stored_samples_exactly():
 
 
 def test_fig5_skips_eigvalsh_at_most_samples(monkeypatch):
-    # a guard against a change that quietly turns the Cholesky test off
+    # a guard against a change that quietly turns the Cholesky test off, or
+    # goes back to decomposing both parity blocks wherever one of them fails
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -1180,6 +1220,9 @@ def test_fig5_skips_eigvalsh_at_most_samples(monkeypatch):
     doc["grid"] = {"t_end_ns": 10.0, "samples": 101}
     run_simulation(parse_scenario(doc))
     assert 0 < len(calls) < 101 / 2
+    blocks = [shape[0] for shape in calls]      # the blocks of each call
+    assert blocks[0] == 2                       # every block at the first sample
+    assert sum(blocks[1:]) < 2 * len(blocks[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import copy
 import re
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -178,29 +178,46 @@ def _unitary(rng, n):
 @settings(max_examples=300)
 @given(n=st.integers(2, 16), ranks=st.tuples(st.integers(1, 3), st.integers(0, 3)),
        seed=st.integers(0, 2**32 - 1), m=st.floats(-1e-13, 0.0),
-       shift=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 10.0]),
+       shifts=st.tuples(*2 * [st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 10.0])]),
        spread=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12]))
-def test_cholesky_gate_never_hides_a_new_minimum(n, ranks, seed, m, shift, spread):
+@example(n=4, ranks=(1, 1), seed=0, m=0.0, shifts=(-1.0, 10.0), spread=0.0)
+def test_cholesky_gate_never_hides_a_new_minimum(n, ranks, seed, m, shifts, spread):
     """Near-pure and rank-deficient (2, N, N) stacks whose small eigenvalues
-    cluster within `spread` of m + shift * CHOLESKY_MARGIN, m a roundoff-size
-    least eigenvalue so far: whenever the gate lets a stack through, its least
-    eigenvalue lies above m, and a stack clearly above m gets through."""
+    cluster within `spread` of m + shift * CHOLESKY_MARGIN, one shift per
+    block, so that in some stacks one block fails and the other passes, m a
+    roundoff-size least eigenvalue so far: each block the gate lets through
+    has its least eigenvalue above m, and a block clearly above m gets
+    through.  The verdict is the gufunc's: a block that `np.linalg.cholesky`
+    factors is reported passing, and one it refuses comes back all NaN."""
     rng = np.random.default_rng(seed)
     ranks = [min(rank, n) for rank in ranks]
     large = rng.dirichlet(np.ones(sum(ranks)))
-    blocks, least = [], np.inf
-    for rank, weights in zip(ranks, np.split(large, [ranks[0]])):
+    blocks, least = [], []
+    for rank, weights, shift in zip(ranks, np.split(large, [ranks[0]]), shifts):
         small = m + shift * CHOLESKY_MARGIN + spread * rng.uniform(-1.0, 1.0, n - rank)
         lam = np.concatenate([weights, small])
-        least = min(least, lam.min())
+        least.append(lam.min())
         u = _unitary(rng, n)
         rho = (u * lam) @ u.conj().T
         blocks.append(0.5 * (rho + rho.conj().T))
     blocks = np.array(blocks)
-    if _above(blocks, m):
-        assert np.linalg.eigvalsh(blocks).min() > m
-    if least >= m + 5 * CHOLESKY_MARGIN:
-        assert _above(blocks, m)
+    verdict = _above(blocks, m)
+    assert len(verdict) == 2 and all(isinstance(passed, bool) for passed in verdict)
+    for block, passed, low in zip(blocks, verdict, least):
+        if passed:
+            assert np.linalg.eigvalsh(block).min() > m
+        if low >= m + 5 * CHOLESKY_MARGIN:
+            assert passed
+    shifted = blocks - (m + CHOLESKY_MARGIN) * np.eye(n)     # as `_above` shifts them
+    with np.errstate(invalid="ignore"):
+        factor = np.linalg._umath_linalg.cholesky_lo(shifted, signature="D->D")
+    for block, passed, lower in zip(shifted, verdict, factor):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            assert not passed and np.all(np.isnan(lower))
+        else:
+            assert passed and np.all(np.isfinite(lower))
 
 
 def _documents():

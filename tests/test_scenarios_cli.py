@@ -352,6 +352,31 @@ def test_an_openblas_loaded_after_the_first_run_runs_one_thread_in_the_next(tmp_
     assert report["after"] == [2] * len(report["after"])
 
 
+@pytest.mark.parametrize("argv", [["validate", "fig2a"],
+                                  ["design", "--lambda", "1", "--gratio", "1.2"]])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, argv):
+    # `modrabi validate fig2a | head -3`: the reader has gone before the
+    # command writes, which then stops with no traceback on stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import modrabi
+    src = str(Path(modrabi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "modrabi.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=write, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 def test_sweep_rejects_unknown_param_and_single_point():
     doc = small_doc()
     with pytest.raises(ValidationError):

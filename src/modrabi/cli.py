@@ -29,10 +29,9 @@ from .hilbert import HilbertSpace
 from .modulation import (SystemParams, amplitudes_for_coupling, drive_for_targets,
                          effective_params, json_float, solve_amplitudes,
                          validity_report)
-from .scenarios import (_UNIT_SCALE, NS, SCHEMA_VERSION, _delta1, effective_summary,
-                        load_scenario, load_scenario_document, packaged_scenarios,
-                        run_simulation, run_sweep, validation_report, write_csv,
-                        write_json)
+from .scenarios import (_UNIT_SCALE, NS, SCHEMA_VERSION, effective_summary, load_scenario,
+                        load_scenario_document, packaged_scenarios, run_simulation,
+                        run_sweep, validation_report, write_csv, write_json)
 
 GHZ, MHZ = _UNIT_SCALE["ghz"], _UNIT_SCALE["mhz"]
 
@@ -71,10 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="target |g_r|/omega_eff")
     des.add_argument("--gr-mhz", type=float, default=None,
                      help="target |g_r|/2pi in MHz (solved over the amplitude family)")
-    des.add_argument("--delta1-hz", type=float, default=None,
-                     help="red-sideband detuning delta1/2pi in Hz (default 0)")
-    des.add_argument("--delta1-mhz", type=float, default=None,
-                     help="same, in MHz")
+    des.add_argument("--delta1-mhz", type=float, default=0.0,
+                     help="red-sideband detuning delta1/2pi in MHz (default 0)")
     des.add_argument("--epsilon-ghz", type=float, default=5.4)
     des.add_argument("--omega-ghz", type=float, default=2.2)
     des.add_argument("--g-mhz", type=float, default=70.0)
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--to", dest="stop", type=float, required=True)
     swp.add_argument("--points", type=int, required=True)
     swp.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: MODRABI_THREADS or CPU count)")
+                     help="worker processes, at most one per point (default: CPU count)")
     swp.add_argument("-o", "--output", default="out")
 
     app = sub.add_parser("applications", help="closed-form protocol outputs")
@@ -157,12 +154,12 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     if not args.anisotropy >= 0:      # NaN included
         raise ValidationError(f"--lambda: must be a number in [0, inf], got {args.anisotropy}")
-    _require(args, "finite", math.isfinite, "gratio", "gr_mhz", "delta1_hz", "delta1_mhz")
+    _require(args, "finite", math.isfinite, "gratio", "gr_mhz", "delta1_mhz")
     _require(args, "> 0", lambda v: v > 0, "gratio", "gr_mhz")
     # in rad/s, where a huge finite value overflows
     _require(args, "finite and >= 0", lambda v: 0 <= v * GHZ < math.inf, "epsilon_ghz", "omega_ghz")
     _require(args, "finite and >= 0", lambda v: 0 <= v * MHZ < math.inf, "g_mhz")
-    delta1 = _delta1(args.delta1_hz, args.delta1_mhz, "--delta1-hz", "--delta1-mhz")
+    delta1 = args.delta1_mhz * MHZ
     sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ, omega=args.omega_ghz * GHZ,
                               g=args.g_mhz * MHZ)
     lam = args.anisotropy
@@ -311,9 +308,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _check_output(output: str):
+    """Refuse an output directory that cannot be made, before any compute:
+    its nearest existing ancestor, itself included, must be a directory.
+    Nothing is created here, so a refused command leaves no directory."""
+    out = Path(output)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--output: {path} is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            _check_output(args.output)
         code = args.run(args)
         sys.stdout.flush()          # a reader that has left fails here, not at exit
         return code

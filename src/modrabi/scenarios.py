@@ -14,10 +14,11 @@ goes first as the reference whose fidelity the exact run records as it
 goes, so no run keeps a density-matrix stack.  ``validation_report`` plans
 the same runs without running them.  ``run_sweep`` repeats a run over one
 scalar parameter, planning every point before any runs, optionally on a
-forked pool bounded by MODRABI_THREADS.
-All three hold every loaded OpenBLAS at one thread while they run, which
-the pool's workers inherit: on these small matrices a second BLAS thread
-doubled the CPU time and saved no wall time (``_one_blas_thread``).
+forked pool of at most ``threads`` workers (default: the CPU count).
+All three hold at one thread every OpenBLAS loaded when the process's first
+run starts, which the pool's workers inherit: on these small matrices a
+second BLAS thread doubled the CPU time and saved no wall time
+(``_one_blas_thread``).
 
 Output files are written atomically (temp + rename).  CSV is RFC 4180 with
 a header row and shortest round-trip decimals, so identical scenarios with
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import os
-import sys
 import threading
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -52,6 +53,7 @@ from .modulation import (DriveParams, SystemParams, detunings,
 SCHEMA_VERSION = 1
 TWO_PI = 2.0 * math.pi
 NS = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 _UNIT_SCALE = {"ghz": TWO_PI * 1e9, "mhz": TWO_PI * 1e6, "khz": TWO_PI * 1e3}
 
@@ -78,7 +80,7 @@ _KEYS = {
     "system": _spellings("epsilon", "omega", "g", "kappa", "gamma"),
     "drive": _spellings("omega1", "omega2", "amp1", "amp2")
              | {"eta1", "eta2", "phi1", "phi2", "design"},
-    "drive.design": {"anisotropy", "g_r_over_omega_eff", "delta1_hz", "delta1_mhz"},
+    "drive.design": {"anisotropy", "g_r_over_omega_eff", "delta1_mhz"},
     "grid": {"t_end_ns", "samples"},
     "integrator": {"method", "dt_ns"},
     "highlight": {"param", "value"},
@@ -119,9 +121,9 @@ def _known_keys(section: dict, path: str):
 
 def _number(section: dict, key: str, path: str, default=_REQUIRED,
             integer: bool = False):
-    """section[key] as a finite float (an int if `integer`), or `default`
-    when the key is absent; anything else fails naming the field path
-    (`path` is '' at the top level)."""
+    """section[key] as a finite float (an int within the float range if
+    `integer`), or `default` when the key is absent; anything else fails
+    naming the field path (`path` is '' at the top level)."""
     where = f"{path}.{key}" if path else key
     if key not in section:
         if default is _REQUIRED:
@@ -130,9 +132,9 @@ def _number(section: dict, key: str, path: str, default=_REQUIRED,
     value = section[key]
     kinds = int if integer else (int, float)
     if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not math.isfinite(value)):
-        raise ValidationError(
-            f"{where}: must be {'an integer' if integer else 'a finite number'}")
+            or not abs(value) <= _FLOAT_MAX):      # an int past it has no float
+        kind = "an integer within the float range" if integer else "a finite number"
+        raise ValidationError(f"{where}: must be {kind}")
     return value if integer else float(value)
 
 
@@ -178,20 +180,11 @@ def _amplitude(drive: dict, tone: int, omega: float) -> float:
     return val
 
 
-def _delta1(hz: float | None, mhz: float | None, hz_name: str, mhz_name: str) -> float:
-    """delta1 in rad/s from delta1 / 2 pi in Hz or in MHz (0 if neither); not both."""
-    if hz is not None and mhz is not None:
-        raise ValidationError(f"give {hz_name} or {mhz_name}, not both")
-    if hz is not None:
-        return hz * TWO_PI
-    return 0.0 if mhz is None else mhz * _UNIT_SCALE["mhz"]
-
-
 def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
     """Resolve a drive from model targets instead of explicit tone settings.
 
     Accepted keys: anisotropy (required; 'inf' allowed), g_r_over_omega_eff,
-    delta1_hz / delta1_mhz (default 0).
+    delta1_mhz (the red-sideband detuning delta1 / 2 pi in MHz, default 0).
     """
     if not isinstance(design, dict) or "anisotropy" not in design:
         raise ValidationError("drive.design: needs at least {anisotropy}")
@@ -200,9 +193,7 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
         lam = math.inf
     else:
         lam = _number(design, "anisotropy", "drive.design")
-    delta1 = _delta1(_number(design, "delta1_hz", "drive.design", None),
-                     _number(design, "delta1_mhz", "drive.design", None),
-                     "drive.design.delta1_hz", "drive.design.delta1_mhz")
+    delta1 = _number(design, "delta1_mhz", "drive.design", 0.0) * _UNIT_SCALE["mhz"]
     gratio = _number(design, "g_r_over_omega_eff", "drive.design", None)
     try:
         eta1, eta2 = solve_amplitudes(lam)
@@ -316,7 +307,7 @@ def load_scenario_document(ref: str) -> tuple[dict, str]:
         with open(p, "r", encoding="utf-8") as fh:
             try:
                 return json.load(fh), p.stem
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise ValidationError(f"scenario {ref!r}: not valid JSON ({err})") from err
     name = ref[:-5] if ref.endswith(".json") else ref
     packaged = resources.files("modrabi").joinpath("data", f"{name}.json")
@@ -340,23 +331,21 @@ def packaged_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 
 _blas_lock = threading.Lock()
-_blas_controls = {}      # path -> (get, set) of each OpenBLAS found so far
-_blas_modules = -1       # len(sys.modules) when they were last looked for
 _blas_depth = 0          # runs inside _one_blas_thread, over all threads
 _blas_saved = {}         # path -> the caller's count, restored when the last run leaves
 
 
-def _find_openblas(known) -> dict:
+@functools.cache
+def _find_openblas() -> dict:
     """path -> (get, set) thread-count functions of every OpenBLAS this
-    process has loaded whose path is not in `known`; none without
-    /proc/self/maps to find them in."""
+    process has loaded, looked for once; none without /proc/self/maps to
+    find them in."""
     try:
         maps = Path("/proc/self/maps").read_text().splitlines()
     except OSError:
         return {}
     controls = {}
-    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}
-                       - set(known)):
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -375,8 +364,9 @@ def _find_openblas(known) -> dict:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Every loaded OpenBLAS runs one thread inside; the caller's counts come
-    back when the outermost entry in the process leaves, also on an error.
+    """Every OpenBLAS the process had loaded at its first entry runs one
+    thread inside; the caller's counts come back when the outermost entry in
+    the process leaves, also on an error.
 
     Every matrix of a scenario run is small (d <= 80 for the packaged ones),
     and there a second BLAS thread saves no wall time but spins beside the
@@ -386,27 +376,17 @@ def _one_blas_thread():
     workers inherit the count.  Setting OPENBLAS_NUM_THREADS would do
     nothing here, as OpenBLAS reads it when numpy loads it.
 
-    numpy loads its OpenBLAS with the package, and scipy's loads later, with
-    `scipy.linalg` or `scipy.special`, or never.  A library loads only with
-    an extension module, and every import adds to sys.modules, so an entry
-    looks for new libraries when sys.modules has changed size since the last
-    look: reading /proc/self/maps costs about 0.3 ms, and comparing a length
-    nothing.  A library found while runs are inside is held at one thread
-    too.  Without OpenBLAS, or /proc/self/maps to find it in, nothing
-    changes."""
-    global _blas_modules, _blas_depth, _blas_saved
+    The libraries are looked for once, at the first entry.  numpy's loads
+    with numpy, and a run calls no other: its BLAS and LAPACK calls are
+    numpy's, and the scipy.sparse it loads maps no OpenBLAS.  So a library
+    that loads later, such as scipy's with `scipy.linalg`, keeps its count.
+    Without OpenBLAS, or /proc/self/maps to find it in, nothing changes."""
+    global _blas_depth
     with _blas_lock:
-        found = {}
-        if len(sys.modules) != _blas_modules:
-            _blas_modules = len(sys.modules)
-            found = _find_openblas(_blas_controls)
-            _blas_controls.update(found)
         if _blas_depth == 0:
-            _blas_saved = {}
-        # the outermost entry pins every library, a nested one those just found
-        for path, (get, put) in (found if _blas_depth else _blas_controls).items():
-            _blas_saved[path] = get()
-            put(1)
+            for path, (get, put) in _find_openblas().items():
+                _blas_saved[path] = get()
+                put(1)
         _blas_depth += 1
     try:
         yield
@@ -414,8 +394,8 @@ def _one_blas_thread():
         with _blas_lock:
             _blas_depth -= 1
             if _blas_depth == 0:
-                for path, count in _blas_saved.items():
-                    _blas_controls[path][1](count)
+                for path, (_, put) in _find_openblas().items():
+                    put(_blas_saved[path])
 
 
 @dataclass
@@ -481,9 +461,9 @@ def run_simulation(scn: Scenario) -> SimulationResult:
     return _simulate(scn, *_runs(scn))
 
 
-@_one_blas_thread()
 def _simulate(scn: Scenario, eff, planned: dict) -> SimulationResult:
-    """Carry out the runs `_runs(scn)` planned; sweep points, in pool workers too, enter here."""
+    """Carry out the runs `_runs(scn)` planned; every caller, pool workers
+    too, is inside `_one_blas_thread`."""
     runs = {}
     for side, (H, state, channels, plan) in planned.items():
         # the effective run, when it went first, is the exact run's reference
@@ -590,17 +570,15 @@ def _inherited_point(i: int):
 
 
 def _worker_count(threads: int | None) -> int:
-    """`threads`, else MODRABI_THREADS, else the CPU count; a count that is
-    set must be an integer >= 1."""
-    where, raw = "--threads", threads
-    if raw is None:
-        where, raw = "MODRABI_THREADS", os.environ.get("MODRABI_THREADS", os.cpu_count() or 1)
+    """`threads`, else the CPU count; a count that is set must be an integer >= 1."""
+    if threads is None:
+        return os.cpu_count() or 1
     try:
-        count = int(raw)
+        count = int(threads)
     except ValueError:
         count = 0
     if count < 1:
-        raise ValidationError(f"{where}: must be an integer >= 1, got {raw!r}")
+        raise ValidationError(f"--threads: must be an integer >= 1, got {threads!r}")
     return count
 
 

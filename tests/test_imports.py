@@ -1,6 +1,8 @@
 """What a command loads: importing the package loads no scipy module, nor do
 the commands that step no run; a run that steps loads scipy.sparse for its
-generator, and nothing of scipy's special, integrate or linalg stacks."""
+generator, and nothing of scipy's special, integrate or linalg stacks.  No
+command maps an OpenBLAS that was not mapped at import, which is why a run
+looks for the libraries it holds at one thread once per process."""
 
 import json
 import os
@@ -15,7 +17,7 @@ WATCHED = ("scipy", "scipy.sparse", "scipy.special", "scipy.integrate", "scipy.o
 
 # A fresh interpreter: the test modules themselves import scipy.  It runs the
 # commands named in argv, in order, and reports after each which of WATCHED
-# are loaded.
+# are loaded and, under "openblas", which OpenBLAS libraries are mapped.
 SCRIPT = """
 import json, sys
 from modrabi.scenarios import load_scenario_document
@@ -25,8 +27,15 @@ WATCHED = %r
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
 
+def openblas():
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:       # nothing to find the libraries in
+        return []
+
 import modrabi, modrabi.cli
-report = {"import": loaded()}
+report = {"import": loaded(), "openblas": {"import": openblas()}}
 main = modrabi.cli.main
 
 doc, _ = load_scenario_document("fig2a")
@@ -54,6 +63,7 @@ COMMANDS = {
 }
 for name in sys.argv[1:]:
     report[name] = [main(COMMANDS[name]), loaded()]
+    report["openblas"][name] = openblas()
 
 # the benchmark harness hooks dynamics.solve_ivp, which still resolves to scipy's
 import scipy.integrate
@@ -72,6 +82,13 @@ def _report(tmp_path, *commands) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _assert_no_new_openblas(report):
+    """After every command, the OpenBLAS libraries mapped are those mapped at import."""
+    mapped = report["openblas"]
+    for name, paths in mapped.items():
+        assert paths == mapped["import"], name
+
+
 def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp_path):
     stepped = ("simulate_exact", "simulate_lossy_effective", "simulate_rk4")
     report = _report(tmp_path, "validate", "design", "gate", *stepped)
@@ -81,9 +98,11 @@ def test_commands_load_scipy_integrate_and_linalg_only_when_a_run_calls_them(tmp
     for name in stepped:
         assert report[name] == [0, ["scipy", "scipy.sparse"]], name
     assert report["solve_ivp_is_scipys"] is True
+    _assert_no_new_openblas(report)
 
 
 def test_a_sweep_loads_scipy_sparse_alone(tmp_path):
     report = _report(tmp_path, "sweep")
     assert report["import"] == []
     assert report["sweep"] == [0, ["scipy", "scipy.sparse"]]
+    _assert_no_new_openblas(report)

@@ -248,11 +248,12 @@ SITES = [(i, path) for i, doc in enumerate(DOCUMENTS)
 DELETE = object()
 VALUES = st.one_of(
     st.sampled_from([DELETE, None, True, "x", "", "inf", "nan", "-1", [], {}, ["x"], -1, 0,
-                     1e308, float("nan"), float("inf"), "vac_e", "both", "fixed_rk4"]),
+                     1e308, float("nan"), float("inf"), 10**400, -10**400, "vac_e", "both",
+                     "fixed_rk4"]),
     st.integers(-10**6, 10**6), st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
     st.lists(st.sampled_from(["sigma_pop", "fidelity", "x", 3]), max_size=3),
-    st.dictionaries(st.sampled_from(["anisotropy", "g_r_over_omega_eff", "delta1_hz",
+    st.dictionaries(st.sampled_from(["anisotropy", "g_r_over_omega_eff", "delta1_mhz",
                                      "param", "value", "method"]),
                     st.one_of(st.floats(allow_nan=True), st.text(max_size=3)), max_size=3))
 

@@ -298,60 +298,6 @@ def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns(
     assert _blas_threads() == caller_blas_threads
 
 
-# A fresh interpreter, so that scipy's own OpenBLAS loads after the first run
-# whatever the test modules imported before.
-LATE_BLAS_SCRIPT = """
-import json, sys
-import modrabi.scenarios as scenarios
-from modrabi.scenarios import parse_scenario, run_simulation
-
-%s
-
-scn = parse_scenario(json.loads(sys.argv[1]))
-run_simulation(scn)
-first = len(_openblas_functions("get"))
-import scipy.linalg
-for put in _openblas_functions("set"):
-    put(2)
-seen, evolve = [], scenarios._schrodinger
-
-def spy(*args, **kwargs):
-    seen.append([get() for get in _openblas_functions("get")])
-    return evolve(*args, **kwargs)
-
-scenarios._schrodinger = spy
-run_simulation(scn)
-print(json.dumps({"first": first, "seen": seen,
-                  "after": [get() for get in _openblas_functions("get")]}))
-"""
-
-
-def test_an_openblas_loaded_after_the_first_run_runs_one_thread_in_the_next(tmp_path):
-    import inspect
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import modrabi
-    try:
-        _blas_threads()
-    except OSError:
-        pytest.skip("no /proc/self/maps to find OpenBLAS in")
-    src = str(Path(modrabi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    script = LATE_BLAS_SCRIPT % inspect.getsource(_openblas_functions)
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(small_doc(model="effective"))],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    if len(report["after"]) <= report["first"]:
-        pytest.skip("no OpenBLAS loads after the first run")
-    assert report["seen"] == [[1] * len(report["after"])]
-    assert report["after"] == [2] * len(report["after"])
-
-
 @pytest.mark.parametrize("argv", [["validate", "fig2a"],
                                   ["design", "--lambda", "1", "--gratio", "1.2"]])
 def test_a_closed_stdout_ends_the_command_quietly(tmp_path, argv):
@@ -386,9 +332,7 @@ def test_sweep_rejects_unknown_param_and_single_point():
 
 
 @pytest.mark.parametrize("threads, env, where", [
-    (0, None, "--threads"), (-3, None, "--threads"),
-    (None, "abc", "MODRABI_THREADS"), (None, "0", "MODRABI_THREADS"),
-    (None, "2.5", "MODRABI_THREADS")])
+    (0, None, "--threads"), (-3, None, "--threads"), (0, "4", "--threads")])
 def test_sweep_rejects_bad_thread_count_before_compute(monkeypatch, threads, env, where):
     import modrabi.scenarios as scenarios
 
@@ -403,17 +347,26 @@ def test_sweep_rejects_bad_thread_count_before_compute(monkeypatch, threads, env
         run_sweep(small_doc(), "drive.eta2", [0.0, 0.4], threads=threads)
 
 
-def test_cli_sweep_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_bad_thread_count_exits_2(tmp_path, capsys):
     scn_file = tmp_path / "small.json"
     scn_file.write_text(json.dumps(small_doc(model="effective")))
     args = ["sweep", str(scn_file), "--param", "drive.eta2", "--from", "0", "--to", "0.6",
             "--points", "2", "-o", str(tmp_path / "swp")]
     assert main(args + ["--threads", "0"]) == 2
     assert "--threads" in capsys.readouterr().err
-    monkeypatch.setenv("MODRABI_THREADS", "abc")
-    assert main(args) == 2
-    assert "MODRABI_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "swp").exists()
+
+
+def test_cli_sweep_without_threads_runs_a_worker_per_cpu_whatever_the_environment(
+        tmp_path, monkeypatch):
+    import os
+    scn_file = tmp_path / "small.json"
+    scn_file.write_text(json.dumps(small_doc(model="effective")))
+    monkeypatch.setenv("MODRABI_THREADS", "abc")
+    assert main(["sweep", str(scn_file), "--param", "drive.eta2", "--from", "0",
+                 "--to", "0.6", "--points", "2", "-o", str(tmp_path / "swp")]) == 0
+    manifest = json.loads((tmp_path / "swp" / "manifest.json").read_text())
+    assert manifest["sweep"]["threads"] == min(os.cpu_count() or 1, 2)
 
 
 def test_apply_sweep_value_replaces_amplitude_spec():
@@ -516,7 +469,7 @@ def test_exact_frame_rabi_period_end_to_end():
 def test_design_target_scenario():
     doc = small_doc()
     doc["drive"] = {"design": {"anisotropy": 1.0, "g_r_over_omega_eff": 1.2,
-                               "delta1_hz": 0.0}}
+                               "delta1_mhz": 0.0}}
     doc["model"] = "effective"
     scn = parse_scenario(doc)
     assert scn.drive.eta1 == pytest.approx(0.7173)
@@ -707,6 +660,12 @@ def test_cli_grid_over_the_evaluation_bound_exits_2_before_compute(tmp_path, cap
     # H = 0, which suggests no step
     (_packaged("fig4jc", "grid", t_end_ns=1e300), "grid: "),
     (_packaged("fig5", "system", g_mhz=0), "integrator.dt_ns"),
+    # an integer literal past the float range is not finite
+    ({"fock_cutoff": 10**400}, "fock_cutoff"),
+    ({"grid": {"t_end_ns": 2.0, "samples": 10**400}}, "grid.samples"),
+    ({"grid": {"t_end_ns": -10**400, "samples": 21}}, "grid.t_end_ns"),
+    # delta1 has one spelling, in MHz
+    ({"drive": {"design": {"anisotropy": 1.0, "delta1_hz": 0.0}}}, "drive.design.delta1_hz"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"
@@ -782,6 +741,41 @@ def test_cli_unreadable_scenario_exit_code(tmp_path, capsys):
     assert main(["validate", str(scn_file)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["validate", str(tmp_path)]) == 2     # a directory
+
+
+def test_cli_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    scn_file = tmp_path / "bad.json"
+    scn_file.write_bytes(b'{"name": "\xff"}')
+    assert main(["validate", str(scn_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "not valid JSON" in err
+    assert str(scn_file) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "fig5"],
+    ["sweep", "fig5", "--param", "drive.eta2", "--from", "0", "--to", "1", "--points", "2"],
+    ["applications", "cat", "--g-ratio", "0.5"],
+    ["applications", "gate"],
+    ["design", "--lambda", "1", "--gratio", "1.2"]],
+    ids=["simulate", "sweep", "cat", "gate", "design"])
+@pytest.mark.parametrize("under", ["", "x"], ids=["a_file", "under_a_file"])
+def test_cli_output_that_cannot_be_a_directory_exits_2_before_compute(
+        tmp_path, capsys, monkeypatch, argv, under):
+    # -o naming a file, or a path under one, is refused before any run
+    import modrabi.cli as cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "run_simulation", no_compute)
+    monkeypatch.setattr(cli, "run_sweep", no_compute)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main([*argv, "-o", str(afile / under)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: --output: {afile} is not a directory\n"
+    assert afile.read_text() == ""
 
 
 def test_cli_missing_scenario_exit_code(tmp_path):
@@ -864,6 +858,13 @@ def test_cli_negative_values_in_exponent_notation(capsys):
                            "--from", "-1e-3x", "--to", "1", "--points", "2"])
 
 
+def test_cli_design_takes_delta1_in_mhz_alone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["design", "--lambda", "1", "--delta1-hz", "1"])
+    assert exit_.value.code == 2
+    assert "--delta1-hz" in capsys.readouterr().err
+
+
 def test_cli_design_unreachable_exit_code(capsys):
     assert main(["design", "--lambda", "1", "--gr-mhz", "100"]) == 4
 
@@ -878,7 +879,7 @@ def test_cli_design_non_finite_value_exits_2(flag, value, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--lambda", "1", "--delta1-mhz", "inf"], ["--lambda", "1", "--delta1-hz", "inf"],
+    ["--lambda", "1", "--delta1-mhz", "inf"],
     ["--lambda", "1", "--delta1-mhz=-inf"], ["--lambda", "nan"],
     ["--lambda", "1", "--gratio", "nan"], ["--lambda", "1", "--gratio=-inf"],
     ["--lambda", "1", "--gratio", "inf"], ["--lambda", "1", "--gr-mhz", "nan"],

@@ -266,7 +266,7 @@ def test_criterion_09_gate_claims():
            f"theta(g/w = 0.25) = {theta_from_coupling_ratio(0.25) / math.pi:.4f} pi")
 
 
-def test_criterion_10_open_system_integrity():
+def test_criterion_10_open_system_integrity(packaged_runs):
     details = []
     ok = True
 
@@ -311,7 +311,7 @@ def test_criterion_10_open_system_integrity():
         scn = load_scenario(name)
         if not scn.dissipation:
             continue
-        res = run_simulation(scn)
+        res = packaged_runs[name]
         # what `validate` prints: the manifest's resolved parameters, and a
         # plan per run that the run carried out as planned
         checked = validation_report(scn)
@@ -329,10 +329,9 @@ def test_criterion_10_open_system_integrity():
     report(10, ok, "; ".join(details))
 
 
-def test_criterion_11_degenerate_sweep():
-    doc, _ = (load_scenario("fig5").raw, None)
-    values = np.linspace(0.0, 1.2024, 41).tolist()
-    manifest, header, rows = run_sweep(doc, "drive.eta2", values, name="fig5_sweep")
+def test_criterion_11_degenerate_sweep(eta2_sweep):
+    doc = load_scenario("fig5").raw
+    manifest, header, rows = eta2_sweep
     assert manifest["status"] == "complete"
     for point in manifest["points"]:           # each point ran as planned
         scn = parse_scenario(apply_sweep_value(doc, "drive.eta2", point["value"]))

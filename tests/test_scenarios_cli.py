@@ -453,12 +453,12 @@ def test_fock_cutoff_sweep_converges():
         assert np.max(np.abs(np.array(by_cut[cut]) - base)) < 1e-4
 
 
-def test_exact_frame_rabi_period_end_to_end():
+def test_exact_frame_rabi_period_end_to_end(packaged_runs):
     # the full pipeline (drive -> exact frame -> master equation) reproduces
     # the closed-form swap period of the rotating-only drive set
     import math
     from modrabi.dynamics import extract_period
-    res = run_simulation(load_scenario("fig4jc"))
+    res = packaged_runs["fig4jc"]
     est = extract_period(res.exact.times, res.exact.observables["sigma_pop"])
     expected = math.pi / abs(res.manifest["resolved"]["effective"]["g_r_rad_s"])
     assert est.period == pytest.approx(expected, rel=0.02)

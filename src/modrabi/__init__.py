@@ -3,7 +3,9 @@ Rabi models from a dispersively coupled qubit-resonator system.
 
 The package is organized bottom-up:
 
-* :mod:`modrabi.hilbert` - truncated qubit(s) x resonator linear algebra;
+* :mod:`modrabi.hilbert` - truncated qubit(s) x resonator spaces, operators
+  and states: the ladder, qubit, displacement and coherent-state
+  constructors, and the basis labels diagonal operators are written from;
 * :mod:`modrabi.bessel` - first-kind Bessel functions of every order to 64
   from one trapezoid sum, numpy alone, on a checked domain;
 * :mod:`modrabi.modulation` - drive settings <-> effective model constants,
@@ -24,16 +26,14 @@ from .bessel import J0_FIRST_ZERO, bessel_j, bessel_orders
 from .errors import (NumericsError, TruncationWarning, UnreachableTargetError,
                      ValidationError)
 from .hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                      annihilation, basis_state, coherent_state, creation,
-                      collective_qubit_operator, displacement, expectation,
-                      identity, number_operator, partial_trace, qubit_operator,
-                      tensor_density)
+                      annihilation, basis_state, coherent_state, displacement,
+                      qubit_operator)
 from .modulation import (ETA_BALANCED, ETA_NULL, Detunings, DriveParams,
                          EffectiveParams, SidebandTerm, SystemParams,
                          ValidityReport, amplitudes_for_coupling,
                          coupling_ratio, detunings, drive_for_detunings,
                          drive_for_targets, effective_params, sideband_amplitudes,
-                         solve_amplitudes, swap_tones, validity_report)
+                         solve_amplitudes, validity_report)
 from .hamiltonians import (FramePhases, TimeDependentHamiltonian,
                            dicke_hamiltonian, effective_hamiltonian,
                            frame_phases, jx_field_hamiltonian, lab_hamiltonian,

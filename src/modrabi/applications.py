@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import (HilbertSpace, Operator, PureState, annihilation,
-                      coherent_state, collective_qubit_operator, displacement)
+                      coherent_state, displacement, embed_qubit)
 
 SQRT2 = math.sqrt(2.0)
 MIN_PROBABILITY = 1e-300    # largest outcome probability conditional_cat refuses
@@ -51,7 +51,9 @@ def magnus_propagator(g_eff: float, omega_eff: float, t: float,
                       space: HilbertSpace) -> Operator:
     """exp[i phi Jx^2] D[xi Jx], assembled sector by sector in the Jx eigenbasis."""
     ph = magnus_phase(g_eff, omega_eff, t)
-    jx = collective_qubit_operator(HilbertSpace(space.n_qubits, 1), "jx").matrix
+    qubits = HilbertSpace(space.n_qubits, 1)
+    jx = sum((embed_qubit(qubits, k, _SX) for k in range(space.n_qubits)),
+             np.zeros((qubits.dim, qubits.dim), dtype=complex))
     evals, evecs = np.linalg.eigh(jx)
     n = space.fock_cutoff
     res_space = HilbertSpace(0, n)
@@ -123,13 +125,9 @@ def conditional_cat(state: PureState, outcome: str) -> tuple[CatState, float]:
     return CatState(parity=parity, xi=xi, state=PureState(res_space, vec)), prob
 
 
-def cat_fock_populations(cat: CatState) -> np.ndarray:
-    return np.abs(cat.state.amplitudes) ** 2
-
-
 def cross_parity_population(cat: CatState) -> float:
     """Total weight on the Fock levels of the wrong parity."""
-    pops = cat_fock_populations(cat)
+    pops = np.abs(cat.state.amplitudes) ** 2
     wrong = pops[1::2] if cat.parity == "even" else pops[0::2]
     return float(wrong.sum())
 

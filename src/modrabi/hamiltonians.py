@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import HilbertSpace, Operator, _require_resonator, basis_labels
+from .hilbert import HilbertSpace, _require_resonator, basis_labels
 from .modulation import (DriveParams, EffectiveParams, SystemParams,
                          effective_params)
 
@@ -130,9 +130,6 @@ class FramePhases:
 
     def unitary_diag(self, t: float) -> np.ndarray:
         return np.exp(-1j * self.phases(t))
-
-    def unitary(self, t: float) -> Operator:
-        return Operator(self.space, np.diag(self.unitary_diag(t)))
 
 
 def frame_phases(sys: SystemParams, drive: DriveParams,

@@ -17,9 +17,10 @@ Conventions
   trace within `STATE_TRACE_TOL` of 1 and no eigenvalue below
   `STATE_EIG_FLOOR`; anything else is rejected at construction.
 
-Degenerate spaces with ``n_qubits = 0`` or ``fock_cutoff = 1`` are allowed so
-partial traces can return a marginal on the kept factor; the ladder and drive
-constructors require a real resonator (``fock_cutoff >= 2``).
+Degenerate spaces with ``n_qubits = 0`` or ``fock_cutoff = 1`` are allowed:
+`applications` builds its resonator factor as ``HilbertSpace(0, n)`` and its
+qubit factor as ``HilbertSpace(n, 1)``.  The ladder and drive constructors
+require a real resonator (``fock_cutoff >= 2``).
 """
 
 from __future__ import annotations
@@ -100,37 +101,6 @@ class Operator:
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}")
         object.__setattr__(self, "matrix", m)
 
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        d = self.matrix @ self.matrix.conj().T - np.eye(self.space.dim)
-        return bool(np.max(np.abs(d)) <= tol)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
-    def _check(self, other: "Operator"):
-        if other.space != self.space:
-            raise ValidationError("operators live on different spaces")
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -191,10 +161,6 @@ def basis_labels(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray]:
     return fock, space.n_qubits - ground.sum(axis=1)
 
 
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
-
 def embed_resonator(space: HilbertSpace, mat: np.ndarray) -> np.ndarray:
     """Tensor a fock_cutoff x fock_cutoff matrix with identity on the qubits."""
     return np.kron(np.eye(space.qubit_dim, dtype=complex), mat)
@@ -218,37 +184,11 @@ def annihilation(space: HilbertSpace) -> Operator:
     return Operator(space, embed_resonator(space, a))
 
 
-def creation(space: HilbertSpace) -> Operator:
-    return annihilation(space).dag()
-
-
-def number_operator(space: HilbertSpace) -> Operator:
-    _require_resonator(space)
-    n = np.diag(np.arange(space.fock_cutoff, dtype=float)).astype(complex)
-    return Operator(space, embed_resonator(space, n))
-
-
 def qubit_operator(space: HilbertSpace, which: int, kind: str) -> Operator:
     """Pauli or ladder matrix on one qubit; kind in {'sz','sx','sp','sm'}."""
     if kind not in _SIGMA:
         raise ValidationError(f"unknown qubit operator kind {kind!r}")
     return Operator(space, embed_qubit(space, which, _SIGMA[kind]))
-
-
-def collective_qubit_operator(space: HilbertSpace, kind: str) -> Operator:
-    """Sum of the single-qubit operator `kind` over all qubits (J+, J-, Jx, Jz/2-free).
-
-    Jz follows the commutator convention Jz = [J+, J-]/2, i.e. half the sum of
-    sigma_z; Jx is the plain sum of sigma_x.
-    """
-    if kind == "jz":
-        mats = [0.5 * embed_qubit(space, k, _SIGMA["sz"]) for k in range(space.n_qubits)]
-    elif kind in ("jx", "jp", "jm"):
-        key = {"jx": "sx", "jp": "sp", "jm": "sm"}[kind]
-        mats = [embed_qubit(space, k, _SIGMA[key]) for k in range(space.n_qubits)]
-    else:
-        raise ValidationError(f"unknown collective operator kind {kind!r}")
-    return Operator(space, sum(mats, np.zeros((space.dim, space.dim), dtype=complex)))
 
 
 def coherent_tail_mass(space: HilbertSpace, xi: complex) -> float:
@@ -300,38 +240,3 @@ def coherent_state(space: HilbertSpace, xi: complex) -> PureState:
     v = displacement(space, xi).matrix @ vac.amplitudes
     v = v / np.linalg.norm(v)
     return PureState(space, v)
-
-
-# ---------------------------------------------------------------------------
-# measurements and reductions
-# ---------------------------------------------------------------------------
-
-def expectation(op: Operator, state) -> complex:
-    """<psi|O|psi> or Tr(O rho)."""
-    if op.space != state.space:
-        raise ValidationError("operator and state live on different spaces")
-    if isinstance(state, PureState):
-        v = state.amplitudes
-        return complex(np.vdot(v, op.matrix @ v))
-    return complex(np.trace(op.matrix @ state.matrix))
-
-
-def tensor_density(space: HilbertSpace, rho_qubits: np.ndarray,
-                   rho_resonator: np.ndarray) -> DensityMatrix:
-    """Product state rho_q (x) rho_r on `space`."""
-    return DensityMatrix(space, np.kron(rho_qubits, rho_resonator))
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce to the qubit or resonator factor; keep in {'qubits','resonator'}."""
-    q, n = rho.space.qubit_dim, rho.space.fock_cutoff
-    blocks = rho.matrix.reshape(q, n, q, n)
-    if keep == "qubits":
-        reduced = np.einsum("injn->ij", blocks)
-        out_space = HilbertSpace(rho.space.n_qubits, 1)
-    elif keep == "resonator":
-        reduced = np.einsum("imin->mn", blocks)
-        out_space = HilbertSpace(0, rho.space.fock_cutoff)
-    else:
-        raise ValidationError(f"keep must be 'qubits' or 'resonator', got {keep!r}")
-    return DensityMatrix(out_space, reduced)

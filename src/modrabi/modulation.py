@@ -23,7 +23,7 @@ sideband.  All frequencies are angular (rad/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -406,10 +406,3 @@ def drive_for_targets(sys: SystemParams, eta1: float, eta2: float,
             f"|g_r|/omega_eff = {g_r_over_omega_eff} is unreachable at these "
             f"amplitudes (|g_r| = {g_r_abs:.3g} rad/s; the drive realizes {realized:.6g})")
     return drive
-
-
-def swap_tones(drive: DriveParams) -> DriveParams:
-    """Exchange the two tones; swaps the roles of g_r and g_cr."""
-    return replace(drive, omega1=drive.omega2, omega2=drive.omega1,
-                   eta1=drive.eta2, eta2=drive.eta1,
-                   phi1=drive.phi2, phi2=drive.phi1)

@@ -206,6 +206,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario: top level must be a JSON object")
     _known_keys(doc, "")
+    for key in ("name", "description"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ValidationError(f"{key}: must be a string, got {doc[key]!r}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")

@@ -22,11 +22,10 @@ from modrabi.hamiltonians import (effective_hamiltonian, frame_phases,
                                   jx_field_hamiltonian, model)
 from modrabi.hilbert import HilbertSpace, annihilation, basis_state, qubit_operator
 from modrabi.modulation import (ETA_NULL, DriveParams, SystemParams,
-                                detunings, drive_for_detunings,
-                                effective_params, swap_tones)
+                                detunings, drive_for_detunings, effective_params)
 from modrabi.scenarios import (apply_sweep_value, load_scenario, packaged_scenarios,
-                               parse_scenario, run_simulation, run_sweep,
-                               validation_report)
+                               parse_scenario, run_simulation, validation_report)
+from oracles import swap_tones
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9

@@ -16,6 +16,7 @@ from modrabi.dynamics import IntegratorConfig, evolve_schrodinger
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import jx_field_hamiltonian
 from modrabi.hilbert import HilbertSpace, basis_state
+from oracles import is_unitary
 
 TWO_PI = 2 * math.pi
 
@@ -91,7 +92,7 @@ def test_propagator_identity_at_t0():
 def test_propagator_unitary(nq):
     space = HilbertSpace(nq, 24)
     u = magnus_propagator(0.25, 1.0, 1.3, space)
-    assert u.is_unitary(1e-9)
+    assert is_unitary(u.matrix, 1e-9)
 
 
 @pytest.mark.parametrize("nq", [1, 2])

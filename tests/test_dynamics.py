@@ -21,11 +21,12 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   rotated_hamiltonian)
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
                              annihilation, basis_labels, basis_state, embed_resonator,
-                             number_operator, qubit_operator)
+                             qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
 from modrabi.scenarios import (load_scenario, load_scenario_document, parse_scenario,
                                run_simulation)
+from oracles import number_operator
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -957,7 +958,8 @@ def test_restart_path_stores_exactly_hermitian_states(method, amplitudes, blocks
     space = HilbertSpace(1, 6)
     H = rotated_hamiltonian(SYS, DRIVE_A, space)
     channels = loss_dissipators(SYS, space) + [
-        Dissipator(annihilation(space) + qubit_operator(space, 0, "sm"), 0.3 * SYS.g)]
+        Dissipator(Operator(space, annihilation(space).matrix
+                            + qubit_operator(space, 0, "sm").matrix), 0.3 * SYS.g)]
     v = sum(c * basis_state(space, q, n).amplitudes for (q, n), c in amplitudes.items())
     times = np.linspace(0.0, 0.3 * NS, 7)
     traj = evolve_master(H, channels, PureState(space, v).density_matrix(), times,

@@ -9,11 +9,10 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, _bare, _coupling_mat
                                   dicke_hamiltonian, effective_hamiltonian, frame_phases,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
-from modrabi.hilbert import (HilbertSpace, annihilation,
-                             collective_qubit_operator, number_operator,
-                             qubit_operator)
+from modrabi.hilbert import HilbertSpace, annihilation, qubit_operator
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
+from oracles import collective_qubit_operator, is_unitary, number_operator
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9
@@ -162,11 +161,11 @@ def test_frame_unitary_properties():
     drive = DriveParams(omega1=3.2 * GHZ, omega2=6.759 * GHZ, eta1=0.4, eta2=0.3,
                         phi1=0.9, phi2=0.2)
     fp = frame_phases(SYS, drive, space)
-    u0 = fp.unitary(0.0)
-    assert u0.is_unitary(1e-12)
-    assert np.max(np.abs(u0.matrix - np.diag(np.diag(u0.matrix)))) == 0.0
+    u0 = np.diag(fp.unitary_diag(0.0))
+    assert is_unitary(u0, 1e-12)
+    assert np.max(np.abs(u0 - np.diag(np.diag(u0)))) == 0.0
     # nonzero initial phases make the frame nontrivial at t = 0
-    assert np.max(np.abs(u0.matrix - np.eye(space.dim))) > 1e-3
+    assert np.max(np.abs(u0 - np.eye(space.dim))) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_degenerate_endpoints_reduce_to_jc_and_ajc():
 def test_excitation_number_conservation():
     space = HilbertSpace(1, 5)
     n_tot = (number_operator(space).matrix
-             + (qubit_operator(space, 0, "sp") @ qubit_operator(space, 0, "sm")).matrix)
+             + qubit_operator(space, 0, "sp").matrix @ qubit_operator(space, 0, "sm").matrix)
     jc = EffectiveParams(g_r=-1.0, g_cr=0.0, omega_eff=0.5, epsilon_eff=0.5,
                          theta=0.0, anisotropy=0.0)
     h_jc = model("jc", jc, space).evaluate(0.0)

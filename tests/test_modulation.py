@@ -13,7 +13,8 @@ from modrabi.modulation import (ETA_BALANCED, ETA_NULL, DriveParams,
                                 coupling_ratio, detunings, drive_for_detunings,
                                 drive_for_targets, effective_params,
                                 SIDEBAND_ORDERS, sideband_amplitudes, solve_amplitudes,
-                                swap_tones, validity_report)
+                                validity_report)
+from oracles import swap_tones
 
 TWO_PI = 2 * math.pi
 GHZ = TWO_PI * 1e9

@@ -14,11 +14,11 @@ from modrabi.dynamics import (CHOLESKY_MARGIN, Dissipator, IntegratorConfig, _ab
                               _lindblad, _parity_blocks, evolve_master)
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import TimeDependentHamiltonian, effective_hamiltonian
-from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, annihilation,
-                             number_operator, qubit_operator)
+from modrabi.hilbert import DensityMatrix, HilbertSpace, Operator, annihilation, qubit_operator
 from modrabi.modulation import EffectiveParams
 from modrabi.scenarios import (load_scenario_document, packaged_scenarios,
                                parse_scenario)
+from oracles import number_operator
 
 
 def _rhs(flow, t, y, out):

@@ -666,6 +666,9 @@ def test_cli_grid_over_the_evaluation_bound_exits_2_before_compute(tmp_path, cap
     ({"grid": {"t_end_ns": -10**400, "samples": 21}}, "grid.t_end_ns"),
     # delta1 has one spelling, in MHz
     ({"drive": {"design": {"anisotropy": 1.0, "delta1_hz": 0.0}}}, "drive.design.delta1_hz"),
+    # the name goes into the manifest and the stdout line, as a string
+    ({"name": ["x"]}, "name: must be a string"),
+    ({"description": None}, "description: must be a string"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ from modrabi.applications import (CNOT_CONTROL_FIRST, cat_evolution,
 from modrabi.dynamics import IntegratorConfig, evolve_schrodinger
 from modrabi.errors import ValidationError
 from modrabi.hamiltonians import jx_field_hamiltonian
-from modrabi.hilbert import HilbertSpace, basis_state
+from modrabi.hilbert import HilbertSpace, PureState, basis_state
 from oracles import is_unitary
 
 TWO_PI = 2 * math.pi
@@ -154,6 +154,22 @@ def test_conditional_cat_trivial_limit():
     assert abs(cat.state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
         conditional_cat(psi, "e")
+
+
+def test_conditional_cat_of_a_bell_like_state():
+    # (|g,0> + |e,1>)/sqrt 2: each outcome is certain to herald one Fock state
+    space = HilbertSpace(1, 4)
+    v = np.zeros(space.dim, dtype=complex)
+    v[space.index("g", 0)] = v[space.index("e", 1)] = 1 / math.sqrt(2)
+    psi = PureState(space, v)
+    for outcome, parity, fock in (("g", "even", 0), ("e", "odd", 1)):
+        cat, prob = conditional_cat(psi, outcome)
+        assert prob == pytest.approx(0.5, abs=1e-15)
+        assert cat.parity == parity
+        assert cat.xi == 0
+        assert cat.state.space == HilbertSpace(0, 4)
+        assert np.allclose(cat.state.amplitudes, np.eye(4)[fock], atol=1e-15)
+        assert cross_parity_population(cat) == 0.0
 
 
 def test_conditional_probabilities_match_closed_form():

@@ -20,8 +20,8 @@ from modrabi.hamiltonians import (TimeDependentHamiltonian, dicke_hamiltonian,
                                   jx_field_hamiltonian, lab_hamiltonian, model,
                                   rotated_hamiltonian)
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                             annihilation, basis_labels, basis_state, embed_resonator,
-                             qubit_operator)
+                             annihilation, basis_labels, basis_state, coherent_state,
+                             embed_resonator, qubit_operator)
 from modrabi.modulation import (DriveParams, EffectiveParams, SystemParams,
                                 effective_params)
 from modrabi.scenarios import (load_scenario, load_scenario_document, parse_scenario,
@@ -256,6 +256,29 @@ def test_observable_weights_equal_the_kron_built_diagonals(n_qubits, cutoff):
     assert weights.keys() == expected.keys()
     for name, w in expected.items():
         assert np.array_equal(weights[name], w), name
+
+
+def test_first_sample_observables_are_the_initial_state_expectations():
+    rng = np.random.default_rng(5)
+    space = HilbertSpace(1, 32)
+    zero = TimeDependentHamiltonian(space=space, static=np.zeros((space.dim, space.dim)))
+    excited = qubit_operator(space, 0, "sp").matrix @ qubit_operator(space, 0, "sm").matrix
+    ops = {"sigma_pop": excited,
+           "photon_number": number_operator(space).matrix,
+           "trace": np.eye(space.dim)}
+    psi = coherent_state(space, 0.7)
+    g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T))
+    times = np.array([0.0, NS])
+    pure = evolve_schrodinger(zero, psi, times)
+    mixed = evolve_master(zero, [], rho, times, IntegratorConfig(method="fixed_rk4", dt=NS))
+    for traj, state in ((pure, psi.density_matrix().matrix), (mixed, rho.matrix)):
+        for name, op in ops.items():
+            assert traj.observables[name][0] == pytest.approx(
+                np.real(np.trace(op @ state)), abs=1e-12), name
+        assert traj.observables["purity"][0] == pytest.approx(
+            np.real(np.trace(state @ state)), abs=1e-12)
+    assert pure.observables["photon_number"][0] == pytest.approx(0.49, abs=1e-6)
 
 
 def test_diagnostics_count_rhs_evals_and_time_the_least_eigenvalue():

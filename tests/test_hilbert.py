@@ -5,8 +5,8 @@ import pytest
 
 from modrabi.errors import TruncationWarning, ValidationError
 from modrabi.hilbert import (DensityMatrix, HilbertSpace, Operator, PureState,
-                             annihilation, coherent_state, coherent_tail_mass,
-                             displacement, qubit_operator)
+                             annihilation, basis_state, coherent_state,
+                             coherent_tail_mass, displacement, qubit_operator)
 from oracles import collective_qubit_operator, creation, identity, number_operator
 
 
@@ -141,6 +141,28 @@ def test_coherent_zero_is_vacuum():
     sp = HilbertSpace(1, 6)
     psi = coherent_state(sp, 0.0)
     assert abs(psi.amplitudes[sp.index("g", 0)] - 1.0) < 1e-14
+
+
+def test_factor_spaces_hold_the_factors_of_a_product_state():
+    # applications builds its factors as HilbertSpace(0, n) and HilbertSpace(n, 1);
+    # the qubits lead the product basis, so kron(qubits, resonator) is the joint state
+    rng = np.random.default_rng(3)
+    full, qubits, resonator = HilbertSpace(2, 3), HilbertSpace(2, 1), HilbertSpace(0, 3)
+    assert (qubits.dim, resonator.dim) == (full.qubit_dim, full.fock_cutoff)
+    for q, m in (("ge", 2), ("eg", 0), ("gg", 1)):
+        joint = np.kron(basis_state(qubits, q, 0).amplitudes,
+                        basis_state(resonator, "", m).amplitudes)
+        assert np.array_equal(joint, basis_state(full, q, m).amplitudes)
+    for _ in range(5):
+        g_q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        g_r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho_q = DensityMatrix(qubits, g_q @ g_q.conj().T / np.trace(g_q @ g_q.conj().T))
+        rho_r = DensityMatrix(resonator, g_r @ g_r.conj().T / np.trace(g_r @ g_r.conj().T))
+        blocks = DensityMatrix(full, np.kron(rho_q.matrix, rho_r.matrix)).matrix.reshape(4, 3, 4, 3)
+        assert np.max(np.abs(np.einsum("injn->ij", blocks) - rho_q.matrix)) < 1e-12
+        assert np.max(np.abs(np.einsum("imin->mn", blocks) - rho_r.matrix)) < 1e-12
+    with pytest.raises(ValidationError):
+        annihilation(qubits)
 
 
 def test_state_and_operator_validation():

@@ -110,37 +110,68 @@ class Scenario:
 _REQUIRED = object()
 
 
-def _known_keys(section: dict, path: str):
-    """Refuse a key of `section` that the parser does not read, naming it."""
-    for key in section:
-        if key not in _KEYS[path]:
-            where = f"{path}.{key}" if path else key
+def _section(doc: dict, path: str, required: bool = True) -> dict | None:
+    """The object at `path` ('' is `doc` itself, else `doc`'s key named by
+    the last part of `path`), or None when that key is absent and not
+    `required`.  A value that is not an object, or that holds a key the
+    parser does not read (not in `_KEYS[path]`), fails naming its path."""
+    key = path.rpartition(".")[2]
+    if path and key not in doc and not required:
+        return None
+    section = doc.get(key) if path else doc
+    if not isinstance(section, dict):
+        raise ValidationError(f"{path or 'scenario'}: must be an object")
+    for field in section:
+        if field not in _KEYS[path]:
+            where = f"{path}.{field}" if path else field
             raise ValidationError(f"{where}: unknown key; {path or 'the top level'} takes "
                                   + "/".join(sorted(_KEYS[path])))
+    return section
 
 
-def _number(section: dict, key: str, path: str, default=_REQUIRED,
-            integer: bool = False):
-    """section[key] as a finite float (an int within the float range if
-    `integer`), or `default` when the key is absent; anything else fails
-    naming the field path (`path` is '' at the top level)."""
-    where = f"{path}.{key}" if path else key
+def _choice(section: dict, path: str, choices: tuple, default=_REQUIRED):
+    """The value at field `path` of `section` (its key is the last part of
+    `path`) when it is one of `choices` in type as well as value, so JSON
+    true is not 1 and 1.0 is not the integer 1; `default` when the key is
+    absent.  Anything else fails naming the path and the choices as JSON."""
+    key = path.rpartition(".")[2]
+    if key not in section and default is not _REQUIRED:
+        return default
+    value = section.get(key)
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise ValidationError(f"{path}: must be one of {json.dumps(list(choices))}")
+    return value
+
+
+def _number(section: dict, path: str, default=_REQUIRED, integer: bool = False,
+            low: float | None = None, strict: bool = False, scale: float = 1.0):
+    """The value at field `path` of `section` as a finite float times
+    `scale` (if `integer`, as an int within the float range), >= `low` (>
+    if `strict`); `default` when the key is absent.  The bound and the float
+    range hold after scaling, so a value the scale takes to 0 or past the
+    range fails too.  Anything else fails naming the path."""
+    key = path.rpartition(".")[2]
     if key not in section:
         if default is _REQUIRED:
-            raise ValidationError(f"{where}: required")
+            raise ValidationError(f"{path}: required")
         return default
     value = section[key]
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not abs(value) <= _FLOAT_MAX):      # an int past it has no float
-        kind = "an integer within the float range" if integer else "a finite number"
-        raise ValidationError(f"{where}: must be {kind}")
-    return value if integer else float(value)
+    # an int past the float range has no float
+    if (not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+            and abs(value) <= _FLOAT_MAX):
+        value = value if integer else float(value) * scale
+        if abs(value) <= _FLOAT_MAX and (low is None or (value > low if strict
+                                                         else value >= low)):
+            return value
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    kind = "an integer{} within the float range" if integer else "a finite number{}"
+    raise ValidationError(f"{path}: must be " + kind.format(bound))
 
 
 def _angular(section: dict, field: str, path: str, required: bool = True,
-             default: float = 0.0) -> float:
-    keys = [f"{field}_{suffix}" for suffix in _UNIT_SCALE if f"{field}_{suffix}" in section]
+             default: float = 0.0, strict: bool = False) -> float:
+    """`field` in rad/s from its one unit spelling, >= 0 (> 0 if `strict`)."""
+    keys = [f"{field}_{unit}" for unit in _UNIT_SCALE if f"{field}_{unit}" in section]
     if not keys:
         if required:
             raise ValidationError(
@@ -149,10 +180,8 @@ def _angular(section: dict, field: str, path: str, required: bool = True,
         return default
     if len(keys) > 1:
         raise ValidationError(f"{path}.{field}: multiple unit spellings given")
-    value = _number(section, keys[0], path) * _UNIT_SCALE[keys[0].rsplit("_", 1)[1]]
-    if not 0 <= value < math.inf:
-        raise ValidationError(f"{path}.{keys[0]}: must be a finite frequency >= 0")
-    return value
+    return _number(section, f"{path}.{keys[0]}", low=0, strict=strict,
+                   scale=_UNIT_SCALE[keys[0].rsplit("_", 1)[1]])
 
 
 def _amplitude(drive: dict, tone: int, omega: float) -> float:
@@ -160,20 +189,14 @@ def _amplitude(drive: dict, tone: int, omega: float) -> float:
     in the Bessel factors' range X_LIMIT."""
     eta_key = f"eta{tone}"
     amp = _angular(drive, f"amp{tone}", "drive", required=False, default=None)
-    if omega <= 0:
-        raise ValidationError(f"drive.omega{tone}: must be > 0")
-    if eta_key not in drive:
-        if amp is None:
-            raise ValidationError(f"drive.eta{tone}: eta{tone} or amp{tone}_ghz required")
-        key = next(f"amp{tone}_{unit}" for unit in _UNIT_SCALE if f"amp{tone}_{unit}" in drive)
-        val = amp / omega
+    if (amp is None) == (eta_key not in drive):
+        raise ValidationError(f"drive.{eta_key}: exactly one of {eta_key} and "
+                              f"amp{tone}_<unit> required")
+    if amp is None:
+        key, val = eta_key, _number(drive, f"drive.{eta_key}", low=0)
     else:
-        if amp is not None:
-            raise ValidationError(f"drive.{eta_key}: give eta or amp, not both")
-        key = eta_key
-        val = _number(drive, eta_key, "drive")
-        if val < 0:
-            raise ValidationError(f"drive.{eta_key}: must be a number >= 0")
+        key = next(k for k in _spellings(f"amp{tone}") if k in drive)
+        val = amp / omega
     if 2 * val > X_LIMIT:
         raise ValidationError(f"drive.{key}: eta{tone} = {val} puts 2 eta{tone} "
                               f"above the Bessel range {X_LIMIT}")
@@ -186,15 +209,10 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
     Accepted keys: anisotropy (required; 'inf' allowed), g_r_over_omega_eff,
     delta1_mhz (the red-sideband detuning delta1 / 2 pi in MHz, default 0).
     """
-    if not isinstance(design, dict) or "anisotropy" not in design:
-        raise ValidationError("drive.design: needs at least {anisotropy}")
-    _known_keys(design, "drive.design")
-    if design["anisotropy"] == "inf":
-        lam = math.inf
-    else:
-        lam = _number(design, "anisotropy", "drive.design")
-    delta1 = _number(design, "delta1_mhz", "drive.design", 0.0) * _UNIT_SCALE["mhz"]
-    gratio = _number(design, "g_r_over_omega_eff", "drive.design", None)
+    lam = (math.inf if design.get("anisotropy") == "inf"
+           else _number(design, "drive.design.anisotropy"))
+    delta1 = _number(design, "drive.design.delta1_mhz", 0.0, scale=_UNIT_SCALE["mhz"])
+    gratio = _number(design, "drive.design.g_r_over_omega_eff", None)
     try:
         eta1, eta2 = solve_amplitudes(lam)
         return drive_for_targets(system, eta1, eta2, delta1, gratio)
@@ -203,20 +221,13 @@ def _drive_from_targets(design: dict, system: SystemParams) -> DriveParams:
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ValidationError("scenario: top level must be a JSON object")
-    _known_keys(doc, "")
+    _section(doc, "")
     for key in ("name", "description"):
         if key in doc and not isinstance(doc[key], str):
             raise ValidationError(f"{key}: must be a string, got {doc[key]!r}")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    _choice(doc, "schema_version", (SCHEMA_VERSION,))
 
-    sys_doc = doc.get("system")
-    if not isinstance(sys_doc, dict):
-        raise ValidationError("system: required object")
-    _known_keys(sys_doc, "system")
+    sys_doc = _section(doc, "system")
     system = SystemParams(
         epsilon=_angular(sys_doc, "epsilon", "system"),
         omega=_angular(sys_doc, "omega", "system"),
@@ -224,61 +235,35 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         kappa=_angular(sys_doc, "kappa", "system", required=False),
         gamma=_angular(sys_doc, "gamma", "system", required=False))
 
-    drv_doc = doc.get("drive")
-    if not isinstance(drv_doc, dict):
-        raise ValidationError("drive: required object")
-    _known_keys(drv_doc, "drive")
+    drv_doc = _section(doc, "drive")
     if "design" in drv_doc:
         if len(drv_doc) != 1:
             raise ValidationError("drive.design: replaces explicit tone settings")
-        drive = _drive_from_targets(drv_doc["design"], system)
+        drive = _drive_from_targets(_section(drv_doc, "drive.design"), system)
     else:
-        omega1 = _angular(drv_doc, "omega1", "drive")
-        omega2 = _angular(drv_doc, "omega2", "drive")
+        omega1 = _angular(drv_doc, "omega1", "drive", strict=True)
+        omega2 = _angular(drv_doc, "omega2", "drive", strict=True)
         drive = DriveParams(
             omega1=omega1, omega2=omega2,
             eta1=_amplitude(drv_doc, 1, omega1),
             eta2=_amplitude(drv_doc, 2, omega2),
-            phi1=_number(drv_doc, "phi1", "drive", 0.0),
-            phi2=_number(drv_doc, "phi2", "drive", 0.0))
+            phi1=_number(drv_doc, "drive.phi1", 0.0),
+            phi2=_number(drv_doc, "drive.phi2", 0.0))
 
-    model = doc.get("model", "both")
-    if model not in MODELS:
-        raise ValidationError(f"model: must be one of {MODELS}, got {model!r}")
-    dissipation = doc.get("dissipation", False)
-    if not isinstance(dissipation, bool):
-        raise ValidationError("dissipation: must be true or false")
-    initial = doc.get("initial_state", "vac_g")
-    if initial not in INITIAL_STATES:
-        raise ValidationError(f"initial_state: must be one of {INITIAL_STATES}")
+    model = _choice(doc, "model", MODELS, "both")
+    dissipation = _choice(doc, "dissipation", (False, True), False)
+    initial = _choice(doc, "initial_state", INITIAL_STATES, "vac_g")
 
-    grid = doc.get("grid")
-    if not isinstance(grid, dict):
-        raise ValidationError("grid: required object")
-    _known_keys(grid, "grid")
-    t_end_ns = _number(grid, "t_end_ns", "grid")
-    if t_end_ns <= 0:
-        raise ValidationError("grid.t_end_ns: must be a number > 0")
-    samples = _number(grid, "samples", "grid", integer=True)
-    if samples < 2:
-        raise ValidationError("grid.samples: must be an integer >= 2")
-
-    cutoff = _number(doc, "fock_cutoff", "", 30, integer=True)
-    if cutoff < 2:
-        raise ValidationError("fock_cutoff: must be an integer >= 2")
-
-    integ_doc = doc.get("integrator", {})
-    if not isinstance(integ_doc, dict):
-        raise ValidationError("integrator: must be an object")
-    _known_keys(integ_doc, "integrator")
-    method = integ_doc.get("method")
-    if "method" in integ_doc and method not in METHODS:
-        raise ValidationError(f"integrator.method: must be one of {METHODS}, got {method!r}")
-    dt_ns = _number(integ_doc, "dt_ns", "integrator", None)
-    dt = None if dt_ns is None else dt_ns * NS
-    if dt is not None and not dt > 0:
-        raise ValidationError("integrator.dt_ns: must be a number > 0")
-    integrator = IntegratorConfig(method=method, dt=dt)
+    # the end time and the step are bounded in seconds, so one that
+    # underflows to 0 s fails here and not in a run's plan
+    grid = _section(doc, "grid")
+    t_end = _number(grid, "grid.t_end_ns", low=0, strict=True, scale=NS)
+    samples = _number(grid, "grid.samples", integer=True, low=2)
+    cutoff = _number(doc, "fock_cutoff", 30, integer=True, low=2)
+    integ_doc = _section(doc, "integrator", required=False) or {}
+    integrator = IntegratorConfig(
+        method=_choice(integ_doc, "integrator.method", METHODS, None),
+        dt=_number(integ_doc, "integrator.dt_ns", None, low=0, strict=True, scale=NS))
 
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, (list, tuple)):
@@ -289,17 +274,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if out == "fidelity" and model != "both":
             raise ValidationError("outputs: fidelity needs model == 'both'")
 
-    highlight = doc.get("highlight")
+    highlight = _section(doc, "highlight", required=False)
     if highlight is not None:
-        if not (isinstance(highlight, dict)
-                and isinstance(highlight.get("param"), str) and "value" in highlight):
-            raise ValidationError("highlight: needs {param: str, value: number}")
-        _known_keys(highlight, "highlight")
-        _number(highlight, "value", "highlight")
+        if not isinstance(highlight.get("param"), str):
+            raise ValidationError("highlight.param: must be a string")
+        _number(highlight, "highlight.value")
 
     return Scenario(name=doc.get("name", name), system=system, drive=drive,
                     model=model, dissipation=dissipation, initial_state=initial,
-                    t_end=t_end_ns * NS, samples=samples,
+                    t_end=t_end, samples=samples,
                     integrator=integrator, fock_cutoff=cutoff, highlight=highlight, raw=doc)
 
 
@@ -534,10 +517,8 @@ def apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     if field.startswith(("eta", "amp", "omega")):
         # the swept spelling replaces the tone's others
         tone = field.split("_")[0][-1]
-        if field.startswith("omega"):
-            others = [f"omega{tone}_{unit}" for unit in _UNIT_SCALE]
-        else:
-            others = [f"eta{tone}", *(f"amp{tone}_{unit}" for unit in _UNIT_SCALE)]
+        others = (_spellings(f"omega{tone}") if field.startswith("omega")
+                  else {f"eta{tone}"} | _spellings(f"amp{tone}"))
         for key in others:
             target.pop(key, None)
     target[field] = value

@@ -5,7 +5,11 @@ A scenario is a JSON document with explicit units in the key names
 by 2 pi on ingestion; ``*_ns`` are nanoseconds).  Drive amplitudes may be
 given either normalized (``eta1``) or as the modulation amplitude product
 (``amp1_ghz``, i.e. eta1 * Omega1), matching how hardware settings are
-usually quoted.
+usually quoted.  ``parse_scenario`` reads every field through three readers:
+``_section`` (an object, refusing keys it does not read), ``_choice`` (one
+of a fixed set, in type as well as value) and ``_number`` (a finite number
+with a lower bound, held after unit scaling).  So every refusal reads
+``<field path>: must be ...``, and ``null`` is refused at every key.
 
 ``run_simulation`` executes one scenario: the frame-exact generator under
 the master equation (or Schrodinger equation when dissipation is off),
@@ -32,6 +36,7 @@ import ctypes
 import functools
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -228,9 +233,14 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     _choice(doc, "schema_version", (SCHEMA_VERSION,))
 
     sys_doc = _section(doc, "system")
+    epsilon = _angular(sys_doc, "epsilon", "system")
+    omega = _angular(sys_doc, "omega", "system")
+    if omega == epsilon:
+        key = next(k for k in _spellings("omega") if k in sys_doc)
+        raise ValidationError(f"system.{key}: must differ from epsilon, "
+                              "as the model presupposes the dispersive regime")
     system = SystemParams(
-        epsilon=_angular(sys_doc, "epsilon", "system"),
-        omega=_angular(sys_doc, "omega", "system"),
+        epsilon=epsilon, omega=omega,
         g=_angular(sys_doc, "g", "system"),
         kappa=_angular(sys_doc, "kappa", "system", required=False),
         gamma=_angular(sys_doc, "gamma", "system", required=False))
@@ -554,12 +564,13 @@ def _inherited_point(i: int):
 
 
 def _worker_count(threads: int | None) -> int:
-    """`threads`, else the CPU count; a count that is set must be an integer >= 1."""
+    """`threads`, else the CPU count; a count that is set must be an integer
+    >= 1: a numpy integer passes, a bool, a float or a string does not."""
     if threads is None:
         return os.cpu_count() or 1
     try:
-        count = int(threads)
-    except ValueError:
+        count = 0 if isinstance(threads, bool) else operator.index(threads)
+    except TypeError:
         count = 0
     if count < 1:
         raise ValidationError(f"--threads: must be an integer >= 1, got {threads!r}")

@@ -278,3 +278,22 @@ def test_parse_scenario_raises_only_validation_error(site, value):
         parse_scenario(doc, name="fuzz")
     except ValidationError as err:
         assert re.match(r"[\w.]+: ", str(err)), f"no field path in {err}"
+
+
+def test_null_is_refused_at_every_field_site():
+    """No key takes JSON null: at every field site of the documents above it
+    is refused, naming a field path, and never read as an absent key."""
+    accepted = []
+    for index, path in SITES:
+        doc = copy.deepcopy(DOCUMENTS[index])
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = None
+        try:
+            parse_scenario(doc, name="null")
+        except ValidationError as err:
+            assert re.match(r"[\w.]+: ", str(err)), f"no field path in {err}"
+        else:
+            accepted.append((index, path))
+    assert accepted == []

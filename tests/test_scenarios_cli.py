@@ -332,7 +332,9 @@ def test_sweep_rejects_unknown_param_and_single_point():
 
 
 @pytest.mark.parametrize("threads, env, where", [
-    (0, None, "--threads"), (-3, None, "--threads"), (0, "4", "--threads")])
+    (0, None, "--threads"), (-3, None, "--threads"), (0, "4", "--threads"),
+    # not an integer: int() would take 2.5 as 2 and True as 1
+    (2.5, None, "--threads"), (True, None, "--threads"), ([2], None, "--threads")])
 def test_sweep_rejects_bad_thread_count_before_compute(monkeypatch, threads, env, where):
     import modrabi.scenarios as scenarios
 
@@ -669,6 +671,15 @@ def test_cli_grid_over_the_evaluation_bound_exits_2_before_compute(tmp_path, cap
     # the name goes into the manifest and the stdout line, as a string
     ({"name": ["x"]}, "name: must be a string"),
     ({"description": None}, "description: must be a string"),
+    # valid alone, refused together: the model presupposes epsilon != omega
+    ({"system": {"epsilon_ghz": 5.4, "omega_ghz": 5.4, "g_mhz": 70}}, "system.omega_ghz"),
+    # bounded in seconds: 1e-320 ns is 0 s
+    ({"grid": {"t_end_ns": 1e-320, "samples": 21}}, "grid.t_end_ns"),
+    ({"integrator": {"dt_ns": 1e-320}}, "integrator.dt_ns"),
+    # a choice matches in type as well as value: true and 1.0 are not 1
+    ({"schema_version": True}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
+    ({"highlight": None}, "highlight"),
 ])
 def test_cli_malformed_values_exit_2_with_field_path(breaker, path, tmp_path, capsys):
     scn_file = tmp_path / "bad.json"

@@ -1,9 +1,10 @@
-"""What the package computes, pinned: the packaged scenarios and the 41-point
-fig5 `drive.eta2` sweep of acceptance criterion 11, reduced to
+"""What the package computes, pinned: the packaged scenarios, the 41-point
+fig5 `drive.eta2` sweep of acceptance criterion 11 and the files of the
+`design` and `applications` commands in `COMMANDS`, reduced to
 
 * each manifest without the scenario it echoes (the sweep's also without its
   worker count, which depends on the machine): every diagnostic, and the
-  resolved parameters;
+  resolved parameters; each command's JSON file whole;
 * every `ROW_STEP`-th CSV row, from the first;
 * each CSV column's max and min.
 
@@ -21,11 +22,16 @@ A change that means to move an output rewrites the file from its own code,
 and states the largest move per column in CHANGES.md.
 """
 
+import contextlib
+import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from modrabi.cli import main
 from modrabi.scenarios import load_scenario, packaged_scenarios, run_simulation, run_sweep
 
 PATH = Path(__file__).parent / "data" / "reference_outputs.json"
@@ -33,6 +39,15 @@ ROW_STEP = 30
 RTOL = 1e-11
 SWEEP_PARAM = "drive.eta2"
 SWEEP_VALUES = np.linspace(0.0, 1.2024, 41).tolist()
+COMMANDS = {
+    "design_lambda1_gratio1.2": ["design", "--lambda", "1", "--gratio", "1.2"],
+    "design_lambda2.5_gratio0.3_delta1-2": ["design", "--lambda", "2.5", "--gratio", "0.3",
+                                            "--delta1-mhz=-2"],
+    "design_lambda2.5_gr10": ["design", "--lambda", "2.5", "--gr-mhz", "10"],
+    "design_lambda_inf": ["design", "--lambda", "inf"],
+    "cat_g_ratio1.2": ["applications", "cat", "--g-ratio", "1.2"],
+    "gate": ["applications", "gate"],
+}
 
 
 def run_packaged() -> dict:
@@ -45,15 +60,41 @@ def run_eta2_sweep() -> tuple:
     return run_sweep(load_scenario("fig5").raw, SWEEP_PARAM, SWEEP_VALUES, name="fig5_sweep")
 
 
+def _cell(field: str):
+    return int(field) if field.lstrip("-").isdigit() else float(field)
+
+
+def run_commands(directory: Path) -> dict:
+    """Name -> {file name: its document, or (header, rows) of a CSV} of each
+    of `COMMANDS`, run into its own subdirectory of `directory`."""
+    out = {}
+    for name, argv in COMMANDS.items():
+        where = Path(directory) / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "-o", str(where)])
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        files = {}
+        for path in sorted(where.iterdir()):
+            if path.suffix == ".json":
+                files[path.name] = json.loads(path.read_text(encoding="utf-8"))
+            else:
+                with open(path, newline="", encoding="utf-8") as fh:
+                    header, *rows = csv.reader(fh)
+                files[path.name] = (header, [list(map(_cell, row)) for row in rows])
+        out[name] = files
+    return out
+
+
 def _table(header: list, rows: list) -> dict:
     return {name: {"max": max(column), "min": min(column),
                    "sampled_rows": list(column[::ROW_STEP])}
             for name, column in zip(header, zip(*rows))}
 
 
-def reduce(packaged: dict, sweep: tuple) -> dict:
-    """The pinned part of `run_packaged()` and `run_eta2_sweep()`, as JSON
-    reads it back."""
+def reduce(packaged: dict, sweep: tuple, commands: dict) -> dict:
+    """The pinned part of `run_packaged()`, `run_eta2_sweep()` and
+    `run_commands()`, as JSON reads it back."""
     out = {}
     for name, res in packaged.items():
         manifest = {k: v for k, v in res.manifest.items() if k != "scenario"}
@@ -62,6 +103,9 @@ def reduce(packaged: dict, sweep: tuple) -> dict:
     manifest = {k: v for k, v in manifest.items() if k != "scenario"}
     manifest["sweep"] = {k: v for k, v in manifest["sweep"].items() if k != "threads"}
     out["fig5_sweep"] = {"manifest": manifest, "columns": _table(header, rows)}
+    for name, files in commands.items():
+        out[name] = {file: _table(*doc) if isinstance(doc, tuple) else doc
+                     for file, doc in files.items()}
     return json.loads(json.dumps(out))
 
 
@@ -91,6 +135,7 @@ def differences(got, want, where: str = "", scale: float | None = None) -> list[
 
 if __name__ == "__main__":
     PATH.parent.mkdir(exist_ok=True)
-    PATH.write_text(json.dumps(reduce(run_packaged(), run_eta2_sweep()), indent=1) + "\n",
-                    encoding="utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        pinned = reduce(run_packaged(), run_eta2_sweep(), run_commands(directory))
+    PATH.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {PATH} ({PATH.stat().st_size} bytes)")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import J0_FIRST_ZERO, ORDER_LIMIT, X_LIMIT, bessel_j, bessel_orders
+from .bessel import J0_FIRST_ZERO, ORDER_LIMIT, X_LIMIT, bessel_orders
 from .errors import UnreachableTargetError, ValidationError
 
 ETA_BALANCED = 0.7173          # amplitude with J1(2 eta)/J0(2 eta) = 1 to ~4 digits
@@ -131,22 +131,23 @@ def detunings(sys: SystemParams, drive: DriveParams) -> Detunings:
                      delta_minus=dm, delta_plus=dp)
 
 
+def _couplings(g: float, eta1: float, eta2: float) -> tuple[float, float]:
+    """(g_r, g_cr) at coupling g.  The Bessel product comes first, so swapping
+    the two tones exchanges g_r and g_cr bit-for-bit."""
+    j1s, j2s = bessel_orders(1, 2 * eta1), bessel_orders(1, 2 * eta2)
+    return -g * (j1s[1] * j2s[0]), -g * (j1s[0] * j2s[1])
+
+
 def effective_params(sys: SystemParams, drive: DriveParams) -> EffectiveParams:
     det = detunings(sys, drive)
-    # Bessel product first: commutativity then makes swapping the two tones
-    # exchange g_r and g_cr bit-for-bit.
-    j1s, j2s = bessel_orders(1, 2 * drive.eta1), bessel_orders(1, 2 * drive.eta2)
-    g_r = -sys.g * (j1s[1] * j2s[0])
-    g_cr = -sys.g * (j1s[0] * j2s[1])
+    g_r, g_cr = _couplings(sys.g, drive.eta1, drive.eta2)
     # epsilon_eff first, omega_eff as delta1 + epsilon_eff: keeps the
     # reconstruction delta1 = omega_eff - epsilon_eff exact for resonant and
     # degenerate drives.
     epsilon_eff = (det.delta2 - det.delta1) / 2.0
     omega_eff = det.delta1 + epsilon_eff
-    if g_r != 0.0:
-        anisotropy = g_cr / g_r
-    else:
-        anisotropy = math.copysign(math.inf, g_cr) if g_cr != 0.0 else math.nan
+    anisotropy = (g_cr / g_r if g_r != 0.0
+                  else math.copysign(math.inf, g_cr) if g_cr != 0.0 else math.nan)
     return EffectiveParams(g_r=g_r, g_cr=g_cr, omega_eff=omega_eff,
                            epsilon_eff=epsilon_eff,
                            theta=drive.phi2 + drive.phi1,
@@ -284,12 +285,22 @@ def validity_report(sys: SystemParams, drive: DriveParams) -> ValidityReport:
 # inverse design
 # ---------------------------------------------------------------------------
 
+def _bisect(residual, lo: float, hi: float, close) -> float | None:
+    """The first of up to 200 midpoints, halving [lo, hi] toward the sign change
+    of the increasing `residual`, where close(residual(mid)); else None."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = residual(mid)
+        if close(r):
+            return mid
+        lo, hi = (mid, hi) if r < 0.0 else (lo, mid)
+    return None
+
+
 def coupling_ratio(eta: float) -> float:
     """J1(2 eta) / J0(2 eta), strictly increasing on [0, ETA_NULL)."""
     j0, j1 = bessel_orders(1, 2 * eta)
-    if j0 == 0.0:
-        return math.inf
-    return j1 / j0
+    return j1 / j0 if j0 != 0.0 else math.inf
 
 
 def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
@@ -313,22 +324,13 @@ def solve_amplitudes(target_anisotropy: float, eta_fixed: float = ETA_BALANCED,
         raise UnreachableTargetError("eta_fixed = 0 only reaches anisotropy 0")
 
     r_fixed = coupling_ratio(eta_fixed)
-    target = lam * r_fixed
-    lo, hi = 0.0, ETA_NULL
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        j0, j1 = bessel_orders(1, 2 * mid)
-        ratio = (j1 / j0 if j0 != 0.0 else math.inf) / r_fixed
-        err = abs(ratio - lam) if lam <= 1.0 else abs(1.0 / ratio - 1.0 / lam)
-        if err < tol:
-            return eta_fixed, mid
-        # sign of r(mid) - target, written without the J0 pole
-        if j1 - target * j0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise UnreachableTargetError(
-        f"bisection did not reach |ratio - {lam}| < {tol}")
+    # above lambda = 1 the residual is in 1 / ratio: tol bounds whichever is <= 1
+    residual = ((lambda e: coupling_ratio(e) / r_fixed - lam) if lam <= 1.0
+                else (lambda e: 1.0 / lam - 1.0 / (coupling_ratio(e) / r_fixed)))
+    eta2 = _bisect(residual, 0.0, ETA_NULL, lambda r: abs(r) < tol)
+    if eta2 is None:
+        raise UnreachableTargetError(f"bisection did not reach |ratio - {lam}| < {tol}")
+    return eta_fixed, eta2
 
 
 def amplitudes_for_coupling(target_g_r: float, anisotropy: float,
@@ -343,29 +345,20 @@ def amplitudes_for_coupling(target_g_r: float, anisotropy: float,
         raise UnreachableTargetError("couplings must be positive")
 
     def g_r_at(eta1: float) -> float:
-        _, eta2 = solve_amplitudes(anisotropy, eta_fixed=eta1, tol=1e-12)
-        return abs(g * bessel_j(1, 2 * eta1) * bessel_j(0, 2 * eta2))
+        return abs(_couplings(g, *solve_amplitudes(anisotropy, eta_fixed=eta1, tol=1e-12))[0])
 
     grid = [k * ETA_NULL / 64.0 for k in range(1, 64)]
     vals = [g_r_at(e) for e in grid]
     best = max(vals)
     if target_g_r > best:
-        raise UnreachableTargetError(
-            f"|g_r| = {target_g_r} exceeds the reachable maximum {best:.6g} "
-            f"at this anisotropy")
+        raise UnreachableTargetError(f"|g_r| = {target_g_r} exceeds the reachable "
+                                     f"maximum {best:.6g} at this anisotropy")
     k = next(i for i, v in enumerate(vals) if v >= target_g_r)
-    lo = grid[k - 1] if k > 0 else 1e-9
-    hi = grid[k]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = g_r_at(mid)
-        if abs(val - target_g_r) <= COUPLING_RTOL * target_g_r:
-            return solve_amplitudes(anisotropy, eta_fixed=mid, tol=1e-12)
-        if val < target_g_r:
-            lo = mid
-        else:
-            hi = mid
-    raise UnreachableTargetError("coupling bisection did not converge")
+    eta1 = _bisect(lambda e: g_r_at(e) - target_g_r, grid[k - 1] if k > 0 else 1e-9,
+                   grid[k], lambda r: abs(r) <= COUPLING_RTOL * target_g_r)
+    if eta1 is None:
+        raise UnreachableTargetError("coupling bisection did not converge")
+    return solve_amplitudes(anisotropy, eta_fixed=eta1, tol=1e-12)
 
 
 def drive_for_detunings(det1: float, det2: float, sys: SystemParams,
@@ -385,9 +378,8 @@ def drive_for_targets(sys: SystemParams, eta1: float, eta2: float,
                       g_r_over_omega_eff: float | None = None) -> DriveParams:
     """Drive at the given amplitudes and red detuning that sets |g_r|/omega_eff.
 
-    The amplitudes alone fix |g_r|, read off a probe drive with
-    delta2 = delta1; omega_eff = (delta1 + delta2)/2 then gives
-    delta2 = 2 |g_r| / ratio - delta1.  Without a ratio delta2 = delta1.
+    The amplitudes alone fix |g_r|; omega_eff = (delta1 + delta2)/2 then
+    gives delta2 = 2 |g_r| / ratio - delta1.  Without a ratio delta2 = delta1.
     The ratio the returned drive realizes must match the target to
     RATIO_RTOL: near a coupling null delta2 is lost in rounding the tones.
     """
@@ -395,8 +387,7 @@ def drive_for_targets(sys: SystemParams, eta1: float, eta2: float,
         return drive_for_detunings(delta1, delta1, sys, eta1, eta2)
     if not g_r_over_omega_eff > 0:
         raise UnreachableTargetError("|g_r|/omega_eff must be > 0")
-    probe = drive_for_detunings(delta1, delta1, sys, eta1, eta2)
-    g_r_abs = abs(effective_params(sys, probe).g_r)
+    g_r_abs = abs(_couplings(sys.g, eta1, eta2)[0])
     drive = drive_for_detunings(delta1, 2.0 * g_r_abs / g_r_over_omega_eff - delta1,
                                 sys, eta1, eta2)
     eff = effective_params(sys, drive)

@@ -154,11 +154,14 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     if not args.anisotropy >= 0:      # NaN included
         raise ValidationError(f"--lambda: must be a number in [0, inf], got {args.anisotropy}")
-    _require(args, "finite", math.isfinite, "gratio", "gr_mhz", "delta1_mhz")
+    _require(args, "finite", math.isfinite, "gratio")
+    # frequencies in rad/s, where a huge finite value overflows
+    _require(args, "finite", lambda v: math.isfinite(v * MHZ), "gr_mhz", "delta1_mhz")
     _require(args, "> 0", lambda v: v > 0, "gratio", "gr_mhz")
-    # in rad/s, where a huge finite value overflows
     _require(args, "finite and >= 0", lambda v: 0 <= v * GHZ < math.inf, "epsilon_ghz", "omega_ghz")
     _require(args, "finite and >= 0", lambda v: 0 <= v * MHZ < math.inf, "g_mhz")
+    _require(args, "different from --epsilon-ghz, as the model presupposes the dispersive "
+             "regime", lambda v: v * GHZ != args.epsilon_ghz * GHZ, "omega_ghz")
     delta1 = args.delta1_mhz * MHZ
     sys_params = SystemParams(epsilon=args.epsilon_ghz * GHZ, omega=args.omega_ghz * GHZ,
                               g=args.g_mhz * MHZ)
@@ -223,13 +226,23 @@ def cmd_sweep(args) -> int:
 def cmd_applications_cat(args) -> int:
     _require(args, "finite, with 4 pi g_ratio^2 finite",    # it bounds |xi|^2
              lambda v: math.isfinite(theta_from_coupling_ratio(v)), "g_ratio")
-    _require(args, "finite and > 0", lambda v: 0.0 < v < math.inf, "time_ns")
-    _require(args, "finite and nonzero", lambda v: math.isfinite(v) and v != 0.0, "omega_mhz")
+    # in rad/s and s, where a huge value overflows and a tiny one underflows;
+    # pi / |omega_eff| is the default time
+    _require(args, "finite and > 0", lambda v: 0.0 < v * NS < math.inf, "time_ns")
+    _require(args, "finite and nonzero, with pi / |omega_eff| finite",
+             lambda v: v != 0.0 and 0.0 < math.pi / abs(v * MHZ) < math.inf, "omega_mhz")
     _require(args, ">= 1", lambda v: v >= 1, "samples")
     _require(args, ">= 2", lambda v: v >= 2, "fock_cutoff")
     omega_eff = args.omega_mhz * MHZ
     g_eff = args.g_ratio * omega_eff
     t_end = args.time_ns * NS if args.time_ns is not None else math.pi / abs(omega_eff)
+    _require(args, "finite, with g_ratio omega_eff finite",
+             lambda v: math.isfinite(g_eff), "g_ratio")
+    # omega_eff t, then phi = (g/w)^2 (w t - sin w t): finite at t_end, so at
+    # every sample; at the default time phi = pi (g/w)^2, finite by --g-ratio
+    _require(args, "finite, with the Magnus phase at it finite",
+             lambda v: math.isfinite(omega_eff * t_end)
+             and math.isfinite(magnus_phase(g_eff, omega_eff, t_end).phi), "time_ns")
     xi_end = magnus_phase(g_eff, omega_eff, t_end).xi
     if conditional_probability(xi_end, "e") <= MIN_PROBABILITY:
         raise ValidationError(f"--g-ratio: {args.g_ratio} leaves outcome 'e' no "
@@ -240,7 +253,11 @@ def cmd_applications_cat(args) -> int:
     for t in times:
         ph = magnus_phase(g_eff, omega_eff, float(t))
         rows.append([float(t), ph.xi.real, ph.xi.imag, abs(ph.xi), ph.phi])
-    psi = cat_evolution(g_eff, omega_eff, t_end, space)
+    try:
+        psi = cat_evolution(g_eff, omega_eff, t_end, space)
+    except ValidationError as err:   # |xi| <= 2 |g_ratio|: its displacement overflowed
+        raise ValidationError(f"--g-ratio: {args.g_ratio} displaces the resonator too far "
+                              f"to compute the state ({err})") from err
     cat_g, p_g = conditional_cat(psi, "g")
     cat_e, p_e = conditional_cat(psi, "e")
     fock_rows = [[n, float(np.abs(cat_g.state.amplitudes[n]) ** 2),

@@ -276,7 +276,7 @@ def model(kind: str, eff: EffectiveParams,
 
     kind in {'qrm', 'jc', 'ajc', 'degenerate_aqrm'}.  The supplied parameters
     must actually realize the specialization (relative defect below 1e-9), so
-    a scenario cannot claim a model its drives do not produce; only then is
+    no caller gets a specialized model its drives do not produce; only then is
     the residual defect projected away (g_cr = g_r, a vanishing coupling,
     vanishing frequencies or phases set to exactly 0).
     """

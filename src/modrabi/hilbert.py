@@ -10,8 +10,10 @@ Conventions
 * The resonator keeps Fock levels 0 .. fock_cutoff-1. All operators act on
   the truncated ladder; ``[a, a+]`` therefore equals 1 everywhere except the
   top level, where it is -(fock_cutoff - 1).
-* Every value is immutable after construction (backing arrays are marked
-  read-only), so instances are safe to share across worker processes.
+* Every value is immutable after construction: its constructor copies the
+  array it is given into a read-only one, so the caller's array stays
+  writable and instances are safe to share across worker processes.  A
+  constructor refuses an array with a non-finite entry.
 * A `PureState` has a norm within `STATE_NORM_TOL` of 1.  A `DensityMatrix`
   has a Hermiticity defect max |rho - rho+| of at most `STATE_HERM_TOL`, a
   trace within `STATE_TRACE_TOL` of 1 and no eigenvalue below
@@ -46,8 +48,11 @@ STATE_TRACE_TOL = 1e-10     # largest |Tr rho - 1| of a DensityMatrix
 STATE_EIG_FLOOR = -1e-8     # least eigenvalue of a DensityMatrix
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=complex)
+def _frozen(arr: np.ndarray, what: str) -> np.ndarray:
+    """A read-only C-contiguous complex copy of `arr`, whose entries must be finite."""
+    arr = np.array(arr, dtype=complex, order="C")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has a non-finite entry")
     arr.setflags(write=False)
     return arr
 
@@ -95,7 +100,7 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
+        m = _frozen(self.matrix, "operator matrix")
         if m.shape != (self.space.dim, self.space.dim):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}")
@@ -108,7 +113,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.amplitudes).reshape(-1)
+        v = _frozen(self.amplitudes, "amplitude vector").reshape(-1)
         if v.shape != (self.space.dim,):
             raise ValidationError(
                 f"amplitude vector length {v.shape[0]} does not match dimension {self.space.dim}")
@@ -128,7 +133,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
+        m = _frozen(self.matrix, "density matrix")
         if m.shape != (self.space.dim, self.space.dim):
             raise ValidationError(
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}")

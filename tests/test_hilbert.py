@@ -183,3 +183,32 @@ def test_operator_immutability():
     op = identity(sp)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
+
+
+def test_constructors_copy_and_leave_the_callers_array_writable():
+    sp = HilbertSpace(1, 2)
+    vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    mat = np.eye(4, dtype=complex)
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    values = [PureState(sp, vec), Operator(sp, mat), DensityMatrix(sp, rho)]
+    for given in (vec, mat, rho):
+        assert given.flags.writeable
+        given[0] = 7.0
+    state, op, dm = values
+    assert state.amplitudes[0] == 1.0 and op.matrix[0, 0] == 1.0 and dm.matrix[0, 0] == 1.0
+    assert not (state.amplitudes.flags.writeable or op.matrix.flags.writeable
+                or dm.matrix.flags.writeable)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_constructors_refuse_non_finite_entries(bad):
+    sp = HilbertSpace(1, 2)
+    vec = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValidationError, match="amplitude vector has a non-finite entry"):
+        PureState(sp, vec)
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    rho[1, 1] = bad
+    with pytest.raises(ValidationError, match="density matrix has a non-finite entry"):
+        DensityMatrix(sp, rho)
+    with pytest.raises(ValidationError, match="operator matrix has a non-finite entry"):
+        Operator(sp, rho)

@@ -885,7 +885,8 @@ def test_cli_design_unreachable_exit_code(capsys):
 
 @pytest.mark.parametrize("flag, value", [("--epsilon-ghz", "nan"), ("--g-mhz", "nan"),
                                          ("--delta1-mhz", "nan"), ("--omega-ghz", "inf"),
-                                         ("--epsilon-ghz", "1e300")])
+                                         ("--epsilon-ghz", "1e300"), ("--gr-mhz", "1e305"),
+                                         ("--delta1-mhz", "1e305"), ("--delta1-mhz", "-1e305")])
 def test_cli_design_non_finite_value_exits_2(flag, value, capsys):
     assert main(["design", "--lambda", "1", flag, value]) == 2
     captured = capsys.readouterr()
@@ -916,6 +917,12 @@ def test_cli_design_out_of_range_target_exits_2_naming_the_flag(argv, capsys):
     assert main(["design", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"validation error: {argv[-2]}: ")
+
+
+def test_cli_design_with_epsilon_equal_to_omega_exits_2_naming_omega(capsys):
+    assert main(["design", "--lambda", "1", "--epsilon-ghz", "2.2", "--omega-ghz", "2.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("validation error: --omega-ghz: ")
 
 
 def test_design_at_coupling_null_is_unreachable(tmp_path, capsys):
@@ -1032,12 +1039,32 @@ def test_cli_applications_cat_negative_omega_default_time(tmp_path):
                                          ("--g-ratio", "1e154"), ("--g-ratio", "-1e200"),
                                          ("--time-ns", "nan"), ("--time-ns", "inf"),
                                          ("--time-ns", "0"), ("--time-ns", "-1"),
-                                         ("--fock-cutoff", "1"), ("--fock-cutoff", "0")])
+                                         ("--fock-cutoff", "1"), ("--fock-cutoff", "0"),
+                                         # out of range once in rad/s or s
+                                         ("--omega-mhz", "1e305"), ("--omega-mhz", "1e-320"),
+                                         ("--time-ns", "1e-320"),
+                                         # the displacement overflows
+                                         ("--g-ratio", "1e150")])
+@pytest.mark.filterwarnings("ignore::modrabi.errors.TruncationWarning")
 def test_cli_applications_cat_bad_flag_exits_2(flag, value, tmp_path, capsys):
     out = tmp_path / "cat"
     assert main(["applications", "cat", "--g-ratio", "1.2", flag, value,
                  "-o", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--omega-mhz", "1e200", "--g-ratio", "1e150"], "--g-ratio"),
+    (["--omega-mhz", "1e10", "--time-ns", "1e301"], "--time-ns"),
+    (["--g-ratio", "1e100", "--time-ns", "1e200"], "--time-ns")],
+    ids=["g_eff", "omega_eff_t", "phase"])
+def test_cli_applications_cat_overflow_in_the_closed_form_exits_2(argv, flag, tmp_path,
+                                                                  capsys):
+    # g_eff = g_ratio omega_eff, omega_eff t and the Magnus phase overflow
+    out = tmp_path / "cat"
+    assert main(["applications", "cat", "--g-ratio", "1.2", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {flag}: ")
     assert not out.exists()
 
 
